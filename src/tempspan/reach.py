@@ -1,11 +1,24 @@
 """Temporal reachability, connectivity testing, and foremost out-trees.
 
-All algorithms are single chronological sweeps over the edges sorted by
-label.  Edges sharing a label are processed as a group: under strict
-semantics a group sees only pre-group arrivals (equal labels cannot chain),
-under non-strict semantics the group is iterated to a fixpoint.
+Every answer comes from one chronological sweep, the one-pass earliest-arrival
+scan of Wu et al., "Path Problems in Temporal Graphs" (VLDB 2014), over one
+table: :attr:`TemporalGraph.label_groups`, the edges grouped by equal label in
+ascending label order.  Under strict semantics a group sees only the values
+from before it (equal labels cannot chain); under non-strict semantics it is
+iterated to a fixpoint.  A group of one edge needs neither: both reduce to one
+relaxation judged on the values before the group.
 
-``None`` is the unreachable sentinel throughout.
+The sweep has two modes, and both skip the edges flagged in a per-edge
+``removed`` bytearray:
+
+* the all-sources bitmask mode carries, per vertex, the set of vertices that
+  reach it (:func:`reach_masks`, :func:`is_tc`, all-pairs feasibility);
+* the single-source arrival mode carries earliest arrival labels and the edge
+  that set each (:func:`earliest_arrival`, :func:`reaches_all`,
+  :func:`foremost_out_tree`, two-source feasibility).
+
+The public functions take an optional ``kept`` edge subset and turn it into
+drop flags once per call.  ``None`` is the unreachable sentinel throughout.
 """
 
 from __future__ import annotations
@@ -58,76 +71,109 @@ class TemporalOutTree:
     tree_edges: frozenset[int]
 
 
-def _label_groups(g: TemporalGraph, kept: Iterable[int] | None) -> list[list[int]]:
-    """Edge indices grouped by equal label, groups ascending by label."""
+def _drop_flags(g: TemporalGraph, kept: Iterable[int] | None) -> bytearray:
+    """Per-edge drop flags for the sweeps: 1 marks an edge outside ``kept``."""
     if kept is None:
-        order = g.label_order
-    else:
-        keep = set(kept)
-        order = [i for i in g.label_order if i in keep]
-    groups: list[list[int]] = []
-    prev = None
-    for i in order:
-        t = g.edges[i].t
-        if t != prev:
-            groups.append([])
-            prev = t
-        groups[-1].append(i)
-    return groups
+        return bytearray(g.m)
+    m = g.m
+    removed = bytearray(b"\x01") * m
+    for i in kept:
+        if not 0 <= i < m:
+            raise ValueError(f"edge index {i} out of range [0, {m})")
+        removed[i] = 0
+    return removed
 
 
-def _scan(
-    g: TemporalGraph,
-    source: int,
-    start: int,
-    s: Strictness,
-    kept: Iterable[int] | None = None,
-) -> tuple[list[int | None], list[int | None]]:
-    """Earliest-arrival sweep.  Returns (arrival, via-edge-index) per vertex."""
-    global relaxation_count
-    arrival: list[int | None] = [None] * g.vertex_count
-    via: list[int | None] = [None] * g.vertex_count
-    arrival[source] = start
-    strict = s is Strictness.STRICT
-    edges = g.edges
-    for group in _label_groups(g, kept):
-        t = edges[group[0]].t
-        if t < start:
+def _mask_sweep(g: TemporalGraph, s: Strictness, removed: bytearray) -> list[int]:
+    """All-sources mode: bit u of entry v is set iff u reaches v."""
+    masks = [1 << v for v in range(g.vertex_count)]
+    strict = s is STRICT
+    for _, group in g.label_groups:
+        if len(group) == 1:
+            i, u, v = group[0]
+            if not removed[i]:
+                masks[u] = masks[v] = masks[u] | masks[v]
             continue
         if strict:
-            snapshot = {}
-            for i in group:
-                e = edges[i]
-                snapshot.setdefault(e.u, arrival[e.u])
-                snapshot.setdefault(e.v, arrival[e.v])
-            for i in group:
-                e = edges[i]
-                relaxation_count += 1
-                for a, b in ((e.u, e.v), (e.v, e.u)):
-                    aa = snapshot[a]
-                    if aa is None:
-                        continue
-                    # A path's first edge only needs label >= start.
-                    if aa < t or (a == source and aa == start):
-                        if arrival[b] is None or t < arrival[b]:
-                            arrival[b] = t
-                            via[b] = i
+            # Every read happens before the first write: the group sees only
+            # pre-group masks.
+            before = [(u, v, masks[u], masks[v]) for i, u, v in group if not removed[i]]
+            for u, v, mu, mv in before:
+                masks[v] |= mu
+                masks[u] |= mv
         else:
+            alive = [(u, v) for i, u, v in group if not removed[i]]
             changed = True
             while changed:
                 changed = False
-                for i in group:
-                    e = edges[i]
-                    relaxation_count += 1
-                    for a, b in ((e.u, e.v), (e.v, e.u)):
-                        aa = arrival[a]
-                        if aa is None or aa > t:
-                            continue
-                        if arrival[b] is None or t < arrival[b]:
+                for u, v in alive:
+                    x = masks[u] | masks[v]
+                    if x != masks[u] or x != masks[v]:
+                        masks[u] = masks[v] = x
+                        changed = True
+    return masks
+
+
+def _arrival_sweep(
+    g: TemporalGraph, source: int, start: int, s: Strictness, removed: bytearray
+) -> tuple[list[int | None], list[int | None]]:
+    """Single-source mode: (arrival, via-edge-index) per vertex."""
+    global relaxation_count
+    n = g.vertex_count
+    if not 0 <= source < n:
+        raise ValueError(f"source {source} out of range")
+    strict = s is STRICT
+    # An edge at label t leaves a vertex reached at a < t + slack.  The source
+    # is held one step early under strict semantics, so that a path's first
+    # edge needs only a label >= start.
+    slack = 0 if strict else 1
+    never = g.lifetime + 1
+    arrival = [never] * n
+    via: list[int | None] = [None] * n
+    arrival[source] = start - 1 + slack
+    relaxed = 0
+    for t, group in g.label_groups:
+        if t < start:
+            continue
+        if len(group) == 1:
+            i, u, v = group[0]
+            if removed[i]:
+                continue
+            relaxed += 1
+            au, av = arrival[u], arrival[v]
+            if au < t + slack and t < av:
+                arrival[v] = t
+                via[v] = i
+            elif av < t + slack and t < au:
+                arrival[u] = t
+                via[u] = i
+            continue
+        if strict:
+            before = [(i, u, v, arrival[u], arrival[v]) for i, u, v in group if not removed[i]]
+            relaxed += len(before)
+            for i, u, v, au, av in before:
+                if au < t and t < arrival[v]:
+                    arrival[v] = t
+                    via[v] = i
+                if av < t and t < arrival[u]:
+                    arrival[u] = t
+                    via[u] = i
+        else:
+            alive = [edge for edge in group if not removed[edge[0]]]
+            changed = True
+            while changed:
+                changed = False
+                relaxed += len(alive)
+                for i, u, v in alive:
+                    for a, b in ((u, v), (v, u)):
+                        if arrival[a] <= t and t < arrival[b]:
                             arrival[b] = t
                             via[b] = i
                             changed = True
-    return arrival, via
+    relaxation_count += relaxed
+    out = [None if a == never else a for a in arrival]
+    out[source] = start
+    return out, via
 
 
 def earliest_arrival(
@@ -142,11 +188,9 @@ def earliest_arrival(
     The first edge of a path must carry a label ``>= start``; later labels
     strictly increase (strict) or never decrease (non-strict).
     """
-    if not (0 <= source < g.vertex_count):
-        raise ValueError(f"source {source} out of range")
     if start < 0:
         raise ValueError("start must be non-negative")
-    arrival, _ = _scan(g, source, start, s, kept)
+    arrival, _ = _arrival_sweep(g, source, start, s, _drop_flags(g, kept))
     return ArrivalProfile(source=source, start=start, arrival=tuple(arrival))
 
 
@@ -160,31 +204,7 @@ def reach_masks(
     All-sources sweep: bit u of entry v means u reaches v.  This is the fast
     path behind :func:`reach_matrix` and :func:`is_tc`.
     """
-    masks = [1 << v for v in range(g.vertex_count)]
-    strict = s is Strictness.STRICT
-    edges = g.edges
-    for group in _label_groups(g, kept):
-        if strict:
-            snapshot = {}
-            for i in group:
-                e = edges[i]
-                snapshot.setdefault(e.u, masks[e.u])
-                snapshot.setdefault(e.v, masks[e.v])
-            for i in group:
-                e = edges[i]
-                masks[e.v] |= snapshot[e.u]
-                masks[e.u] |= snapshot[e.v]
-        else:
-            changed = True
-            while changed:
-                changed = False
-                for i in group:
-                    e = edges[i]
-                    x = masks[e.u] | masks[e.v]
-                    if x != masks[e.u] or x != masks[e.v]:
-                        masks[e.u] = masks[e.v] = x
-                        changed = True
-    return masks
+    return _mask_sweep(g, s, _drop_flags(g, kept))
 
 
 def reach_matrix(
@@ -210,8 +230,8 @@ def reaches_all(
     s: Strictness = STRICT,
     kept: Iterable[int] | None = None,
 ) -> bool:
-    arrival, _ = _scan(g, source, 0, s, kept)
-    return all(a is not None for a in arrival)
+    arrival, _ = _arrival_sweep(g, source, 0, s, _drop_flags(g, kept))
+    return None not in arrival
 
 
 def foremost_out_tree(
@@ -225,7 +245,7 @@ def foremost_out_tree(
     Restricting the graph to the returned ``n - 1`` edges preserves the
     root's full reachability.
     """
-    arrival, via = _scan(g, root, 0, s, kept)
+    arrival, via = _arrival_sweep(g, root, 0, s, _drop_flags(g, kept))
     missing = [v for v, a in enumerate(arrival) if a is None]
     if missing:
         raise RootNotSpanning(f"root {root} cannot reach {missing}")

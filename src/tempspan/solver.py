@@ -4,9 +4,10 @@ Contents:
 
 * forced-edge preprocessing (edges whose single removal breaks the
   requirement, hence members of every spanner),
-* an exact desk-scale oracle with three engines: full subset enumeration
-  (verification builds), branch-and-bound over removable edges, and a
-  cut-generation loop on top of a MILP solver for larger instances,
+* exact desk-scale solvers: full subset enumeration (the verification
+  oracle, :func:`min_spanner_brute`) and, behind :func:`min_spanner_exact`,
+  three engines: branch-and-bound over removable edges, a cut-generation loop
+  on top of a MILP solver, and one time-expanded multicommodity-flow MILP,
 * the two-source requirement variant,
 * an XP algorithm for happy graphs parameterized by the vertex cover number
   of the underlying graph: enumerate per-root out-tree candidates through
@@ -69,126 +70,41 @@ def requirement_holds(
     requirement: AllPairs | TwoSource = ALL_PAIRS,
     kept: Iterable[int] | None = None,
 ) -> bool:
-    if isinstance(requirement, TwoSource):
-        return reach.reaches_all(g, requirement.s1, s, kept) and reach.reaches_all(
-            g, requirement.s2, s, kept
-        )
-    return reach.is_tc(g, s, kept)
+    _check_requirement(g, requirement)
+    return _SubsetOracle(g, s, requirement).feasible(reach._drop_flags(g, kept))
 
 
 class _SubsetOracle:
-    """Feasibility of edge subsets, pre-grouped for repeated queries.
+    """The requirement check on edge subsets given as drop flags.
 
     ``removed`` arguments are bytearrays of length m; flag 1 drops the edge.
+    All-pairs runs the all-sources sweep, two-source the single-source one.
     """
 
     def __init__(self, g: TemporalGraph, s: Strictness, requirement: AllPairs | TwoSource):
         self.g = g
-        self.m = g.m
-        self.n = g.vertex_count
-        self.full = (1 << self.n) - 1
-        self.strict = s is STRICT
+        self.s = s
         self.requirement = requirement
-        groups: list[list[tuple[int, int, int]]] = []
-        prev = None
-        for i in g.label_order:
-            e = g.edges[i]
-            if e.t != prev:
-                groups.append([])
-                prev = e.t
-            groups[-1].append((i, e.u, e.v))
-        self.groups = groups
-        self.labels = [e.t for e in g.edges]
 
-    def _masks(self, removed: bytearray) -> list[int]:
-        masks = [1 << v for v in range(self.n)]
-        for group in self.groups:
-            if len(group) == 1:
-                i, u, v = group[0]
-                if removed[i]:
-                    continue
-                x = masks[u] | masks[v]
-                masks[u] = x
-                masks[v] = x
-            elif self.strict:
-                snapshot: dict[int, int] = {}
-                alive = [(u, v) for i, u, v in group if not removed[i]]
-                for u, v in alive:
-                    snapshot.setdefault(u, masks[u])
-                    snapshot.setdefault(v, masks[v])
-                for u, v in alive:
-                    masks[v] |= snapshot[u]
-                    masks[u] |= snapshot[v]
-            else:
-                alive = [(u, v) for i, u, v in group if not removed[i]]
-                changed = True
-                while changed:
-                    changed = False
-                    for u, v in alive:
-                        x = masks[u] | masks[v]
-                        if x != masks[u] or x != masks[v]:
-                            masks[u] = masks[v] = x
-                            changed = True
-        return masks
-
-    def _source_reaches_all(self, source: int, removed: bytearray) -> bool:
-        INF = float("inf")
-        arrival = [INF] * self.n
-        arrival[source] = 0
-        reached = 1
-        strict = self.strict
-        for group in self.groups:
-            if strict:
-                snapshot = {}
-                for i, u, v in group:
-                    if removed[i]:
-                        continue
-                    snapshot.setdefault(u, arrival[u])
-                    snapshot.setdefault(v, arrival[v])
-                for i, u, v in group:
-                    if removed[i]:
-                        continue
-                    t = self.labels[i]
-                    for a, b in ((u, v), (v, u)):
-                        if snapshot[a] < t and t < arrival[b]:
-                            if arrival[b] is INF:
-                                reached += 1
-                            arrival[b] = t
-            else:
-                alive = [(i, u, v) for i, u, v in group if not removed[i]]
-                changed = True
-                while changed:
-                    changed = False
-                    for i, u, v in alive:
-                        t = self.labels[i]
-                        for a, b in ((u, v), (v, u)):
-                            if arrival[a] <= t and t < arrival[b]:
-                                if arrival[b] is INF:
-                                    reached += 1
-                                arrival[b] = t
-                                changed = True
-        return reached == self.n
+    def _spans(self, source: int, removed: bytearray) -> bool:
+        return None not in reach._arrival_sweep(self.g, source, 0, self.s, removed)[0]
 
     def feasible(self, removed: bytearray) -> bool:
-        if isinstance(self.requirement, TwoSource):
-            return self._source_reaches_all(
-                self.requirement.s1, removed
-            ) and self._source_reaches_all(self.requirement.s2, removed)
-        full = self.full
-        return all(x == full for x in self._masks(removed))
+        req = self.requirement
+        if isinstance(req, TwoSource):
+            return self._spans(req.s1, removed) and self._spans(req.s2, removed)
+        full = (1 << self.g.vertex_count) - 1
+        return all(mask == full for mask in reach._mask_sweep(self.g, self.s, removed))
 
     def failing_sources(self, removed: bytearray) -> list[int]:
         """Sources that cannot reach every vertex under the requirement."""
-        if isinstance(self.requirement, TwoSource):
-            return [
-                s
-                for s in (self.requirement.s1, self.requirement.s2)
-                if not self._source_reaches_all(s, removed)
-            ]
-        good = self.full
-        for mask in self._masks(removed):
+        req = self.requirement
+        if isinstance(req, TwoSource):
+            return [x for x in (req.s1, req.s2) if not self._spans(x, removed)]
+        good = (1 << self.g.vertex_count) - 1
+        for mask in reach._mask_sweep(self.g, self.s, removed):
             good &= mask
-        return [u for u in range(self.n) if not (good >> u) & 1]
+        return [u for u in range(self.g.vertex_count) if not (good >> u) & 1]
 
 
 def _check_requirement(g: TemporalGraph, requirement: AllPairs | TwoSource) -> None:
@@ -251,7 +167,7 @@ def _bnb_max_removal(
     decomposition bound: per-block caps on how many edges any feasible
     removal can take from each block.
     """
-    removed = bytearray(oracle.m)
+    removed = bytearray(oracle.g.m)
     best: list[int] = []
     cur: list[int] = []
     k = len(removable)
@@ -398,7 +314,7 @@ def _frontier_cut(
     improves some arrival, and is not in ``kept``.
     """
     kept = set(kept)
-    arrival, _ = reach._scan(g, source, 0, s, kept=kept)
+    arrival = reach.earliest_arrival(g, source, 0, s, kept).arrival
     strict = s is STRICT
     cut = []
     for i, e in enumerate(g.edges):
@@ -702,7 +618,7 @@ def min_spanner_exact(
     With a ``budget``, runs in decision mode: the search may stop on any
     feasible solution of size at most the budget, or on a proof that none
     exists (``within_budget`` reports which).  ``engine`` is one of ``auto``,
-    ``bnb``, ``cuts``.
+    ``bnb``, ``cuts``, ``flow``.
     """
     _check_requirement(g, requirement)
     oracle = _SubsetOracle(g, s, requirement)
@@ -1088,12 +1004,32 @@ def _mask_indices(mask: int) -> list[int]:
     return out
 
 
-def _sources_reaching_all(g: TemporalGraph, kept: Iterable[int]) -> int:
-    """Bitmask of vertices that reach every vertex through ``kept``."""
-    good = (1 << g.vertex_count) - 1
-    for mask in reach.reach_masks(g, STRICT, kept):
-        good &= mask
-    return good
+def _incomplete_vertices(g: TemporalGraph, kept: Iterable[int], cover: set[int]) -> list[int]:
+    """Non-cover vertices that miss some vertex through ``kept``."""
+    failing = _SubsetOracle(g, STRICT, ALL_PAIRS).failing_sources(reach._drop_flags(g, kept))
+    return [v for v in failing if v not in cover]
+
+
+def _single_edge_fixes(
+    g: TemporalGraph, union: Iterable[int], vertices: Iterable[int]
+) -> dict[int, int] | None:
+    """Per vertex, the smallest-index incident edge outside ``union`` whose
+    addition lets it reach every vertex; None if some vertex has none."""
+    removed = reach._drop_flags(g, union)
+    fixes: dict[int, int] = {}
+    for v in vertices:
+        for idx in g.incident[v]:
+            if not removed[idx]:
+                continue
+            removed[idx] = 0
+            fixed = None not in reach._arrival_sweep(g, v, 0, STRICT, removed)[0]
+            removed[idx] = 1
+            if fixed:
+                fixes[v] = idx
+                break
+        else:
+            return None
+    return fixes
 
 
 def select_extra_edges(
@@ -1109,23 +1045,10 @@ def select_extra_edges(
     """
     union = set(tree_union)
     x_set = set(cover)
-    good = _sources_reaching_all(g, union)
-    extras: dict[int, int | None] = {}
-    for v in range(g.vertex_count):
-        if v in x_set:
-            continue
-        if (good >> v) & 1:
-            extras[v] = None
-            continue
-        for idx in g.incident[v]:
-            if idx in union:
-                continue
-            if reach.reaches_all(g, v, STRICT, kept=union | {idx}):
-                extras[v] = idx
-                break
-        else:
-            return None
-    return extras
+    fixes = _single_edge_fixes(g, union, _incomplete_vertices(g, union, x_set))
+    if fixes is None:
+        return None
+    return {v: fixes.get(v) for v in range(g.vertex_count) if v not in x_set}
 
 
 def _greedy_local_min(
@@ -1179,24 +1102,16 @@ def min_spanner_xp_vc(g: TemporalGraph, budget: int | None = None) -> SolveResul
             return
         seen_unions.add(acc)
         union = _mask_indices(acc)
-        good = _sources_reaching_all(g, union)
-        incomplete = [
-            v for v in range(n) if v not in x_set and not (good >> v) & 1
-        ]
+        incomplete = _incomplete_vertices(g, union, x_set)
         # Extra edges never coincide across vertices, so each one costs 1.
         if len(union) + len(incomplete) >= best_size:
             return
-        union_set = set(union)
+        fixes = _single_edge_fixes(g, union, incomplete)
+        if fixes is None:
+            return
         final = acc
-        for v in incomplete:
-            for idx in g.incident[v]:
-                if idx in union_set:
-                    continue
-                if reach.reaches_all(g, v, STRICT, kept=union_set | {idx}):
-                    final |= 1 << idx
-                    break
-            else:
-                return
+        for idx in fixes.values():
+            final |= 1 << idx
         size = final.bit_count()
         if size >= best_size:
             return

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from itertools import groupby
+from typing import Iterable
 
 
 class TempGraphError(Exception):
@@ -103,6 +104,18 @@ class TemporalGraph:
     def label_order(self) -> tuple[int, ...]:
         """Edge indices sorted by (label, index); the chronological scan order."""
         return tuple(sorted(range(self.m), key=lambda i: (self.edges[i].t, i)))
+
+    @cached_property
+    def label_groups(self) -> tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]:
+        """``(label, ((edge index, u, v), ...))`` per distinct label, in scan order.
+
+        The one table every reachability sweep reads; built on first use.
+        """
+        edges = self.edges
+        return tuple(
+            (t, tuple((i, edges[i].u, edges[i].v) for i in group))
+            for t, group in groupby(self.label_order, key=lambda i: edges[i].t)
+        )
 
     @cached_property
     def underlying_pairs(self) -> frozenset[tuple[int, int]]:
@@ -324,7 +337,3 @@ def delete_vertex(g: TemporalGraph, victim: int) -> tuple[TemporalGraph, list[in
 
     edges = [TimeEdge(shift(g.edges[i].u), shift(g.edges[i].v), g.edges[i].t) for i in survivors]
     return build(g.vertex_count - 1, edges), survivors
-
-
-def edge_subset_labels(g: TemporalGraph, indices: Sequence[int]) -> list[int]:
-    return [g.edges[i].t for i in indices]

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from tempspan import generate, reach
+from tempspan import generate, reach, solver
 from tempspan import tempgraph as tg
 from tempspan.reach import NONSTRICT, STRICT
 from tempspan.reductions import SatInstance, sat_to_spanner_instance
@@ -142,3 +144,101 @@ def test_single_pass_relaxation_count():
     before = reach.relaxation_count
     reach.earliest_arrival(g, 0, 0, STRICT)
     assert reach.relaxation_count - before == g.m
+
+
+def _multilabel_graph(seed):
+    """A small non-proper multi-label graph: few labels, so groups share them."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 6)
+    keys = {
+        (u, v, rng.randint(1, 5))
+        for u, v in (sorted(rng.sample(range(n), 2)) for _ in range(rng.randint(n, 3 * n)))
+    }
+    return tg.build(n, sorted(keys))
+
+
+def _naive_arrival(g, source, start, strict, kept):
+    """Fixpoint over (vertex, earliest label the next edge may carry) states."""
+    gap = 1 if strict else 0
+    states = {(source, start)}
+    arrival = [None] * g.vertex_count
+    arrival[source] = start
+    grown = True
+    while grown:
+        grown = False
+        for i in kept:
+            e = g.edges[i]
+            for a, b in ((e.u, e.v), (e.v, e.u)):
+                if any(x == a and d <= e.t for x, d in states) and (b, e.t + gap) not in states:
+                    states.add((b, e.t + gap))
+                    grown = True
+                    if b != source and (arrival[b] is None or e.t < arrival[b]):
+                        arrival[b] = e.t
+    return arrival
+
+
+def test_sweep_modes_agree_with_naive_fixpoint():
+    sizes = set()
+    for seed in range(60):
+        g = _multilabel_graph(seed)
+        sizes.update(len(group) for _, group in g.label_groups)
+        rng = random.Random(seed)
+        for s in (STRICT, NONSTRICT):
+            for kept in (None, [i for i in range(g.m) if rng.random() < 0.7]):
+                edges = range(g.m) if kept is None else kept
+                masks = reach.reach_masks(g, s, kept=kept)
+                for u in range(g.vertex_count):
+                    arrival = reach.earliest_arrival(g, u, 0, s, kept=kept).arrival
+                    assert list(arrival) == _naive_arrival(g, u, 0, s is STRICT, edges)
+                    for v in range(g.vertex_count):
+                        assert bool(masks[v] >> u & 1) == (arrival[v] is not None)
+                    start = rng.randint(1, 6)
+                    late = reach.earliest_arrival(g, u, start, s, kept=kept).arrival
+                    assert list(late) == _naive_arrival(g, u, start, s is STRICT, edges)
+    assert 1 in sizes and max(sizes) > 1  # both one-edge and multi-edge groups occur
+
+
+def test_two_source_forced_edges_match_single_removals():
+    checked = 0
+    for seed in range(80):
+        g = _multilabel_graph(seed)
+        for s in (STRICT, NONSTRICT):
+            full = [_naive_arrival(g, x, 0, s is STRICT, range(g.m)) for x in range(g.vertex_count)]
+            spanning = [x for x in range(g.vertex_count) if None not in full[x]]
+            if len(spanning) < 2:
+                continue
+            req = solver.TwoSource(spanning[0], spanning[-1])
+            forced = solver.forced_edges(g, s, req)
+            for i in range(g.m):
+                rest = [j for j in range(g.m) if j != i]
+                holds = solver.requirement_holds(g, s, req, kept=rest)
+                naive = all(
+                    None not in _naive_arrival(g, x, 0, s is STRICT, rest) for x in (req.s1, req.s2)
+                )
+                assert holds == naive == (i not in forced)
+            checked += 1
+    assert checked >= 10
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: reach.earliest_arrival(g, -1),
+        lambda g: reach.reaches_all(g, -1),
+        lambda g: reach.foremost_out_tree(g, 7),
+    ],
+    ids=["earliest_arrival", "reaches_all", "foremost_out_tree"],
+)
+def test_single_source_rejects_out_of_range_vertex(call):
+    g = tg.build(3, [(0, 1, 1), (1, 2, 2)])
+    with pytest.raises(ValueError):
+        call(g)
+
+
+@pytest.mark.parametrize("bad", [5, 2, -1])
+def test_kept_rejects_out_of_range_index(bad):
+    g = tg.build(3, [(0, 1, 1), (1, 2, 2)])
+    with pytest.raises(ValueError):
+        reach.reach_masks(g, STRICT, kept=[0, bad])
+    with pytest.raises(ValueError):
+        reach.earliest_arrival(g, 0, kept=[bad])

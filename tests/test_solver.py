@@ -515,3 +515,10 @@ def test_decompose_requires_cover():
     spanner = solver.min_spanner_exact(g).spanner
     with pytest.raises(ValueError):
         solver.vc_tree_decompose(spanner, [])
+
+
+def test_requirement_holds_rejects_out_of_range_source():
+    g = tg.build(3, [(0, 1, 1), (1, 2, 2), (0, 2, 3)])
+    for req in (TwoSource(-3, 0), TwoSource(0, 3)):
+        with pytest.raises(ValueError):
+            solver.requirement_holds(g, STRICT, req)
