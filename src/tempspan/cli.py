@@ -317,7 +317,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=None, help="budget (decision mode)")
     p.add_argument("--two-source", nargs=2, type=int, metavar=("S1", "S2"))
     p.add_argument("--cap", type=int, default=40, help="removable-edge guard")
-    p.add_argument("--engine", choices=["auto", "bnb", "cuts"], default="auto")
+    p.add_argument(
+        "--engine",
+        choices=["auto", "bnb", "cuts", "flow"],
+        default="auto",
+        help="exact engine (auto: bnb up to 40 removable edges, else flow)",
+    )
     p.add_argument("--out", default="-", help="spanner output path ('-' = stdout)")
     p.add_argument("--triples", action="store_true", help="write 'u v t' lines instead of indices")
     p.add_argument("--json", action="store_true")

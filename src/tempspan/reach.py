@@ -260,10 +260,17 @@ def verify_out_tree(g: TemporalGraph, candidate_edges: Iterable[int], root: int)
 
     Requires exactly ``n - 1`` edges whose underlying edges form a spanning
     tree with strictly increasing labels along every root-to-leaf path (the
-    happy-setting convention).
+    happy-setting convention).  Raises ``ValueError`` for a root outside
+    ``[0, n)`` or an edge index outside ``[0, m)``.
     """
     idxs = set(candidate_edges)
-    n = g.vertex_count
+    n, m = g.vertex_count, g.m
+    if not 0 <= root < n:
+        raise ValueError(f"source {root} out of range")
+    if idxs:
+        for i in (min(idxs), max(idxs)):
+            if not 0 <= i < m:
+                raise ValueError(f"edge index {i} out of range [0, {m})")
     if len(idxs) != n - 1:
         return False
     adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(n)}

@@ -820,30 +820,35 @@ def enumerate_templates(cover: Iterable[int]) -> Iterator[Template]:
     for size in range(1, len(x_all) + 1):
         for sub in combinations(x_all, size):
             for root in sub:
-                rest = [x for x in sub if x != root]
-                for r in range(len(rest) + 1):
-                    for grouped in combinations(rest, r):
-                        free = [x for x in rest if x not in grouped]
-                        for part in _set_partitions(list(grouped)):
-                            groups = sorted((sorted(grp) for grp in part), key=lambda grp: grp[0])
-                            slots = len(groups) + len(free)
-                            for parents in product(sub, repeat=slots):
-                                parent: dict[Node, Node] = {}
-                                arcs: list[tuple[Node, Node]] = []
-                                for k, grp in enumerate(groups):
-                                    p: Node = ("p", k)
-                                    parent[p] = ("x", parents[k])
-                                    arcs.append((("x", parents[k]), p))
-                                    for child in grp:
-                                        parent[("x", child)] = p
-                                        arcs.append((p, ("x", child)))
-                                for j, child in enumerate(free):
-                                    pv = parents[len(groups) + j]
-                                    parent[("x", child)] = ("x", pv)
-                                    arcs.append((("x", pv), ("x", child)))
-                                if not _is_out_tree(("x", root), parent):
-                                    continue
-                                yield Template(root=root, arcs=tuple(sorted(arcs)))
+                yield from _rooted_templates(sub, root)
+
+
+def _rooted_templates(sub: tuple[int, ...], root: int) -> Iterator[Template]:
+    """The templates whose cover nodes are exactly ``sub`` and whose root is ``root``."""
+    rest = [x for x in sub if x != root]
+    for r in range(len(rest) + 1):
+        for grouped in combinations(rest, r):
+            free = [x for x in rest if x not in grouped]
+            for part in _set_partitions(list(grouped)):
+                groups = sorted((sorted(grp) for grp in part), key=lambda grp: grp[0])
+                slots = len(groups) + len(free)
+                for parents in product(sub, repeat=slots):
+                    parent: dict[Node, Node] = {}
+                    arcs: list[tuple[Node, Node]] = []
+                    for k, grp in enumerate(groups):
+                        p: Node = ("p", k)
+                        parent[p] = ("x", parents[k])
+                        arcs.append((("x", parents[k]), p))
+                        for child in grp:
+                            parent[("x", child)] = p
+                            arcs.append((p, ("x", child)))
+                    for j, child in enumerate(free):
+                        pv = parents[len(groups) + j]
+                        parent[("x", child)] = ("x", pv)
+                        arcs.append((("x", pv), ("x", child)))
+                    if not _is_out_tree(("x", root), parent):
+                        continue
+                    yield Template(root=root, arcs=tuple(sorted(arcs)))
 
 
 def instantiate_template(
@@ -895,7 +900,10 @@ def _candidate_trees(g: TemporalGraph, x_list: list[int], root: int) -> list[int
 
     Enumerates (template, placeholder map, leaf attachment) with early
     pruning: a partial placeholder assignment dies as soon as a required
-    underlying edge is missing or a label fails to increase.
+    underlying edge is missing or a label fails to increase.  Only the
+    templates that span the whole cover ``x_list`` from ``root`` are
+    generated: a spanning out-tree reaches every cover vertex, and a cover
+    vertex is never a placeholder.
     """
     n = g.vertex_count
     x_set = set(x_list)
@@ -915,9 +923,7 @@ def _candidate_trees(g: TemporalGraph, x_list: list[int], root: int) -> list[int
 
     results: set[int] = set()
 
-    for template in enumerate_templates(x_list):
-        if template.root != root or template.cover_vertices != frozenset(x_set):
-            continue
+    for template in _rooted_templates(tuple(x_list), root):
         children: dict[Node, list[Node]] = {}
         for a, b in template.arcs:
             children.setdefault(a, []).append(b)
@@ -1075,6 +1081,9 @@ def min_spanner_xp_vc(g: TemporalGraph, budget: int | None = None) -> SolveResul
     enumerate candidate out-trees through (template, placeholder map, leaf
     attachment) triples; combine one candidate per root; add per-vertex extra
     edges; verify connectivity; keep the smallest union found.
+
+    The combination search visits each union at most once per level: the
+    bound only falls, so a repeated visit could not find a smaller spanner.
     """
     if not classify(g).happy:
         raise NotHappy("the vertex-cover algorithm requires a happy graph")
@@ -1088,19 +1097,18 @@ def min_spanner_xp_vc(g: TemporalGraph, budget: int | None = None) -> SolveResul
     cand = {x: _candidate_trees(g, x_list, x) for x in x_list}
     # Most-constrained roots first narrows the union product early.
     levels = sorted(x_list, key=lambda x: (len(cand[x]), x))
+    # Smallest trees first, so the level bound meets a witness early.
+    level_cands = [sorted(cand[x], key=int.bit_count) for x in levels]
 
     best_kept = _greedy_local_min(g, STRICT)
     best_size = len(best_kept)
-    seen_unions: set[int] = set()
+    visited: list[set[int]] = [set() for _ in range(len(levels) + 1)]
     completed = True
 
     x_set = set(x_list)
 
     def evaluate(acc: int) -> None:
         nonlocal best_kept, best_size
-        if acc in seen_unions:
-            return
-        seen_unions.add(acc)
         union = _mask_indices(acc)
         incomplete = _incomplete_vertices(g, union, x_set)
         # Extra edges never coincide across vertices, so each one costs 1.
@@ -1123,15 +1131,19 @@ def min_spanner_xp_vc(g: TemporalGraph, budget: int | None = None) -> SolveResul
             raise _BudgetHit
 
     def rec(i: int, acc: int) -> None:
+        if acc in visited[i]:
+            return
+        visited[i].add(acc)
         if i == len(levels):
             evaluate(acc)
             return
         # Every remaining root still contributes a whole tree; the union must
         # absorb at least the cheapest candidate of each level.
-        for j in range(i, len(levels)):
-            cheapest = min((acc | c).bit_count() for c in cand[levels[j]])
-            if cheapest >= best_size:
+        for cands in level_cands[i:]:
+            if not any((acc | c).bit_count() < best_size for c in cands):
                 return
+        # Built from ``cand``, not ``level_cands``: the set's iteration order
+        # depends on insertion order and breaks ties between equal sizes.
         nxts = sorted({acc | c for c in cand[levels[i]]}, key=int.bit_count)
         for nxt in nxts:
             if nxt.bit_count() >= best_size:

@@ -54,6 +54,17 @@ def test_solve_methods_agree(capsys, graph_file):
     assert exact["optimal"] and xp["optimal"]
 
 
+def test_solve_flow_engine(capsys, graph_file):
+    code, out, _ = run(capsys, "solve", "--engine", "bnb", "--json", graph_file)
+    assert code == 0
+    bnb = json.loads(out)["result"]
+    code, out, _ = run(capsys, "solve", "--engine", "flow", "--json", graph_file)
+    assert code == 0
+    flow = json.loads(out)["result"]
+    assert flow["size"] == bnb["size"]
+    assert flow["method"] == "exact-flow"
+
+
 def test_solve_summary_line(capsys, graph_file, tmp_path):
     out_file = tmp_path / "s.spanner"
     code, out, _ = run(capsys, "solve", "--out", out_file, graph_file)

@@ -139,6 +139,18 @@ def test_verify_out_tree_rejects_wrong_size():
     assert not reach.verify_out_tree(g, [], 0)
 
 
+def test_verify_out_tree_rejects_negative_edge_index():
+    g = tg.build(3, [(0, 1, 1), (1, 2, 2)])
+    with pytest.raises(ValueError, match="edge index -2 out of range"):
+        reach.verify_out_tree(g, [-2, -1], 0)
+
+
+def test_verify_out_tree_rejects_out_of_range_root():
+    g = tg.build(3, [(0, 1, 1), (1, 2, 2)])
+    with pytest.raises(ValueError, match="source 5 out of range"):
+        reach.verify_out_tree(g, [0, 1], 5)
+
+
 def test_single_pass_relaxation_count():
     g = generate.random_happy_tc(7, 3)
     before = reach.relaxation_count

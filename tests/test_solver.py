@@ -268,6 +268,20 @@ def test_templates_match_independent_enumeration():
         assert mine == _brute_templates(cover)
 
 
+def test_rooted_templates_match_filtered_enumeration():
+    for d in (1, 2, 3, 4):
+        cover = list(range(d))
+        full = list(solver.enumerate_templates(cover))
+        for root in cover:
+            mine = {(t.root, t.arcs) for t in solver._rooted_templates(tuple(cover), root)}
+            filtered = {
+                (t.root, t.arcs)
+                for t in full
+                if t.root == root and t.cover_vertices == set(cover)
+            }
+            assert mine == filtered
+
+
 # ---------------------------------------------------------------------------
 # Template instantiation
 # ---------------------------------------------------------------------------
@@ -455,6 +469,17 @@ def test_xp_budget_mode():
     assert yes.within_budget is True and yes.size <= opt
     no = solver.min_spanner_xp_vc(g, budget=opt - 1)
     assert no.within_budget is False
+
+
+@pytest.mark.parametrize("n, d, seed", [(8, 3, 1), (9, 3, 0), (8, 4, 0), (9, 4, 0)])
+def test_xp_matches_exact_on_larger_covers(n, d, seed):
+    g = generate.random_happy_tc_with_cover(n, d, seed)
+    opt = solver.min_spanner_exact(g).size
+    res = solver.min_spanner_xp_vc(g)
+    assert res.size == opt
+    assert solver.requirement_holds(g, STRICT, ALL_PAIRS, res.spanner.kept)
+    assert solver.min_spanner_xp_vc(g, budget=opt).within_budget is True
+    assert solver.min_spanner_xp_vc(g, budget=opt - 1).within_budget is False
 
 
 def test_xp_size_invariant_under_edge_order():
