@@ -1,7 +1,8 @@
 """Command-line front end for checking, solving, generating, and reducing.
 
 Exit codes: 0 = property holds / solved within budget; 1 = property fails /
-budget infeasible; 2 = resource guard tripped; 3 = usage or I/O errors.
+budget infeasible; 2 = resource guard tripped or MILP solver failure; 3 = usage
+or I/O errors.
 
 Reports are deterministic given identical inputs, flags, and seeds; wall
 time is printed to stderr only.  ``--json`` replaces the human summary with
@@ -377,6 +378,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except solver.InstanceTooLarge as exc:
         print(f"tempspan: resource guard: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except solver.SolverFailed as exc:
+        print(f"tempspan: solver failure: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (
         _UsageError,

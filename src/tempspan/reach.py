@@ -12,10 +12,15 @@ The sweep has two modes, and both skip the edges flagged in a per-edge
 ``removed`` bytearray:
 
 * the all-sources bitmask mode carries, per vertex, the set of vertices that
-  reach it (:func:`reach_masks`, :func:`is_tc`, all-pairs feasibility);
+  reach it (:func:`reach_masks`, :func:`is_tc`, and the solver's feasibility
+  oracle).  It is resumable: it can start at any group index from given
+  masks, and can record a copy of the masks after every group.  A query that
+  differs from a recorded one only in edges of later groups resumes from the
+  recorded state before the first such group.  The start masks may also hold
+  only some source bits (the two-source requirement);
 * the single-source arrival mode carries earliest arrival labels and the edge
   that set each (:func:`earliest_arrival`, :func:`reaches_all`,
-  :func:`foremost_out_tree`, two-source feasibility).
+  :func:`foremost_out_tree`).
 
 The public functions take an optional ``kept`` edge subset and turn it into
 drop flags once per call.  ``None`` is the unreachable sentinel throughout.
@@ -84,17 +89,31 @@ def _drop_flags(g: TemporalGraph, kept: Iterable[int] | None) -> bytearray:
     return removed
 
 
-def _mask_sweep(g: TemporalGraph, s: Strictness, removed: bytearray) -> list[int]:
-    """All-sources mode: bit u of entry v is set iff u reaches v."""
-    masks = [1 << v for v in range(g.vertex_count)]
+def _mask_sweep(
+    g: TemporalGraph,
+    s: Strictness,
+    removed: bytearray,
+    masks: list[int] | None = None,
+    lo: int = 0,
+    record: list[list[int]] | None = None,
+) -> list[int]:
+    """All-sources mode: bit u of entry v is set iff u reaches v.
+
+    Without ``masks`` the sweep starts from every vertex reaching itself,
+    before the first group.  Otherwise it resumes at group index ``lo`` from
+    a copy of ``masks``, the state before that group.  ``record``, if given,
+    receives a copy of the masks after each group swept.
+    """
+    masks = [1 << v for v in range(g.vertex_count)] if masks is None else masks.copy()
     strict = s is STRICT
-    for _, group in g.label_groups:
+    keep = record.append if record is not None else None
+    groups = g.label_groups[lo:] if lo else g.label_groups
+    for _, group in groups:
         if len(group) == 1:
             i, u, v = group[0]
             if not removed[i]:
                 masks[u] = masks[v] = masks[u] | masks[v]
-            continue
-        if strict:
+        elif strict:
             # Every read happens before the first write: the group sees only
             # pre-group masks.
             before = [(u, v, masks[u], masks[v]) for i, u, v in group if not removed[i]]
@@ -111,6 +130,8 @@ def _mask_sweep(g: TemporalGraph, s: Strictness, removed: bytearray) -> list[int
                     if x != masks[u] or x != masks[v]:
                         masks[u] = masks[v] = x
                         changed = True
+        if keep:
+            keep(masks.copy())
     return masks
 
 

@@ -19,6 +19,7 @@ Contents:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, Iterator, Mapping
 
@@ -41,6 +42,10 @@ class NotHappy(Exception):
 
 class NotTemporallyConnected(Exception):
     pass
+
+
+class SolverFailed(RuntimeError):
+    """A MILP-based engine could not produce an answer."""
 
 
 # ---------------------------------------------------------------------------
@@ -78,33 +83,62 @@ class _SubsetOracle:
     """The requirement check on edge subsets given as drop flags.
 
     ``removed`` arguments are bytearrays of length m; flag 1 drops the edge.
-    All-pairs runs the all-sources sweep, two-source the single-source one.
+    Both requirements run the all-sources mask sweep, started from the source
+    bits only: ``masks[v] = (1 << v) & need``, where ``need`` holds the two
+    sources or every vertex.  The requirement holds iff every final mask
+    equals ``need``.
+
+    Checkpoints are lists ``cps`` of mask states, ``cps[j]`` the state before
+    group j of ``label_groups`` (``cps[0]`` the start masks, ``cps[-1]`` the
+    final ones).  A query whose drop flags match those of ``cps`` in every
+    group before ``lo`` resumes from ``cps[lo]``.
     """
 
     def __init__(self, g: TemporalGraph, s: Strictness, requirement: AllPairs | TwoSource):
         self.g = g
         self.s = s
-        self.requirement = requirement
+        if isinstance(requirement, TwoSource):
+            self.sources: Iterable[int] = (requirement.s1, requirement.s2)
+        else:
+            self.sources = range(g.vertex_count)
+        need = 0
+        for x in self.sources:
+            need |= 1 << x
+        self.need = need
+        self.start = [(1 << v) & need for v in range(g.vertex_count)]
 
-    def _spans(self, source: int, removed: bytearray) -> bool:
-        return None not in reach._arrival_sweep(self.g, source, 0, self.s, removed)[0]
+    @cached_property
+    def group_of(self) -> list[int]:
+        """Per edge index, the index of its group in ``label_groups``."""
+        out = [0] * self.g.m
+        for j, (_, group) in enumerate(self.g.label_groups):
+            for i, _, _ in group:
+                out[i] = j
+        return out
 
-    def feasible(self, removed: bytearray) -> bool:
-        req = self.requirement
-        if isinstance(req, TwoSource):
-            return self._spans(req.s1, removed) and self._spans(req.s2, removed)
-        full = (1 << self.g.vertex_count) - 1
-        return all(mask == full for mask in reach._mask_sweep(self.g, self.s, removed))
+    def feasible(
+        self,
+        removed: bytearray,
+        cps: list[list[int]] | None = None,
+        lo: int = 0,
+        record: list[list[int]] | None = None,
+    ) -> bool:
+        """Whether the requirement holds, sweeping from ``cps[lo]`` if given.
+
+        ``record`` receives the mask state after each group swept, so that
+        ``cps[:lo + 1] + record`` are the checkpoints of ``removed``.
+        """
+        start = self.start if cps is None else cps[lo]
+        masks = reach._mask_sweep(self.g, self.s, removed, start, lo, record)
+        # No mask holds a bit outside ``need``.
+        return masks.count(self.need) == len(masks)
 
     def failing_sources(self, removed: bytearray) -> list[int]:
         """Sources that cannot reach every vertex under the requirement."""
-        req = self.requirement
-        if isinstance(req, TwoSource):
-            return [x for x in (req.s1, req.s2) if not self._spans(x, removed)]
-        good = (1 << self.g.vertex_count) - 1
-        for mask in reach._mask_sweep(self.g, self.s, removed):
+        good = self.need
+        for mask in reach._mask_sweep(self.g, self.s, removed, self.start):
             good &= mask
-        return [u for u in range(self.g.vertex_count) if not (good >> u) & 1]
+        return [x for x in self.sources if not (good >> x) & 1]
 
 
 def _check_requirement(g: TemporalGraph, requirement: AllPairs | TwoSource) -> None:
@@ -123,19 +157,23 @@ def forced_edges(
 
     Every spanner satisfying the requirement contains all of them: a spanner
     avoiding edge e is a subset of the graph minus e, and reachability is
-    monotone under edge addition.
+    monotone under edge addition.  One recorded sweep of the whole graph
+    checks the requirement (raising :class:`RequirementNotSatisfied`) and
+    gives the checkpoints; each edge's query then resumes at its own group.
     """
     _check_requirement(g, requirement)
     oracle = _SubsetOracle(g, s, requirement)
     removed = bytearray(g.m)
-    if not oracle.feasible(removed):
+    cps = [oracle.start]
+    if not oracle.feasible(removed, record=cps):
         raise RequirementNotSatisfied("graph does not satisfy the requirement")
     forced = []
-    for i in range(g.m):
-        removed[i] = 1
-        if not oracle.feasible(removed):
-            forced.append(i)
-        removed[i] = 0
+    for j, (_, group) in enumerate(g.label_groups):
+        for i, _, _ in group:
+            removed[i] = 1
+            if not oracle.feasible(removed, cps, j):
+                forced.append(i)
+            removed[i] = 0
     return frozenset(forced)
 
 
@@ -165,23 +203,46 @@ def _bnb_max_removal(
     stops as soon as a feasible removal of that size is found; an exhausted
     search then proves no such removal exists.  ``blocks`` supplies the
     decomposition bound: per-block caps on how many edges any feasible
-    removal can take from each block.
+    removal can take from each block.  The bound is kept as a running sum,
+    updated when one block's counts change.
+
+    Decisions follow ``removable`` in order.  A node first asks whether
+    removing every remaining edge is feasible; if not, it branches on the
+    next edge e, removed first, then kept.  Each node holds the checkpoints of
+    its removal set (see :class:`_SubsetOracle`), so a query re-sweeps only
+    from the earliest group it changes: the "remove e" query from e's group,
+    recording the suffix that makes up the remove-e child's checkpoints, and
+    the "remove the rest" query from the earliest group among the remaining
+    edges.  The keep-e child shares its parent's checkpoints.  No set is asked
+    twice: the remove-e child's "remove the rest" set is its parent's, known
+    infeasible, and with one edge left "remove e" is that same set.
     """
+    k = len(removable)
+    if blocks is None:
+        # One block capped at its size: the bound is the undecided count.
+        blocks = (dict.fromkeys(removable, 0), [k])
+    block_of, caps = blocks
+    rem = [0] * len(caps)
+    und = [0] * len(caps)
+    for i in removable:
+        und[block_of[i]] += 1
+    headroom = sum(min(cap, u) for cap, u in zip(caps, und))
+    group_of = oracle.group_of
+    # rest_lo[pos]: the earliest group among removable[pos:].
+    rest_lo = [0] * k
+    low = len(oracle.g.label_groups)
+    for pos in range(k - 1, -1, -1):
+        low = min(low, group_of[removable[pos]])
+        rest_lo[pos] = low
     removed = bytearray(oracle.g.m)
+    root = [oracle.start]  # the checkpoints of the empty removal set
+    oracle.feasible(removed, record=root)
     best: list[int] = []
     cur: list[int] = []
-    k = len(removable)
     hit = False
-    if blocks is not None:
-        block_of, caps = blocks
-        nb = len(caps)
-        rem = [0] * nb
-        und = [0] * nb
-        for i in removable:
-            und[block_of[i]] += 1
 
-    def rec(pos: int) -> None:
-        nonlocal best, hit
+    def rec(pos: int, cps: list[list[int]], rest_infeasible: bool) -> None:
+        nonlocal best, hit, headroom
         if hit:
             return
         if len(cur) > len(best):
@@ -190,47 +251,50 @@ def _bnb_max_removal(
                 hit = True
                 return
         remaining = k - pos
-        if blocks is None:
-            headroom = remaining
-        else:
-            headroom = sum(min(caps[j] - rem[j], und[j]) for j in range(nb))
         needed = (target if target is not None else len(best) + 1) - len(cur)
         if headroom < needed or remaining == 0:
             return
-        rest = removable[pos:]
-        for i in rest:
-            removed[i] = 1
-        all_rest_ok = oracle.feasible(removed)
-        if all_rest_ok:
-            cand = cur + rest
-            if len(cand) > len(best):
-                best = cand
-                if target is not None and len(best) >= target:
-                    hit = True
+        if not rest_infeasible:
+            rest = removable[pos:]
+            for i in rest:
+                removed[i] = 1
+            all_rest_ok = oracle.feasible(removed, cps, rest_lo[pos])
             for i in rest:
                 removed[i] = 0
-            return
-        for i in rest:
-            removed[i] = 0
+            if all_rest_ok:
+                cand = cur + rest
+                if len(cand) > len(best):
+                    best = cand
+                    if target is not None and len(best) >= target:
+                        hit = True
+                return
         e = removable[pos]
-        b = block_of[e] if blocks is not None else 0
-        if blocks is not None:
-            und[b] -= 1
-        removed[e] = 1
-        if oracle.feasible(removed):
-            if blocks is not None:
+        b = block_of[e]
+        # Deciding e lowers und[b], and removing it then raises rem[b]; each
+        # lowers the block's term min(caps[b] - rem[b], und[b]) by at most one.
+        left, u = caps[b] - rem[b], und[b] - 1
+        und[b] = u
+        by_decide = u < left
+        headroom -= by_decide
+        if remaining > 1:
+            removed[e] = 1
+            lo = group_of[e]
+            suffix: list[list[int]] = []
+            if oracle.feasible(removed, cps, lo, suffix):
+                by_remove = left <= u
                 rem[b] += 1
-            cur.append(e)
-            rec(pos + 1)
-            cur.pop()
-            if blocks is not None:
+                headroom -= by_remove
+                cur.append(e)
+                rec(pos + 1, cps[: lo + 1] + suffix, True)
+                cur.pop()
                 rem[b] -= 1
-        removed[e] = 0
-        rec(pos + 1)
-        if blocks is not None:
-            und[b] += 1
+                headroom += by_remove
+            removed[e] = 0
+        rec(pos + 1, cps, False)
+        und[b] = u + 1
+        headroom += by_decide
 
-    rec(0)
+    rec(0, root, False)
     return best, hit
 
 
@@ -360,7 +424,7 @@ def _exact_by_cuts(
 
     def remember(cut: frozenset[int]) -> None:
         if not cut:
-            raise RuntimeError("empty frontier cut on an infeasible subset")
+            raise SolverFailed("empty frontier cut on an infeasible subset")
         if cut not in seen_rows:
             seen_rows.add(cut)
             rows.append(cut)
@@ -411,7 +475,7 @@ def _exact_by_cuts(
             bounds=bounds,
         )
         if res.status != 0:
-            raise RuntimeError(f"MILP solve failed: {res.message}")
+            raise SolverFailed(f"MILP solve failed: {res.message}")
         bound = int(round(res.fun))
         if budget is not None and bound > budget:
             return None, bound, True
@@ -425,8 +489,8 @@ def _exact_by_cuts(
         if budget is not None and len(best) <= budget:
             return best, len(best), False
         if len(rows) == before:
-            raise RuntimeError("cut generation stalled")
-    raise RuntimeError("cut loop exceeded iteration limit")
+            raise SolverFailed("cut generation stalled")
+    raise SolverFailed("cut loop exceeded iteration limit")
 
 
 def _exact_by_flow(
@@ -555,7 +619,7 @@ def _exact_by_flow(
     if budget is not None and res.status == 2:
         return None, budget
     if res.status != 0:
-        raise RuntimeError(f"MILP solve failed: {res.message}")
+        raise SolverFailed(f"MILP solve failed: {res.message}")
     kept = frozenset(i for i in range(m) if res.x[i] > 0.5)
     oracle = _SubsetOracle(g, s, requirement)
     removed = bytearray(m)
@@ -563,7 +627,7 @@ def _exact_by_flow(
         if i not in kept:
             removed[i] = 1
     if not oracle.feasible(removed):
-        raise RuntimeError("flow MILP produced an infeasible edge set")
+        raise SolverFailed("flow MILP produced an infeasible edge set")
     return kept, len(kept)
 
 
@@ -574,11 +638,8 @@ def min_spanner_brute(
     cap: int = 18,
 ) -> SolveResult:
     """Full subset enumeration over removable edges; the verification oracle."""
-    _check_requirement(g, requirement)
-    oracle = _SubsetOracle(g, s, requirement)
-    if not oracle.feasible(bytearray(g.m)):
-        raise RequirementNotSatisfied("graph does not satisfy the requirement")
     forced = forced_edges(g, s, requirement)
+    oracle = _SubsetOracle(g, s, requirement)
     removable = [i for i in range(g.m) if i not in forced]
     r = len(removable)
     if r > cap:
@@ -618,12 +679,11 @@ def min_spanner_exact(
     With a ``budget``, runs in decision mode: the search may stop on any
     feasible solution of size at most the budget, or on a proof that none
     exists (``within_budget`` reports which).  ``engine`` is one of ``auto``,
-    ``bnb``, ``cuts``, ``flow``.
+    ``bnb``, ``cuts``, ``flow``.  The MILP engines (``cuts``, ``flow``)
+    raise :class:`SolverFailed` when the MILP solver gives no answer.
     """
-    _check_requirement(g, requirement)
-    oracle = _SubsetOracle(g, s, requirement)
-    if not oracle.feasible(bytearray(g.m)):
-        raise RequirementNotSatisfied("graph does not satisfy the requirement")
+    if engine not in ("auto", "bnb", "cuts", "flow"):
+        raise ValueError(f"unknown engine {engine!r}")
     forced = forced_edges(g, s, requirement)
     removable = [i for i in range(g.m) if i not in forced]
     if len(removable) > cap:
@@ -684,9 +744,8 @@ def min_spanner_exact(
             method="exact-cuts",
         )
 
-    if engine != "bnb":
-        raise ValueError(f"unknown engine {engine!r}")
     target = None if budget is None else g.m - budget
+    oracle = _SubsetOracle(g, s, requirement)
     blocks = _conflict_blocks(g, oracle, removable)
     order = sorted(removable, key=lambda i: (blocks[0][i], i))
     removed, hit = _bnb_max_removal(oracle, order, target, blocks)

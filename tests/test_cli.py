@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -63,6 +64,18 @@ def test_solve_flow_engine(capsys, graph_file):
     flow = json.loads(out)["result"]
     assert flow["size"] == bnb["size"]
     assert flow["method"] == "exact-flow"
+
+
+@pytest.mark.parametrize("engine", ["flow", "cuts"])
+def test_solve_milp_failure_exits_cleanly(capsys, graph_file, monkeypatch, engine):
+    import scipy.optimize
+
+    failed = SimpleNamespace(status=4, message="numerical trouble", x=None, fun=None)
+    monkeypatch.setattr(scipy.optimize, "milp", lambda *a, **k: failed)
+    code, out, err = run(capsys, "solve", "--engine", engine, graph_file)
+    assert code == cli.EXIT_RESOURCE == 2
+    assert out == ""
+    assert err.strip() == "tempspan: solver failure: MILP solve failed: numerical trouble"
 
 
 def test_solve_summary_line(capsys, graph_file, tmp_path):

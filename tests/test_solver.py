@@ -1,10 +1,11 @@
+import random
 from itertools import combinations, product
 
 import pytest
 
 from tempspan import generate, reach, solver
 from tempspan import tempgraph as tg
-from tempspan.reach import STRICT
+from tempspan.reach import NONSTRICT, STRICT
 from tempspan.solver import ALL_PAIRS, Template, TwoSource
 
 
@@ -122,6 +123,130 @@ def test_two_source_engines_agree():
             for e in ("bnb", "cuts", "flow")
         }
         assert len(sizes) == 1
+
+
+def _multilabel_graph(seed, n_range=(4, 6)):
+    """A seeded non-proper multi-label graph: few labels, so groups share
+    them, and 2n to 4n edges, so that most are temporally connected."""
+    rng = random.Random(seed)
+    n = rng.randint(*n_range)
+    keys = {
+        (u, v, rng.randint(1, 4))
+        for u, v in (sorted(rng.sample(range(n), 2)) for _ in range(rng.randint(2 * n, 4 * n)))
+    }
+    return tg.build(n, sorted(keys))
+
+
+def _instances(kind, s, two_source, count):
+    """``count`` seeded graphs of ``kind`` meeting the requirement, with 2 to
+    12 removable edges."""
+    out = []
+    seed = 0
+    while len(out) < count:
+        seed += 1
+        if kind == "happy":
+            try:
+                g = generate.random_happy_tc_with_cover(5 + seed % 3, 1 + seed % 3, seed)
+            except generate.GenerationFailed:
+                continue
+        else:
+            g = _multilabel_graph(seed)
+        req = TwoSource(0, g.vertex_count - 1) if two_source else ALL_PAIRS
+        if not solver.requirement_holds(g, s, req):
+            continue
+        if 2 <= g.m - len(solver.forced_edges(g, s, req)) <= 12:
+            out.append((g, req))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["happy", "multilabel"])
+@pytest.mark.parametrize("two_source", [False, True], ids=["all-pairs", "two-source"])
+@pytest.mark.parametrize("s", [STRICT, NONSTRICT], ids=["strict", "nonstrict"])
+def test_bnb_agrees_with_brute_in_every_mode(kind, two_source, s):
+    for g, req in _instances(kind, s, two_source, 8):
+        brute = solver.min_spanner_brute(g, s, req)
+        bnb = solver.min_spanner_exact(g, s, requirement=req, engine="bnb")
+        assert bnb.size == brute.size and bnb.optimal
+        assert solver.requirement_holds(g, s, req, kept=bnb.spanner.kept)
+        opt = bnb.size
+        yes = solver.min_spanner_exact(g, s, budget=opt, requirement=req, engine="bnb")
+        assert yes.within_budget is True and yes.size <= opt
+        assert solver.requirement_holds(g, s, req, kept=yes.spanner.kept)
+        no = solver.min_spanner_exact(g, s, budget=opt - 1, requirement=req, engine="bnb")
+        assert no.within_budget is False
+
+
+def test_two_source_feasibility_matches_single_source_reach():
+    checked = 0
+    for seed in range(60):
+        g = _multilabel_graph(seed, n_range=(3, 6))
+        rng = random.Random(seed)
+        for s in (STRICT, NONSTRICT):
+            for _ in range(4):
+                kept = [i for i in range(g.m) if rng.random() < 0.7]
+                s1, s2 = rng.randrange(g.vertex_count), rng.randrange(g.vertex_count)
+                holds = solver.requirement_holds(g, s, TwoSource(s1, s2), kept=kept)
+                both = reach.reaches_all(g, s1, s, kept) and reach.reaches_all(g, s2, s, kept)
+                assert holds == both
+                checked += holds
+    assert checked >= 20  # both answers occur
+
+
+def test_oracle_resumes_from_checkpoints_of_an_earlier_set():
+    for seed in range(40):
+        g = _multilabel_graph(seed)
+        rng = random.Random(seed)
+        for s in (STRICT, NONSTRICT):
+            for req in (ALL_PAIRS, TwoSource(0, g.vertex_count - 1)):
+                oracle = solver._SubsetOracle(g, s, req)
+                removed = bytearray(rng.random() < 0.3 for _ in range(g.m))
+                cps = [oracle.start]
+                oracle.feasible(removed, record=cps)
+                # Flip edges of group lo and later only: the prefix stays valid.
+                e = rng.randrange(g.m)
+                lo = oracle.group_of[e]
+                changed = removed.copy()
+                for i in range(g.m):
+                    if oracle.group_of[i] >= lo and rng.random() < 0.5:
+                        changed[i] ^= 1
+                fresh = [oracle.start]
+                want = oracle.feasible(changed, record=fresh)
+                assert want == solver.requirement_holds(
+                    g, s, req, kept=[i for i in range(g.m) if not changed[i]]
+                )
+                suffix = []
+                assert oracle.feasible(changed, cps, lo, suffix) == want
+                assert cps[: lo + 1] + suffix == fresh
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, req: solver.forced_edges(g, STRICT, req),
+        lambda g, req: solver.min_spanner_brute(g, STRICT, req),
+        lambda g, req: solver.min_spanner_exact(g, STRICT, requirement=req),
+    ],
+    ids=["forced_edges", "brute", "exact"],
+)
+def test_two_source_entry_points_reject_out_of_range_source(call):
+    g = tg.build(3, [(0, 1, 1), (1, 2, 2), (0, 2, 3)])
+    for req in (TwoSource(-3, 0), TwoSource(0, 3)):
+        with pytest.raises(ValueError, match="out of range"):
+            call(g, req)
+
+
+def test_unknown_engine_rejected_before_solving():
+    g = tg.build(3, [(0, 1, 1), (1, 2, 2), (0, 2, 3)])
+    with pytest.raises(ValueError, match="unknown engine 'bogus'"):
+        solver.min_spanner_exact(g, budget=0, engine="bogus")
+    # Checked before the requirement: this graph does not satisfy it.
+    with pytest.raises(ValueError, match="unknown engine"):
+        solver.min_spanner_exact(tg.build(3, [(0, 1, 1)]), engine="bogus")
+
+
+def test_brute_rejects_unsatisfied_requirement():
+    with pytest.raises(solver.RequirementNotSatisfied):
+        solver.min_spanner_brute(tg.build(3, [(0, 1, 1)]))
 
 
 # ---------------------------------------------------------------------------
