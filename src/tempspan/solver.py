@@ -502,17 +502,34 @@ def _exact_by_flow(
 ) -> tuple[frozenset[int] | None, int]:
     """Exact engine via one time-expanded multicommodity-flow MILP.
 
-    One unit commodity per ordered source/target pair; traversal arcs are
-    open only when the corresponding time edge is kept.  Flow variables stay
-    continuous: for a fixed 0/1 edge choice the flow system is feasible
-    exactly when every source reaches every vertex.  With a ``budget`` the
-    size is additionally constrained, turning the solve into a decision;
-    (None, budget) reports proven infeasibility.
+    Each vertex v has a start node ``(v, -1)`` and one node per distinct
+    label at v, chained by waiting arcs; each time edge gives one traversal
+    arc per direction, from the latest node of its tail at which it can be
+    taken to its head's node at its label.  Temporal paths from a to b are
+    then the paths from ``start(a) = (a, -1)`` to ``end(b)``, b's last node.
+
+    One unit commodity per ordered source/target pair (a, b), with
+    continuous flow variables.  Commodity (a, b) gets a column only for an
+    arc whose tail is reachable from ``start(a)`` and whose head reaches
+    ``end(b)`` over the model's arcs, and a conservation row only for a node
+    that does both (and for its two supply nodes).  This leaves the
+    projection onto the edge variables unchanged, for 0/1 and fractional
+    ones alike: a feasible flow of the full model splits into simple
+    ``start(a)`` to ``end(b)`` paths plus cycles, dropping the cycles keeps
+    it feasible, and every arc of such a path passes both tests.  So the
+    optimum and the LP bound are those of the model with every arc.
+
+    Removable edges get a 0/1 variable x_i that caps the flow on their arcs
+    (``f <= x_i``).  Forced edges are constants: no variable, and their arcs
+    keep only the column bound ``f <= 1``.  The objective counts the x_i;
+    with a ``budget`` the row ``sum x_i <= budget - |forced|`` turns the
+    solve into a decision, and (None, budget) reports proven infeasibility.
     """
     import numpy as np
     from bisect import bisect_left, bisect_right
     from scipy import sparse
     from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse.csgraph import breadth_first_order
 
     m = g.m
     n = g.vertex_count
@@ -521,7 +538,6 @@ def _exact_by_flow(
         sources = sorted({requirement.s1, requirement.s2})
     else:
         sources = list(range(n))
-    pairs = [(a, b) for a in sources for b in range(n) if b != a]
 
     events: list[list[int]] = [[] for _ in range(n)]
     for e in g.edges:
@@ -529,98 +545,122 @@ def _exact_by_flow(
         events[e.v].append(e.t)
     events = [sorted(set(ts)) for ts in events]
 
-    nid: dict[tuple[int, int], int] = {}
+    # Node (v, k) has id first[v] + 1 + k; first[v] is the start node (v, -1).
+    first = [0] * n
+    node_count = 0
     for v in range(n):
-        nid[(v, -1)] = len(nid)  # pre-time start node
-        for k in range(len(events[v])):
-            nid[(v, k)] = len(nid)
-    node_count = len(nid)
+        first[v] = node_count
+        node_count += 1 + len(events[v])
+    end = [first[v] + len(events[v]) for v in range(n)]
 
-    arcs: list[tuple[int, int, int]] = []  # (from, to, edge index or -1)
+    free = [i for i in range(m) if i not in forced]
+    x_col = [-1] * m
+    for col, i in enumerate(free):
+        x_col[i] = col
+    tails: list[int] = []
+    heads: list[int] = []
+    caps: list[int] = []  # x column capping the arc, or -1 for none
     for v in range(n):
-        prev = nid[(v, -1)]
-        for k in range(len(events[v])):
-            arcs.append((prev, nid[(v, k)], -1))
-            prev = nid[(v, k)]
+        tails.extend(range(first[v], end[v]))
+        heads.extend(range(first[v] + 1, end[v] + 1))
+        caps.extend([-1] * len(events[v]))
     for i, e in enumerate(g.edges):
         for a, b in ((e.u, e.v), (e.v, e.u)):
             if strict:
                 k = bisect_left(events[a], e.t) - 1
             else:
                 k = bisect_right(events[a], e.t) - 1
-            dep = nid[(a, k)] if k >= 0 else nid[(a, -1)]
-            dst = nid[(b, bisect_left(events[b], e.t))]
-            arcs.append((dep, dst, i))
-    n_arcs = len(arcs)
+            tails.append(first[a] + 1 + k)
+            heads.append(first[b] + 1 + bisect_left(events[b], e.t))
+            caps.append(x_col[i])
+    tail = np.array(tails, dtype=np.int64)
+    head = np.array(heads, dtype=np.int64)
+    cap = np.array(caps, dtype=np.int64)
 
-    # One unit commodity per ordered pair; f <= x capacity keeps the
-    # relaxation tight at the price of more variables.
-    n_vars = m + len(pairs) * n_arcs
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    lo: list[float] = []
-    hi: list[float] = []
+    adj = sparse.csr_array(
+        (np.ones(len(tail)), (tail, head)), shape=(node_count, node_count)
+    )
+    adj_t = sparse.csr_array(adj.T)
+
+    def reached(graph: sparse.csr_array, root: int) -> np.ndarray:
+        on = np.zeros(node_count, dtype=bool)
+        on[breadth_first_order(graph, root, return_predecessors=False)] = True
+        return on
+
+    fwd = {a: reached(adj, first[a]) for a in sources}
+    bwd = [reached(adj_t, end[b]) for b in range(n)]
+
+    nv = len(free)
+    row_parts: list[np.ndarray] = []
+    col_parts: list[np.ndarray] = []
+    val_parts: list[np.ndarray] = []
+    lo_parts: list[np.ndarray] = []
+    hi_parts: list[np.ndarray] = []
     row = 0
-    for ci, (a, b) in enumerate(pairs):
-        base = m + ci * n_arcs
-        supply = [0.0] * node_count
-        supply[nid[(a, -1)]] = 1.0
-        supply[nid[(b, len(events[b]) - 1)]] = -1.0
-        for ai, (src, dst, _) in enumerate(arcs):
-            rows.append(row + src)
-            cols.append(base + ai)
-            vals.append(1.0)
-            rows.append(row + dst)
-            cols.append(base + ai)
-            vals.append(-1.0)
-        lo.extend(supply)
-        hi.extend(supply)
-        row += node_count
-        for ai, (_, _, ei) in enumerate(arcs):
-            if ei < 0:
+    for a in sources:
+        for b in range(n):
+            if b == a:
                 continue
-            rows.append(row)
-            cols.append(base + ai)
-            vals.append(1.0)
-            rows.append(row)
-            cols.append(ei)
-            vals.append(-1.0)
-            lo.append(-np.inf)
-            hi.append(0.0)
-            row += 1
+            arcs = np.flatnonzero(fwd[a][tail] & bwd[b][head])
+            on = fwd[a] & bwd[b]
+            on[first[a]] = on[end[b]] = True
+            row_of = np.cumsum(on) - 1 + row
+            cols = np.arange(nv, nv + len(arcs))
+            nv += len(arcs)
+            # Conservation rows: out-flow minus in-flow equals the supply.
+            row_parts += [row_of[tail[arcs]], row_of[head[arcs]]]
+            col_parts += [cols, cols]
+            val_parts += [np.ones(len(arcs)), -np.ones(len(arcs))]
+            supply = np.zeros(int(on.sum()))
+            supply[row_of[first[a]] - row] = 1.0
+            supply[row_of[end[b]] - row] = -1.0
+            lo_parts.append(supply)
+            hi_parts.append(supply)
+            row += len(supply)
+            # Capacity rows f - x_i <= 0 on the arcs of removable edges.
+            capped = cap[arcs] >= 0
+            c_rows = np.arange(row, row + int(capped.sum()))
+            row_parts += [c_rows, c_rows]
+            col_parts += [cols[capped], cap[arcs[capped]]]
+            val_parts += [np.ones(len(c_rows)), -np.ones(len(c_rows))]
+            lo_parts.append(np.full(len(c_rows), -np.inf))
+            hi_parts.append(np.zeros(len(c_rows)))
+            row += len(c_rows)
 
     if budget is not None:
-        for i in range(m):
-            rows.append(row)
-            cols.append(i)
-            vals.append(1.0)
-        lo.append(-np.inf)
-        hi.append(float(budget))
+        row_parts.append(np.full(len(free), row))
+        col_parts.append(np.arange(len(free)))
+        val_parts.append(np.ones(len(free)))
+        lo_parts.append(np.array([-np.inf]))
+        hi_parts.append(np.array([float(budget - len(forced))]))
         row += 1
 
     a_mat = sparse.csc_array(
-        sparse.coo_array((vals, (rows, cols)), shape=(row, n_vars))
+        (
+            np.concatenate(val_parts),
+            (np.concatenate(row_parts), np.concatenate(col_parts)),
+        ),
+        shape=(row, nv),
     )
-    c = np.zeros(n_vars)
-    c[:m] = 1.0
-    integrality = np.zeros(n_vars)
-    integrality[:m] = 1.0
-    lb = np.zeros(n_vars)
-    ub = np.ones(n_vars)
-    for i in forced:
-        lb[i] = 1.0
+    c = np.zeros(nv)
+    c[: len(free)] = 1.0
+    integrality = np.zeros(nv)
+    integrality[: len(free)] = 1.0
     res = milp(
         c=c,
-        constraints=[LinearConstraint(a_mat, lb=np.array(lo), ub=np.array(hi))],
+        constraints=[
+            LinearConstraint(
+                a_mat, lb=np.concatenate(lo_parts), ub=np.concatenate(hi_parts)
+            )
+        ],
         integrality=integrality,
-        bounds=Bounds(lb, ub),
+        bounds=Bounds(np.zeros(nv), np.ones(nv)),
     )
     if budget is not None and res.status == 2:
         return None, budget
     if res.status != 0:
         raise SolverFailed(f"MILP solve failed: {res.message}")
-    kept = frozenset(i for i in range(m) if res.x[i] > 0.5)
+    kept = forced | {i for col, i in enumerate(free) if res.x[col] > 0.5}
     oracle = _SubsetOracle(g, s, requirement)
     removed = bytearray(m)
     for i in range(m):
@@ -703,6 +743,16 @@ def min_spanner_exact(
             size=g.m,
             optimal=False,
             within_budget=False,
+            method=f"exact-{engine}",
+        )
+
+    if not removable:
+        # The forced edges are the only spanner; no search or MILP is needed.
+        return SolveResult(
+            spanner=Spanner(g, all_edges),
+            size=g.m,
+            optimal=budget is None,
+            within_budget=None if budget is None else g.m <= budget,
             method=f"exact-{engine}",
         )
 

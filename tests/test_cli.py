@@ -66,6 +66,15 @@ def test_solve_flow_engine(capsys, graph_file):
     assert flow["method"] == "exact-flow"
 
 
+@pytest.mark.parametrize("engine", ["bnb", "cuts", "flow"])
+def test_solve_single_vertex_graph(capsys, tmp_path, engine):
+    path = tmp_path / "one.tg"
+    path.write_text("1 1\n")
+    code, out, _ = run(capsys, "solve", "--engine", engine, path)
+    assert code == 0
+    assert out.startswith("size=0 optimal=true")
+
+
 @pytest.mark.parametrize("engine", ["flow", "cuts"])
 def test_solve_milp_failure_exits_cleanly(capsys, graph_file, monkeypatch, engine):
     import scipy.optimize

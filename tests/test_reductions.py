@@ -115,6 +115,39 @@ def test_sat_optimum_equals_budget_iff_satisfiable():
     assert res.within_budget is False
 
 
+def test_flow_decides_sat_reduction_past_phi_11():
+    out = red.sat_to_spanner_instance(PHI_MIXED)
+    assert (out.graph.vertex_count, out.graph.m) == (25, 72)
+    res = solver.min_spanner_exact(out.graph, engine="flow")
+    assert res.optimal and res.size == out.budget
+    assert reach.is_tc(out.graph, STRICT, kept=res.spanner.kept)
+    no = solver.min_spanner_exact(out.graph, budget=out.budget - 1, engine="flow")
+    assert no.within_budget is False
+
+
+def test_flow_model_has_columns_only_for_usable_arcs(monkeypatch):
+    import scipy.optimize
+
+    real = scipy.optimize.milp
+    models = []
+
+    def spy(**kwargs):
+        models.append(kwargs)
+        return real(**kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "milp", spy)
+    out = red.sat_to_spanner_instance(PHI_11)
+    res = solver.min_spanner_exact(out.graph, engine="flow")
+    assert res.size == out.budget
+    (model,) = models
+    removable = out.graph.m - len(solver.forced_edges(out.graph))
+    assert removable == 17
+    # One integer column per removable edge; forced edges are constants.
+    assert int(model["integrality"].sum()) == removable
+    # With a column for every arc and commodity the model had 26,973.
+    assert len(model["c"]) < 26_973 / 4
+
+
 def test_sat_optimum_keeps_a_red_edge_per_variable():
     out = red.sat_to_spanner_instance(PHI_11)
     res = solver.min_spanner_exact(out.graph, engine="bnb")

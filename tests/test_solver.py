@@ -176,6 +176,37 @@ def test_bnb_agrees_with_brute_in_every_mode(kind, two_source, s):
         assert no.within_budget is False
 
 
+@pytest.mark.parametrize("kind", ["happy", "multilabel"])
+@pytest.mark.parametrize("two_source", [False, True], ids=["all-pairs", "two-source"])
+@pytest.mark.parametrize("s", [STRICT, NONSTRICT], ids=["strict", "nonstrict"])
+def test_flow_agrees_with_brute_in_every_mode(kind, two_source, s):
+    # Non-strict multi-label graphs give the flow model cycles, which its
+    # per-pair arc pruning must not cut into.
+    for g, req in _instances(kind, s, two_source, 8):
+        brute = solver.min_spanner_brute(g, s, req)
+        flow = solver.min_spanner_exact(g, s, requirement=req, engine="flow")
+        assert flow.size == brute.size and flow.optimal
+        assert solver.requirement_holds(g, s, req, kept=flow.spanner.kept)
+        opt = flow.size
+        yes = solver.min_spanner_exact(g, s, budget=opt, requirement=req, engine="flow")
+        assert yes.within_budget is True and yes.size <= opt
+        assert solver.requirement_holds(g, s, req, kept=yes.spanner.kept)
+        no = solver.min_spanner_exact(g, s, budget=opt - 1, requirement=req, engine="flow")
+        assert no.within_budget is False
+
+
+@pytest.mark.parametrize("engine", ["bnb", "cuts", "flow"])
+def test_engines_return_the_forced_set_when_nothing_is_removable(engine):
+    for g in (tg.build(1, []), tg.build(2, [(0, 1, 1)])):
+        res = solver.min_spanner_exact(g, engine=engine)
+        assert res.spanner.kept == frozenset(range(g.m))
+        assert res.size == g.m and res.optimal and res.within_budget is None
+        for budget in range(g.m + 1):
+            res = solver.min_spanner_exact(g, budget=budget, engine=engine)
+            assert res.size == g.m and not res.optimal
+            assert res.within_budget is (g.m <= budget)
+
+
 def test_two_source_feasibility_matches_single_source_reach():
     checked = 0
     for seed in range(60):
