@@ -320,7 +320,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--cap", type=int, default=40, help="removable-edge guard")
     p.add_argument(
         "--engine",
-        choices=["auto", "bnb", "cuts", "flow"],
+        choices=solver.ENGINES,
         default="auto",
         help="exact engine (auto: bnb up to 40 removable edges, else flow)",
     )

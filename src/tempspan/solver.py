@@ -6,8 +6,8 @@ Contents:
   requirement, hence members of every spanner),
 * exact desk-scale solvers: full subset enumeration (the verification
   oracle, :func:`min_spanner_brute`) and, behind :func:`min_spanner_exact`,
-  three engines: branch-and-bound over removable edges, a cut-generation loop
-  on top of a MILP solver, and one time-expanded multicommodity-flow MILP,
+  two engines: branch-and-bound over removable edges and one time-expanded
+  multicommodity-flow MILP,
 * the two-source requirement variant,
 * an XP algorithm for happy graphs parameterized by the vertex cover number
   of the underlying graph: enumerate per-root out-tree candidates through
@@ -45,7 +45,7 @@ class NotTemporallyConnected(Exception):
 
 
 class SolverFailed(RuntimeError):
-    """A MILP-based engine could not produce an answer."""
+    """The flow MILP engine could not produce an answer."""
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +67,9 @@ class TwoSource:
 
 
 ALL_PAIRS = AllPairs()
+
+# The engines that ``min_spanner_exact`` accepts.
+ENGINES = ("auto", "bnb", "flow")
 
 
 def requirement_holds(
@@ -196,10 +199,10 @@ def _bnb_max_removal(
     removable: list[int],
     target: int | None,
     blocks: tuple[dict[int, int], list[int]] | None = None,
-) -> tuple[list[int], bool]:
+) -> list[int]:
     """Depth-first maximization of the removed-edge count.
 
-    Returns (best removal set, hit_target).  With ``target`` set, the search
+    Returns the best removal set found.  With ``target`` set, the search
     stops as soon as a feasible removal of that size is found; an exhausted
     search then proves no such removal exists.  ``blocks`` supplies the
     decomposition bound: per-block caps on how many edges any feasible
@@ -295,7 +298,7 @@ def _bnb_max_removal(
         headroom += by_decide
 
     rec(0, root, False)
-    return best, hit
+    return best
 
 
 def _conflict_blocks(
@@ -362,135 +365,8 @@ def _conflict_blocks(
         if len(comp) == 1:
             caps.append(1)  # each removable edge is individually droppable
         else:
-            removal, _ = _bnb_max_removal(oracle, comp, None)
-            caps.append(len(removal))
+            caps.append(len(_bnb_max_removal(oracle, comp, None)))
     return block_of, caps
-
-
-def _frontier_cut(
-    g: TemporalGraph, s: Strictness, kept: Iterable[int], source: int
-) -> frozenset[int]:
-    """Edges outside ``kept`` that expand the temporal closure of ``source``.
-
-    Any edge set under which ``source`` reaches everything must keep at least
-    one of them: a path to a vertex outside the closure has a first edge not
-    dominated by the closure, and that edge is usable from the closure,
-    improves some arrival, and is not in ``kept``.
-    """
-    kept = set(kept)
-    arrival = reach.earliest_arrival(g, source, 0, s, kept).arrival
-    strict = s is STRICT
-    cut = []
-    for i, e in enumerate(g.edges):
-        if i in kept:
-            continue
-        t = e.t
-        for a, b in ((e.u, e.v), (e.v, e.u)):
-            aa = arrival[a]
-            if aa is None:
-                continue
-            usable = aa < t if strict else aa <= t
-            if usable and (arrival[b] is None or arrival[b] > t):
-                cut.append(i)
-                break
-    return frozenset(cut)
-
-
-def _exact_by_cuts(
-    g: TemporalGraph,
-    s: Strictness,
-    requirement: AllPairs | TwoSource,
-    forced: frozenset[int],
-    budget: int | None,
-    max_iterations: int = 20_000,
-) -> tuple[frozenset[int] | None, int, bool]:
-    """Cut-generation exact engine.
-
-    Alternates a MILP over collected covering cuts (sets of edges of which
-    every spanner keeps at least one) with reachability checks.  An
-    infeasible MILP solution is greedily repaired into a feasible incumbent,
-    collecting one new cut per repair step; the loop ends when the MILP bound
-    meets the incumbent.  Returns (kept set, size, proven optimal); with a
-    budget it may return early, either with (None, bound, True) once the
-    bound exceeds the budget or with an unproven incumbent within it.
-    """
-    import numpy as np
-    from scipy.optimize import Bounds, LinearConstraint, milp
-
-    m = g.m
-    oracle = _SubsetOracle(g, s, requirement)
-    rows: list[frozenset[int]] = []
-    seen_rows: set[frozenset[int]] = set()
-
-    def remember(cut: frozenset[int]) -> None:
-        if not cut:
-            raise SolverFailed("empty frontier cut on an infeasible subset")
-        if cut not in seen_rows:
-            seen_rows.add(cut)
-            rows.append(cut)
-
-    if g.vertex_count >= 2:
-        for v in range(g.vertex_count):
-            remember(frozenset(g.incident[v]))
-    c = np.ones(m)
-    integrality = np.ones(m)
-    lb = np.zeros(m)
-    for i in forced:
-        lb[i] = 1.0
-    bounds = Bounds(lb, np.ones(m))
-    best = _greedy_local_min(g, s, requirement)
-    if budget is not None and len(best) <= budget:
-        return best, len(best), False
-
-    def repair(kept: frozenset[int]) -> frozenset[int]:
-        """Grow an infeasible subset to feasibility, banking a cut per step."""
-        work = set(kept)
-        removed = bytearray(m)
-        for i in range(m):
-            if i not in work:
-                removed[i] = 1
-        while True:
-            failing = oracle.failing_sources(removed)
-            if not failing:
-                return frozenset(work)
-            first_cut: frozenset[int] | None = None
-            for source in failing:
-                cut = _frontier_cut(g, s, work, source)
-                remember(cut)
-                if first_cut is None:
-                    first_cut = cut
-            e = min(first_cut)
-            work.add(e)
-            removed[e] = 0
-
-    for _ in range(max_iterations):
-        a_mat = np.zeros((len(rows), m))
-        for r, row in enumerate(rows):
-            for i in row:
-                a_mat[r, i] = 1.0
-        res = milp(
-            c=c,
-            constraints=[LinearConstraint(a_mat, lb=np.ones(len(rows)), ub=np.inf)],
-            integrality=integrality,
-            bounds=bounds,
-        )
-        if res.status != 0:
-            raise SolverFailed(f"MILP solve failed: {res.message}")
-        bound = int(round(res.fun))
-        if budget is not None and bound > budget:
-            return None, bound, True
-        kept = frozenset(i for i in range(m) if res.x[i] > 0.5)
-        before = len(rows)
-        repaired = repair(kept)
-        if len(repaired) < len(best):
-            best = repaired
-        if len(best) == bound:
-            return best, len(best), True
-        if budget is not None and len(best) <= budget:
-            return best, len(best), False
-        if len(rows) == before:
-            raise SolverFailed("cut generation stalled")
-    raise SolverFailed("cut loop exceeded iteration limit")
 
 
 def _exact_by_flow(
@@ -499,7 +375,7 @@ def _exact_by_flow(
     requirement: AllPairs | TwoSource,
     forced: frozenset[int],
     budget: int | None = None,
-) -> tuple[frozenset[int] | None, int]:
+) -> frozenset[int] | None:
     """Exact engine via one time-expanded multicommodity-flow MILP.
 
     Each vertex v has a start node ``(v, -1)`` and one node per distinct
@@ -523,7 +399,8 @@ def _exact_by_flow(
     (``f <= x_i``).  Forced edges are constants: no variable, and their arcs
     keep only the column bound ``f <= 1``.  The objective counts the x_i;
     with a ``budget`` the row ``sum x_i <= budget - |forced|`` turns the
-    solve into a decision, and (None, budget) reports proven infeasibility.
+    solve into a decision, and None reports proven infeasibility.  Returns
+    the kept edge set.
     """
     import numpy as np
     from bisect import bisect_left, bisect_right
@@ -657,7 +534,7 @@ def _exact_by_flow(
         bounds=Bounds(np.zeros(nv), np.ones(nv)),
     )
     if budget is not None and res.status == 2:
-        return None, budget
+        return None
     if res.status != 0:
         raise SolverFailed(f"MILP solve failed: {res.message}")
     kept = forced | {i for col, i in enumerate(free) if res.x[col] > 0.5}
@@ -668,7 +545,7 @@ def _exact_by_flow(
             removed[i] = 1
     if not oracle.feasible(removed):
         raise SolverFailed("flow MILP produced an infeasible edge set")
-    return kept, len(kept)
+    return kept
 
 
 def min_spanner_brute(
@@ -718,11 +595,13 @@ def min_spanner_exact(
 
     With a ``budget``, runs in decision mode: the search may stop on any
     feasible solution of size at most the budget, or on a proof that none
-    exists (``within_budget`` reports which).  ``engine`` is one of ``auto``,
-    ``bnb``, ``cuts``, ``flow``.  The MILP engines (``cuts``, ``flow``)
-    raise :class:`SolverFailed` when the MILP solver gives no answer.
+    exists (``within_budget`` reports which); ``optimal`` is True only
+    without a budget.  ``engine`` is one of :data:`ENGINES`; the ``flow``
+    engine raises :class:`SolverFailed` when the MILP solver gives no answer.
+    Every path only picks the kept edge set; the other result fields follow
+    from it.
     """
-    if engine not in ("auto", "bnb", "cuts", "flow"):
+    if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     forced = forced_edges(g, s, requirement)
     removable = [i for i in range(g.m) if i not in forced]
@@ -736,84 +615,26 @@ def min_spanner_exact(
         engine = "bnb" if len(removable) <= 40 else "flow"
     all_edges = frozenset(range(g.m))
 
-    if budget is not None and g.m - budget > len(removable):
-        # Even removing every removable edge keeps more than the budget.
-        return SolveResult(
-            spanner=Spanner(g, all_edges),
-            size=g.m,
-            optimal=False,
-            within_budget=False,
-            method=f"exact-{engine}",
-        )
-
-    if not removable:
-        # The forced edges are the only spanner; no search or MILP is needed.
-        return SolveResult(
-            spanner=Spanner(g, all_edges),
-            size=g.m,
-            optimal=budget is None,
-            within_budget=None if budget is None else g.m <= budget,
-            method=f"exact-{engine}",
-        )
-
-    if engine == "flow":
-        kept, size = _exact_by_flow(g, s, requirement, forced, budget)
-        if kept is None:
-            return SolveResult(
-                spanner=Spanner(g, all_edges),
-                size=g.m,
-                optimal=False,
-                within_budget=False,
-                method="exact-flow",
-            )
-        within = None if budget is None else size <= budget
-        return SolveResult(
-            spanner=Spanner(g, kept),
-            size=size,
-            optimal=budget is None,
-            within_budget=within,
-            method="exact-flow",
-        )
-
-    if engine == "cuts":
-        kept, size, proven = _exact_by_cuts(g, s, requirement, forced, budget)
-        if kept is None:
-            return SolveResult(
-                spanner=Spanner(g, all_edges),
-                size=g.m,
-                optimal=False,
-                within_budget=False,
-                method="exact-cuts",
-            )
-        within = None if budget is None else size <= budget
-        return SolveResult(
-            spanner=Spanner(g, kept),
-            size=size,
-            optimal=proven,
-            within_budget=within,
-            method="exact-cuts",
-        )
-
-    target = None if budget is None else g.m - budget
-    oracle = _SubsetOracle(g, s, requirement)
-    blocks = _conflict_blocks(g, oracle, removable)
-    order = sorted(removable, key=lambda i: (blocks[0][i], i))
-    removed, hit = _bnb_max_removal(oracle, order, target, blocks)
-    kept = all_edges - frozenset(removed)
-    if budget is None:
-        return SolveResult(
-            spanner=Spanner(g, kept),
-            size=len(kept),
-            optimal=True,
-            within_budget=None,
-            method="exact-bnb",
-        )
+    if not removable or (budget is not None and len(forced) > budget):
+        # The forced edges are the only spanner, or alone exceed the budget:
+        # no search or MILP is needed.
+        kept = all_edges
+    elif engine == "flow":
+        kept = _exact_by_flow(g, s, requirement, forced, budget)
+        if kept is None:  # proven: no spanner fits the budget
+            kept = all_edges
+    else:
+        target = None if budget is None else g.m - budget
+        oracle = _SubsetOracle(g, s, requirement)
+        blocks = _conflict_blocks(g, oracle, removable)
+        order = sorted(removable, key=lambda i: (blocks[0][i], i))
+        kept = all_edges - frozenset(_bnb_max_removal(oracle, order, target, blocks))
     return SolveResult(
         spanner=Spanner(g, kept),
         size=len(kept),
-        optimal=False,
-        within_budget=hit or len(kept) <= budget,
-        method="exact-bnb",
+        optimal=budget is None,
+        within_budget=None if budget is None else len(kept) <= budget,
+        method=f"exact-{engine}",
     )
 
 
@@ -1166,11 +987,9 @@ def select_extra_edges(
     return {v: fixes.get(v) for v in range(g.vertex_count) if v not in x_set}
 
 
-def _greedy_local_min(
-    g: TemporalGraph, s: Strictness, requirement: AllPairs | TwoSource = ALL_PAIRS
-) -> frozenset[int]:
-    """Drop edges one by one while the requirement survives."""
-    oracle = _SubsetOracle(g, s, requirement)
+def _greedy_local_min(g: TemporalGraph) -> frozenset[int]:
+    """Drop edges one by one while the graph stays strictly temporally connected."""
+    oracle = _SubsetOracle(g, STRICT, ALL_PAIRS)
     removed = bytearray(g.m)
     for i in range(g.m):
         removed[i] = 1
@@ -1198,18 +1017,14 @@ def min_spanner_xp_vc(g: TemporalGraph, budget: int | None = None) -> SolveResul
         raise NotHappy("the vertex-cover algorithm requires a happy graph")
     if not reach.is_tc(g, STRICT):
         raise NotTemporallyConnected("input graph is not temporally connected")
-    n = g.vertex_count
-    if n == 1:
-        return SolveResult(Spanner(g, frozenset()), 0, True, None, "xp-vc")
-
-    x_list = sorted(min_vertex_cover(underlying_graph(g), n))
+    x_list = sorted(min_vertex_cover(underlying_graph(g), g.vertex_count))
     cand = {x: _candidate_trees(g, x_list, x) for x in x_list}
     # Most-constrained roots first narrows the union product early.
     levels = sorted(x_list, key=lambda x: (len(cand[x]), x))
     # Smallest trees first, so the level bound meets a witness early.
     level_cands = [sorted(cand[x], key=int.bit_count) for x in levels]
 
-    best_kept = _greedy_local_min(g, STRICT)
+    best_kept = _greedy_local_min(g)
     best_size = len(best_kept)
     visited: list[set[int]] = [set() for _ in range(len(levels) + 1)]
     completed = True

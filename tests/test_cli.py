@@ -66,7 +66,7 @@ def test_solve_flow_engine(capsys, graph_file):
     assert flow["method"] == "exact-flow"
 
 
-@pytest.mark.parametrize("engine", ["bnb", "cuts", "flow"])
+@pytest.mark.parametrize("engine", ["bnb", "flow"])
 def test_solve_single_vertex_graph(capsys, tmp_path, engine):
     path = tmp_path / "one.tg"
     path.write_text("1 1\n")
@@ -75,7 +75,17 @@ def test_solve_single_vertex_graph(capsys, tmp_path, engine):
     assert out.startswith("size=0 optimal=true")
 
 
-@pytest.mark.parametrize("engine", ["flow", "cuts"])
+@pytest.mark.parametrize("method", ["exact", "xp-vc"])
+def test_solve_single_vertex_budget_exit_codes(capsys, tmp_path, method):
+    path = tmp_path / "one.tg"
+    path.write_text("1 1\n")
+    code, _, _ = run(capsys, "solve", "--method", method, "--k", 0, path)
+    assert code == 0
+    code, _, _ = run(capsys, "solve", "--method", method, "--k", -1, path)
+    assert code == 1
+
+
+@pytest.mark.parametrize("engine", ["flow"])
 def test_solve_milp_failure_exits_cleanly(capsys, graph_file, monkeypatch, engine):
     import scipy.optimize
 
@@ -225,6 +235,12 @@ def test_usage_errors_exit_three(capsys, tmp_path):
     assert code == 3
     code, _, _ = run(capsys, "solve", "--method", "xp-vc", "--two-source", 0, 1, bad)
     assert code == 3
+    good = tmp_path / "good.tg"
+    good.write_text("1 1\n")
+    # argparse rejects an unknown choice by exiting from inside main.
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "solve", "--engine", "cuts", good)
+    assert exc.value.code == 3
 
 
 def test_verify_two_source_flag(capsys, tmp_path):

@@ -55,10 +55,9 @@ def test_exact_engines_agree_with_brute():
     for g in small_corpus(20, n_range=(4, 6)):
         brute = solver.min_spanner_brute(g, cap=18)
         bnb = solver.min_spanner_exact(g, engine="bnb")
-        cuts = solver.min_spanner_exact(g, engine="cuts")
         flow = solver.min_spanner_exact(g, engine="flow")
-        assert brute.size == bnb.size == cuts.size == flow.size
-        for res in (brute, bnb, cuts, flow):
+        assert brute.size == bnb.size == flow.size
+        for res in (brute, bnb, flow):
             assert reach.is_tc(g, STRICT, kept=res.spanner.kept)
             assert res.optimal
 
@@ -74,7 +73,7 @@ def test_exact_local_minimality():
 def test_budget_decision_mode():
     g = generate.random_happy_tc_with_cover(6, 2, 11)
     opt = solver.min_spanner_exact(g).size
-    for engine in ("bnb", "cuts", "flow"):
+    for engine in ("bnb", "flow"):
         yes = solver.min_spanner_exact(g, budget=opt, engine=engine)
         no = solver.min_spanner_exact(g, budget=opt - 1, engine=engine)
         assert yes.within_budget is True
@@ -120,7 +119,7 @@ def test_two_source_engines_agree():
             continue
         sizes = {
             solver.min_spanner_exact(g, requirement=req, engine=e).size
-            for e in ("bnb", "cuts", "flow")
+            for e in ("bnb", "flow")
         }
         assert len(sizes) == 1
 
@@ -195,7 +194,7 @@ def test_flow_agrees_with_brute_in_every_mode(kind, two_source, s):
         assert no.within_budget is False
 
 
-@pytest.mark.parametrize("engine", ["bnb", "cuts", "flow"])
+@pytest.mark.parametrize("engine", ["bnb", "flow"])
 def test_engines_return_the_forced_set_when_nothing_is_removable(engine):
     for g in (tg.build(1, []), tg.build(2, [(0, 1, 1)])):
         res = solver.min_spanner_exact(g, engine=engine)
@@ -205,6 +204,22 @@ def test_engines_return_the_forced_set_when_nothing_is_removable(engine):
             res = solver.min_spanner_exact(g, budget=budget, engine=engine)
             assert res.size == g.m and not res.optimal
             assert res.within_budget is (g.m <= budget)
+
+
+@pytest.mark.parametrize("engine", ["auto", "bnb", "flow"])
+def test_exact_result_fields_follow_from_kept(engine):
+    g = generate.random_happy_tc(6, 0, 0.6)
+    forced = solver.forced_edges(g, STRICT)
+    opt = solver.min_spanner_exact(g, engine=engine).size
+    assert 0 < len(forced) < opt - 1
+    # The last budget is below the forced count: the early exit, no search.
+    for budget in (None, opt, opt - 1, len(forced) - 1):
+        res = solver.min_spanner_exact(g, budget=budget, engine=engine)
+        assert res.optimal is (budget is None)
+        assert res.within_budget is (None if budget is None else res.size <= budget)
+        assert res.size == len(res.spanner.kept)
+        assert res.method == ("exact-bnb" if engine == "auto" else f"exact-{engine}")
+        assert solver.requirement_holds(g, STRICT, ALL_PAIRS, res.spanner.kept)
 
 
 def test_two_source_feasibility_matches_single_source_reach():
@@ -270,6 +285,8 @@ def test_unknown_engine_rejected_before_solving():
     g = tg.build(3, [(0, 1, 1), (1, 2, 2), (0, 2, 3)])
     with pytest.raises(ValueError, match="unknown engine 'bogus'"):
         solver.min_spanner_exact(g, budget=0, engine="bogus")
+    with pytest.raises(ValueError, match="unknown engine 'cuts'"):
+        solver.min_spanner_exact(g, engine="cuts")
     # Checked before the requirement: this graph does not satisfy it.
     with pytest.raises(ValueError, match="unknown engine"):
         solver.min_spanner_exact(tg.build(3, [(0, 1, 1)]), engine="bogus")
@@ -648,6 +665,9 @@ def test_xp_size_invariant_under_edge_order():
 def test_xp_single_vertex():
     g = tg.build(1, [])
     assert solver.min_spanner_xp_vc(g).size == 0
+    for budget, within in ((0, True), (-1, False)):
+        res = solver.min_spanner_xp_vc(g, budget=budget)
+        assert res.size == 0 and res.within_budget is within
 
 
 # ---------------------------------------------------------------------------
