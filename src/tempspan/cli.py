@@ -373,7 +373,10 @@ def _build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # usage errors and --help: return argparse's status
+        return exc.code
     try:
         return args.func(args)
     except solver.InstanceTooLarge as exc:

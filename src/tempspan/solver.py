@@ -10,9 +10,12 @@ Contents:
   multicommodity-flow MILP,
 * the two-source requirement variant,
 * an XP algorithm for happy graphs parameterized by the vertex cover number
-  of the underlying graph: enumerate per-root out-tree candidates through
-  (template, placeholder map, leaf attachment) triples, combine across roots,
-  select at most one extra edge per non-cover vertex, verify,
+  of the underlying graph: per cover root, enumerate every temporal out-tree
+  directly in label order, combine one per root, select at most one extra
+  edge per non-cover vertex, verify.  The paper guesses each tree as a
+  template over the cover with placeholders and leaf attachments; every
+  instantiation is a spanning temporal out-tree and every such tree is one,
+  so both describe the same candidate set,
 * the tree-plus-extras decomposition check for spanners.
 """
 
@@ -20,8 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable
 
 from . import reach
 from .reach import NONSTRICT, STRICT, Strictness, TemporalOutTree
@@ -599,16 +601,14 @@ def min_spanner_exact(
     without a budget.  ``engine`` is one of :data:`ENGINES`; the ``flow``
     engine raises :class:`SolverFailed` when the MILP solver gives no answer.
     Every path only picks the kept edge set; the other result fields follow
-    from it.
+    from it.  ``cap`` applies only when a search is needed: with no
+    removable edge, or more forced edges than the budget, the answer is
+    returned whatever the instance size.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     forced = forced_edges(g, s, requirement)
     removable = [i for i in range(g.m) if i not in forced]
-    if len(removable) > cap:
-        raise InstanceTooLarge(
-            f"{len(removable)} removable edges exceed cap {cap}"
-        )
     if engine == "auto":
         # Block-bounded branch and bound wins through the default desk-scale
         # cap; the flow MILP is the only engine with a chance beyond it.
@@ -617,8 +617,10 @@ def min_spanner_exact(
 
     if not removable or (budget is not None and len(forced) > budget):
         # The forced edges are the only spanner, or alone exceed the budget:
-        # no search or MILP is needed.
+        # no search or MILP is needed, so the cap does not apply.
         kept = all_edges
+    elif len(removable) > cap:
+        raise InstanceTooLarge(f"{len(removable)} removable edges exceed cap {cap}")
     elif engine == "flow":
         kept = _exact_by_flow(g, s, requirement, forced, budget)
         if kept is None:  # proven: no spanner fits the budget
@@ -680,253 +682,47 @@ def min_vertex_cover(pairs: Iterable[tuple[int, int]], n: int | None = None) -> 
 
 
 # ---------------------------------------------------------------------------
-# Templates: search skeletons for the out-tree guessing step
-# ---------------------------------------------------------------------------
-
-Node = tuple[str, int]  # ("x", cover vertex) or ("p", placeholder id)
-
-
-@dataclass(frozen=True)
-class Template:
-    """A small directed out-tree over cover vertices and placeholders.
-
-    Placeholders stand for vertices outside the cover; their parents and
-    children are always cover nodes, and every leaf is a cover node.
-    """
-
-    root: int
-    arcs: tuple[tuple[Node, Node], ...]
-
-    @property
-    def nodes(self) -> frozenset[Node]:
-        out = {("x", self.root)}
-        for a, b in self.arcs:
-            out.add(a)
-            out.add(b)
-        return frozenset(out)
-
-    @property
-    def cover_vertices(self) -> frozenset[int]:
-        return frozenset(v for kind, v in self.nodes if kind == "x")
-
-    @property
-    def placeholder_count(self) -> int:
-        return sum(1 for kind, _ in self.nodes if kind == "p")
-
-
-def _set_partitions(items: list[int]) -> Iterator[list[list[int]]]:
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [part[i] + [first]] + part[i + 1 :]
-        yield part + [[first]]
-
-
-def _is_out_tree(root: Node, parent: dict[Node, Node]) -> bool:
-    for node in parent:
-        seen = {node}
-        cur = node
-        while cur != root:
-            cur = parent.get(cur)
-            if cur is None or cur in seen:
-                return False
-            seen.add(cur)
-    return True
-
-
-def enumerate_templates(cover: Iterable[int]) -> Iterator[Template]:
-    """All templates over a cover set: every root, 0..d placeholders, every shape.
-
-    Cover nodes may be any nonempty subset of the cover containing the root;
-    each placeholder has a cover parent and at least one cover child, so a
-    template never exceeds 2d nodes.
-    """
-    x_all = sorted(set(cover))
-    if not x_all:
-        raise ValueError("cover must be nonempty")
-    for size in range(1, len(x_all) + 1):
-        for sub in combinations(x_all, size):
-            for root in sub:
-                yield from _rooted_templates(sub, root)
-
-
-def _rooted_templates(sub: tuple[int, ...], root: int) -> Iterator[Template]:
-    """The templates whose cover nodes are exactly ``sub`` and whose root is ``root``."""
-    rest = [x for x in sub if x != root]
-    for r in range(len(rest) + 1):
-        for grouped in combinations(rest, r):
-            free = [x for x in rest if x not in grouped]
-            for part in _set_partitions(list(grouped)):
-                groups = sorted((sorted(grp) for grp in part), key=lambda grp: grp[0])
-                slots = len(groups) + len(free)
-                for parents in product(sub, repeat=slots):
-                    parent: dict[Node, Node] = {}
-                    arcs: list[tuple[Node, Node]] = []
-                    for k, grp in enumerate(groups):
-                        p: Node = ("p", k)
-                        parent[p] = ("x", parents[k])
-                        arcs.append((("x", parents[k]), p))
-                        for child in grp:
-                            parent[("x", child)] = p
-                            arcs.append((p, ("x", child)))
-                    for j, child in enumerate(free):
-                        pv = parents[len(groups) + j]
-                        parent[("x", child)] = ("x", pv)
-                        arcs.append((("x", pv), ("x", child)))
-                    if not _is_out_tree(("x", root), parent):
-                        continue
-                    yield Template(root=root, arcs=tuple(sorted(arcs)))
-
-
-def instantiate_template(
-    g: TemporalGraph,
-    template: Template,
-    zeta: Mapping[int, int],
-    attach: Mapping[int, int],
-    root: int | None = None,
-) -> frozenset[int] | None:
-    """Map a template to concrete tree-candidate edges, or None if incompatible.
-
-    Cover nodes name themselves; placeholder k names ``zeta[k]``; every vertex
-    in ``attach`` hangs as a leaf under its cover vertex.  Incompatible means
-    some required underlying edge is absent.  The result still has to pass
-    :func:`reach.verify_out_tree` for label monotonicity.
-    """
-    if root is not None and root != template.root:
-        raise ValueError("root does not match the template root")
-    if len(set(zeta.values())) != len(zeta):
-        raise ValueError("placeholder map must be injective")
-    pairmap = g.index_by_pair
-
-    def vertex_of(node: Node) -> int:
-        kind, v = node
-        return v if kind == "x" else zeta[v]
-
-    indices: list[int] = []
-    for a, b in template.arcs:
-        va, vb = vertex_of(a), vertex_of(b)
-        idx = pairmap.get((min(va, vb), max(va, vb)))
-        if idx is None:
-            return None
-        indices.append(idx)
-    for v, x in sorted(attach.items()):
-        idx = pairmap.get((min(v, x), max(v, x)))
-        if idx is None:
-            return None
-        indices.append(idx)
-    return frozenset(indices)
-
-
-# ---------------------------------------------------------------------------
 # XP algorithm by vertex cover number (happy graphs)
 # ---------------------------------------------------------------------------
 
 
-def _candidate_trees(g: TemporalGraph, x_list: list[int], root: int) -> list[int]:
-    """All temporal out-trees rooted at ``root``, as edge-index bitmasks.
+def _candidate_trees(g: TemporalGraph, root: int) -> list[int]:
+    """All temporal out-trees rooted at ``root``, as sorted edge-index bitmasks.
 
-    Enumerates (template, placeholder map, leaf attachment) with early
-    pruning: a partial placeholder assignment dies as soon as a required
-    underlying edge is missing or a label fails to increase.  Only the
-    templates that span the whole cover ``x_list`` from ``root`` are
-    generated: a spanning out-tree reaches every cover vertex, and a cover
-    vertex is never a placeholder.
+    Walks the edges in label order and branches on each edge with exactly
+    one reached endpoint: take it, reaching the other endpoint at its label,
+    or skip it.  On a happy graph no two adjacent edges share a label, so the
+    reached endpoint was reached strictly earlier; every taken path therefore
+    has increasing labels, and each spanning out-tree comes out exactly once,
+    as its own edges in label order.  A branch dies once an unreached vertex
+    has no incident edge left ahead of the cursor.  Every tree is re-checked
+    by :func:`reach.verify_out_tree`; that drops something only on graphs
+    that are not proper, where two adjacent edges with one label can both
+    be taken.
     """
     n = g.vertex_count
-    x_set = set(x_list)
-    others = [v for v in range(n) if v not in x_set]
-    pairmap = g.index_by_pair
-    edges = g.edges
+    order = [edge for _, group in g.label_groups for edge in group]
+    last = [-1] * n  # position of each vertex's last incident edge in ``order``
+    for pos, (_, u, v) in enumerate(order):
+        last[u] = last[v] = pos
+    found: list[int] = []
 
-    # Leaf options: cover neighbours of each non-cover vertex.
-    cover_adj: dict[int, list[tuple[int, int, int]]] = {}
-    for v in others:
-        opts = []
-        for x in x_list:
-            idx = pairmap.get((min(v, x), max(v, x)))
-            if idx is not None:
-                opts.append((x, idx, edges[idx].t))
-        cover_adj[v] = opts
-
-    results: set[int] = set()
-
-    for template in _rooted_templates(tuple(x_list), root):
-        children: dict[Node, list[Node]] = {}
-        for a, b in template.arcs:
-            children.setdefault(a, []).append(b)
-        root_node: Node = ("x", root)
-        arc_order: list[tuple[Node, Node]] = []
-        queue = [root_node]
-        while queue:
-            node = queue.pop(0)
-            for child in sorted(children.get(node, [])):
-                arc_order.append((node, child))
-                queue.append(child)
-
-        assign: dict[Node, int] = {("x", x): x for x in x_set}
-        in_label: dict[Node, int] = {root_node: 0}
-        skeleton: list[int] = []
-        used: set[int] = set()
-
-        def emit_trees() -> None:
-            label_at = {assign[node]: lab for node, lab in in_label.items()}
-            leaves = [v for v in others if v not in used]
-            options: list[list[int]] = []
-            for v in leaves:
-                opts = [idx for x, idx, t in cover_adj[v] if t > label_at[x]]
-                if not opts:
-                    return
-                options.append(opts)
-            base = 0
-            for i in skeleton:
-                base |= 1 << i
-            for combo in product(*options):
-                mask = base
-                for i in combo:
-                    mask |= 1 << i
-                results.add(mask)
-
-        def rec(k: int) -> None:
-            if k == len(arc_order):
-                emit_trees()
+    def rec(start: int, reached: int, mask: int, taken: int) -> None:
+        if taken == n - 1:
+            found.append(mask)
+            return
+        for pos in range(start, len(order)):
+            idx, u, v = order[pos]
+            u_in, v_in = reached >> u & 1, reached >> v & 1
+            if u_in != v_in:
+                w = v if u_in else u
+                rec(pos + 1, reached | 1 << w, mask | 1 << idx, taken + 1)
+            # Skipping this edge strands an endpoint whose last edge it is.
+            if (not u_in and last[u] == pos) or (not v_in and last[v] == pos):
                 return
-            pa, ch = arc_order[k]
-            pv = assign[pa]
-            plab = in_label[pa]
-            if ch[0] == "x":
-                candidates = [ch[1]]
-            else:
-                candidates = [w for w in others if w not in used]
-            for w in candidates:
-                idx = pairmap.get((min(pv, w), max(pv, w)))
-                if idx is None:
-                    continue
-                t = edges[idx].t
-                if t <= plab:
-                    continue
-                placeholder = ch[0] == "p"
-                if placeholder:
-                    assign[ch] = w
-                    used.add(w)
-                in_label[ch] = t
-                skeleton.append(idx)
-                rec(k + 1)
-                skeleton.pop()
-                del in_label[ch]
-                if placeholder:
-                    used.remove(w)
-                    del assign[ch]
 
-        rec(0)
-
-    verified = []
-    for mask in sorted(results):
-        if reach.verify_out_tree(g, _mask_indices(mask), root):
-            verified.append(mask)
-    return verified
+    rec(0, 1 << root, 0, 0)
+    return [mask for mask in sorted(found) if reach.verify_out_tree(g, _mask_indices(mask), root)]
 
 
 def _mask_indices(mask: int) -> list[int]:
@@ -1006,9 +802,12 @@ def min_spanner_xp_vc(g: TemporalGraph, budget: int | None = None) -> SolveResul
     """Minimum spanner of a happy TC graph, parameterized by vertex cover number.
 
     Steps: minimum vertex cover X of the underlying graph; per root in X,
-    enumerate candidate out-trees through (template, placeholder map, leaf
-    attachment) triples; combine one candidate per root; add per-vertex extra
-    edges; verify connectivity; keep the smallest union found.
+    enumerate every temporal out-tree spanning the graph, walking the edges
+    in label order; combine one tree per root; add per-vertex extra edges;
+    verify connectivity; keep the smallest union found.  The trees are
+    exactly the paper's template instantiations: a spanning out-tree reaches
+    every cover vertex, and its non-cover vertices are either inner nodes
+    between two cover vertices (placeholders) or leaves under one.
 
     The combination search visits each union at most once per level: the
     bound only falls, so a repeated visit could not find a smaller spanner.
@@ -1018,7 +817,7 @@ def min_spanner_xp_vc(g: TemporalGraph, budget: int | None = None) -> SolveResul
     if not reach.is_tc(g, STRICT):
         raise NotTemporallyConnected("input graph is not temporally connected")
     x_list = sorted(min_vertex_cover(underlying_graph(g), g.vertex_count))
-    cand = {x: _candidate_trees(g, x_list, x) for x in x_list}
+    cand = {x: _candidate_trees(g, x) for x in x_list}
     # Most-constrained roots first narrows the union product early.
     levels = sorted(x_list, key=lambda x: (len(cand[x]), x))
     # Smallest trees first, so the level bound meets a witness early.

@@ -5,7 +5,7 @@ import pytest
 
 from tempspan import cli
 from tempspan import tempgraph as tg
-from tempspan.generate import random_happy_tc_with_cover
+from tempspan.generate import random_happy_tc, random_happy_tc_with_cover
 
 
 @pytest.fixture
@@ -120,6 +120,17 @@ def test_solve_resource_guard(capsys, graph_file):
     code, _, err = run(capsys, "solve", "--cap", 0, graph_file)
     assert code == 2
     assert "resource guard" in err
+
+
+def test_solve_cap_skipped_when_no_search_is_needed(capsys, tmp_path):
+    # 9 removable edges exceed cap 0, but the 3 forced edges alone exceed k=2.
+    path = tmp_path / "g.tg"
+    path.write_text(tg.serialize(random_happy_tc(6, 0, 0.6)))
+    code, out, _ = run(capsys, "solve", "--k", 2, "--cap", 0, path)
+    assert code == 1
+    assert out.startswith("size=12 ")
+    code, _, err = run(capsys, "solve", "--k", 8, "--cap", 0, path)
+    assert code == 2 and "resource guard" in err
 
 
 def test_verify_roundtrip(capsys, graph_file, tmp_path):
@@ -237,10 +248,9 @@ def test_usage_errors_exit_three(capsys, tmp_path):
     assert code == 3
     good = tmp_path / "good.tg"
     good.write_text("1 1\n")
-    # argparse rejects an unknown choice by exiting from inside main.
-    with pytest.raises(SystemExit) as exc:
-        run(capsys, "solve", "--engine", "cuts", good)
-    assert exc.value.code == 3
+    code, _, err = run(capsys, "solve", "--engine", "cuts", good)
+    assert code == 3
+    assert "invalid choice: 'cuts'" in err
 
 
 def test_verify_two_source_flag(capsys, tmp_path):

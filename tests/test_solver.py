@@ -6,7 +6,7 @@ import pytest
 from tempspan import generate, reach, solver
 from tempspan import tempgraph as tg
 from tempspan.reach import NONSTRICT, STRICT
-from tempspan.solver import ALL_PAIRS, Template, TwoSource
+from tempspan.solver import ALL_PAIRS, TwoSource
 
 
 def small_corpus(count=25, n_range=(4, 7)):
@@ -71,7 +71,8 @@ def test_exact_local_minimality():
 
 
 def test_budget_decision_mode():
-    g = generate.random_happy_tc_with_cover(6, 2, 11)
+    # m=12 with 3 forced edges and optimum 8: both budgets need a search.
+    g = generate.random_happy_tc(6, 0, 0.6)
     opt = solver.min_spanner_exact(g).size
     for engine in ("bnb", "flow"):
         yes = solver.min_spanner_exact(g, budget=opt, engine=engine)
@@ -84,6 +85,16 @@ def test_instance_too_large_guard():
     g = generate.random_happy_tc_with_cover(7, 3, 5)
     with pytest.raises(solver.InstanceTooLarge):
         solver.min_spanner_exact(g, cap=0)
+
+
+def test_cap_does_not_refuse_an_answer_that_needs_no_search():
+    # 9 removable edges exceed cap 0, but the 3 forced edges alone exceed
+    # budget 2, so the answer is known without a search.
+    g = generate.random_happy_tc(6, 0, 0.6)
+    res = solver.min_spanner_exact(g, budget=2, cap=0)
+    assert res.within_budget is False and res.size == g.m
+    with pytest.raises(solver.InstanceTooLarge):
+        solver.min_spanner_exact(g, budget=8, cap=0)
 
 
 def test_requirement_not_satisfied():
@@ -331,153 +342,13 @@ def test_min_vertex_cover_petersen():
 
 
 # ---------------------------------------------------------------------------
-# Templates
+# Candidate out-trees
 # ---------------------------------------------------------------------------
 
 
-def test_enumerate_templates_d1():
-    templates = list(solver.enumerate_templates([7]))
-    assert templates == [Template(root=7, arcs=())]
-
-
-def test_enumerate_templates_d2_exhaustive():
-    templates = list(solver.enumerate_templates([0, 1]))
-    assert len(templates) == 6
-    shapes = {
-        (t.root, tuple(sorted(t.arcs)), t.placeholder_count) for t in templates
-    }
-    assert len(shapes) == 6
-    singles = [t for t in templates if not t.arcs]
-    assert {t.root for t in singles} == {0, 1}
-    with_placeholder = [t for t in templates if t.placeholder_count]
-    assert len(with_placeholder) == 2
-
-
-def _template_invariants(t: Template, cover: set[int]):
-    nodes = t.nodes
-    assert ("x", t.root) in nodes
-    assert t.root in cover
-    children = {}
-    parents = {}
-    for a, b in t.arcs:
-        children.setdefault(a, []).append(b)
-        assert b not in parents
-        parents[b] = a
-    for node in nodes:
-        kind, _ = node
-        if kind == "p":
-            assert all(c[0] == "x" for c in children.get(node, []))
-            assert children.get(node), "placeholders cannot be leaves"
-            assert parents[node][0] == "x"
-        if node not in children and node != ("x", t.root):
-            assert kind == "x"
-    assert len(nodes) <= 2 * len(cover)
-
-
-def test_template_invariants_up_to_d3():
-    for d in (1, 2, 3):
-        cover = set(range(d))
-        count = 0
-        for t in solver.enumerate_templates(sorted(cover)):
-            _template_invariants(t, cover)
-            count += 1
-        assert count <= (2 * d) ** (2 * d)
-
-
-def _brute_templates(cover):
-    """Independent template enumeration: all parent maps over all node sets,
-    deduplicated by the canonical placeholder naming."""
-    cover = sorted(cover)
-    found = set()
-    for size in range(1, len(cover) + 1):
-        for sub in combinations(cover, size):
-            for p_count in range(0, len(sub)):
-                nodes = [("x", x) for x in sub] + [("p", k) for k in range(p_count)]
-                for root in sub:
-                    root_node = ("x", root)
-                    others = [nd for nd in nodes if nd != root_node]
-                    for parents in product(nodes, repeat=len(others)):
-                        parent = dict(zip(others, parents))
-                        if not solver._is_out_tree(root_node, parent):
-                            continue
-                        children = {}
-                        for child, par in parent.items():
-                            children.setdefault(par, []).append(child)
-                        ok = True
-                        for nd in nodes:
-                            kind, _ = nd
-                            kids = children.get(nd, [])
-                            if kind == "p":
-                                if not kids or any(k[0] != "x" for k in kids):
-                                    ok = False
-                            if not kids and nd != root_node and kind == "p":
-                                ok = False
-                        if not ok:
-                            continue
-                        # canonicalize placeholder ids by minimum child
-                        rename = {}
-                        keyed = []
-                        for nd in nodes:
-                            if nd[0] == "p":
-                                kids = sorted(children.get(nd, []))
-                                keyed.append((kids[0], nd))
-                        for k, (_, nd) in enumerate(sorted(keyed)):
-                            rename[nd] = ("p", k)
-
-                        def conv(nd):
-                            return rename.get(nd, nd)
-
-                        arcs = tuple(
-                            sorted((conv(par), conv(child)) for child, par in parent.items())
-                        )
-                        found.add((root, arcs))
-    return found
-
-
-def test_templates_match_independent_enumeration():
-    for d in (1, 2, 3):
-        cover = list(range(d))
-        mine = {(t.root, t.arcs) for t in solver.enumerate_templates(cover)}
-        assert mine == _brute_templates(cover)
-
-
-def test_rooted_templates_match_filtered_enumeration():
-    for d in (1, 2, 3, 4):
-        cover = list(range(d))
-        full = list(solver.enumerate_templates(cover))
-        for root in cover:
-            mine = {(t.root, t.arcs) for t in solver._rooted_templates(tuple(cover), root)}
-            filtered = {
-                (t.root, t.arcs)
-                for t in full
-                if t.root == root and t.cover_vertices == set(cover)
-            }
-            assert mine == filtered
-
-
-# ---------------------------------------------------------------------------
-# Template instantiation
-# ---------------------------------------------------------------------------
-
-
-def test_instantiate_star():
-    g = tg.build(4, [(0, 1, 1), (0, 2, 2), (0, 3, 3)])
-    t = Template(root=0, arcs=())
-    got = solver.instantiate_template(g, t, {}, {1: 0, 2: 0, 3: 0})
-    assert got == frozenset({0, 1, 2})
-    assert reach.verify_out_tree(g, got, 0)
-
-
-def test_instantiate_missing_edge_is_incompatible():
-    g = tg.build(4, [(0, 1, 1), (0, 2, 2), (0, 3, 3)])
-    t = Template(root=0, arcs=((("x", 0), ("p", 0)), (("p", 0), ("x", 1))))
-    # placeholder mapped to a vertex not adjacent to the template child
-    assert solver.instantiate_template(g, t, {0: 2}, {3: 0}) is None
-
-
-def test_instantiate_figure_template():
-    # The compatibility figure: five cover vertices, three placeholders,
-    # nine attached leaves; instantiation recovers the whole tree.
+def _figure_tree():
+    # The compatibility figure: a 17-vertex tree with increasing labels from
+    # vertex 0, so its only out-tree from 0 is the whole graph.
     edges = [
         (0, 1, 1),
         (1, 2, 3),
@@ -496,57 +367,27 @@ def test_instantiate_figure_template():
         (7, 15, 8),
         (7, 16, 9),
     ]
-    g = tg.build(17, edges)
-    x_star, x1, x2, x3, x4 = 0, 2, 3, 6, 7
-    t = Template(
-        root=x_star,
-        arcs=(
-            (("x", x_star), ("p", 0)),
-            (("p", 0), ("x", x1)),
-            (("x", x_star), ("x", x2)),
-            (("x", x2), ("p", 1)),
-            (("p", 1), ("x", x3)),
-            (("x", x2), ("p", 2)),
-            (("p", 2), ("x", x4)),
-        ),
-    )
-    zeta = {0: 1, 1: 4, 2: 5}
-    attach = {8: x1, 9: x1, 10: x2, 11: x2, 12: x3, 13: x3, 14: x3, 15: x4, 16: x4}
-    got = solver.instantiate_template(g, t, zeta, attach)
-    assert got == frozenset(range(g.m))
-    assert reach.verify_out_tree(g, got, x_star)
-
-
-def test_instantiate_rejects_noninjective_zeta():
-    g = tg.build(4, [(0, 1, 1), (0, 2, 2), (1, 3, 3), (2, 3, 5)])
-    t = Template(
-        root=0,
-        arcs=(
-            (("x", 0), ("p", 0)),
-            (("p", 0), ("x", 3)),
-            (("x", 0), ("p", 1)),
-            (("p", 1), ("x", 3)),
-        ),
-    )
-    with pytest.raises(ValueError):
-        solver.instantiate_template(g, t, {0: 1, 1: 1}, {})
+    return tg.build(17, edges)
 
 
 def test_candidate_trees_match_subset_enumeration():
     # Independent oracle: all (n-1)-subsets of edges that verify as out-trees.
-    for g in small_corpus(8, n_range=(4, 6)):
+    graphs = small_corpus(8, n_range=(4, 6))
+    figure = _figure_tree()
+    graphs += [generate.random_happy_tc_with_cover(8, 4, 0), figure]
+    for g in graphs:
         cover = sorted(solver.min_vertex_cover(tg.underlying_graph(g), g.vertex_count))
         for root in cover:
-            mine = {
-                frozenset(solver._mask_indices(mask))
-                for mask in solver._candidate_trees(g, cover, root)
-            }
+            mine = solver._candidate_trees(g, root)
+            assert mine == sorted(mine)
             brute = {
                 frozenset(sub)
                 for sub in combinations(range(g.m), g.vertex_count - 1)
                 if reach.verify_out_tree(g, sub, root)
             }
-            assert mine == brute
+            assert len(mine) == len(brute)
+            assert {frozenset(solver._mask_indices(mask)) for mask in mine} == brute
+    assert solver._candidate_trees(figure, 0) == [(1 << 16) - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +477,8 @@ def test_xp_oracle_equivalence_corpus():
 
 
 def test_xp_budget_mode():
-    g = generate.random_happy_tc_with_cover(6, 2, 3)
+    # m=12 with 3 forced edges and optimum 8: both budgets need a search.
+    g = generate.random_happy_tc(6, 0, 0.6)
     opt = solver.min_spanner_exact(g).size
     yes = solver.min_spanner_xp_vc(g, budget=opt)
     assert yes.within_budget is True and yes.size <= opt
