@@ -9,6 +9,13 @@ Contents:
   two engines: branch-and-bound over removable edges and one time-expanded
   multicommodity-flow MILP,
 * the two-source requirement variant,
+* the gossip lower bound (:func:`_gossip_bound`; Baker and Shostak 1972,
+  Bumby 1981): every temporally connected graph on n >= 4 vertices keeps at
+  least 2n - 4 time edges, in the strict setting and in the non-strict one
+  on proper graphs.  It is not used for the two-source requirement or for
+  non-strict paths on graphs that are not proper, where it fails.  Branch
+  and bound in optimise mode and the XP algorithm stop as soon as their
+  incumbent meets it,
 * an XP algorithm for happy graphs parameterized by the vertex cover number
   of the underlying graph: per cover root, enumerate every temporal out-tree
   directly in label order, combine one per root, select at most one extra
@@ -187,6 +194,31 @@ def forced_edges(
 # ---------------------------------------------------------------------------
 
 
+def _gossip_bound(
+    g: TemporalGraph, s: Strictness, requirement: AllPairs | TwoSource
+) -> int:
+    """A lower bound on the size of every spanner: 2n - 4, or 0 if unknown.
+
+    A temporally connected graph is a complete gossip schedule when its time
+    edges are read as calls in label order: with non-strict paths on a
+    proper graph one label's edges are disjoint calls in any order, and with
+    strict paths a call sequence in label order spreads at least what the
+    graph does.  A complete schedule on n >= 4 people has at least 2n - 4
+    calls (Baker and Shostak, "Gossips and telephones", Discrete Math.
+    1972; Bumby, "A problem with telephones", SIAM J. Algebraic Discrete
+    Methods 1981).  The bound is 0 for ``TwoSource``, for n < 4, and for
+    non-strict paths on graphs that are not proper, where one label can
+    carry information along a whole path: the star with three edges at one
+    label is temporally connected with 3 < 2n - 4 edges.
+    """
+    n = g.vertex_count
+    if n < 4 or not isinstance(requirement, AllPairs):
+        return 0
+    if s is STRICT or classify(g).proper:
+        return 2 * n - 4
+    return 0
+
+
 @dataclass(frozen=True)
 class SolveResult:
     spanner: Spanner
@@ -201,12 +233,19 @@ def _bnb_max_removal(
     removable: list[int],
     target: int | None,
     blocks: tuple[dict[int, int], list[int]] | None = None,
+    stop_at: int | None = None,
 ) -> list[int]:
     """Depth-first maximization of the removed-edge count.
 
     Returns the best removal set found.  With ``target`` set, the search
     stops as soon as a feasible removal of that size is found; an exhausted
-    search then proves no such removal exists.  ``blocks`` supplies the
+    search then proves no such removal exists.  ``stop_at`` is an upper
+    bound on every feasible removal, such as the edge count minus the
+    gossip bound (:func:`_gossip_bound`): the search returns once its
+    incumbent reaches it, since that incumbent is optimal.  Unlike
+    ``target`` it does not prune, so the removal returned is the first
+    optimum the full search would find, which it would keep, as it replaces
+    its incumbent only by a strictly larger one.  ``blocks`` supplies the
     decomposition bound: per-block caps on how many edges any feasible
     removal can take from each block.  The bound is kept as a running sum,
     updated when one block's counts change.
@@ -242,6 +281,8 @@ def _bnb_max_removal(
     removed = bytearray(oracle.g.m)
     root = [oracle.start]  # the checkpoints of the empty removal set
     oracle.feasible(removed, record=root)
+    # The search ends once the incumbent removes ``stop`` edges.
+    stop = min((x for x in (target, stop_at) if x is not None), default=k + 1)
     best: list[int] = []
     cur: list[int] = []
     hit = False
@@ -252,7 +293,7 @@ def _bnb_max_removal(
             return
         if len(cur) > len(best):
             best = cur.copy()
-            if target is not None and len(best) >= target:
+            if len(best) >= stop:
                 hit = True
                 return
         remaining = k - pos
@@ -270,7 +311,7 @@ def _bnb_max_removal(
                 cand = cur + rest
                 if len(cand) > len(best):
                     best = cand
-                    if target is not None and len(best) >= target:
+                    if len(best) >= stop:
                         hit = True
                 return
         e = removable[pos]
@@ -601,9 +642,15 @@ def min_spanner_exact(
     without a budget.  ``engine`` is one of :data:`ENGINES`; the ``flow``
     engine raises :class:`SolverFailed` when the MILP solver gives no answer.
     Every path only picks the kept edge set; the other result fields follow
-    from it.  ``cap`` applies only when a search is needed: with no
-    removable edge, or more forced edges than the budget, the answer is
-    returned whatever the instance size.
+    from it.
+
+    Every spanner keeps at least ``lower`` edges: the forced edges, and the
+    gossip bound 2n - 4 where it applies (all-pairs on n >= 4 vertices, with
+    strict paths or on a proper graph; see :func:`_gossip_bound`).  Branch
+    and bound in optimise mode stops once its incumbent keeps ``lower``
+    edges; the flow MILP does not use the bound.  ``cap`` applies only when
+    a search is needed: with no removable edge, or a budget below
+    ``lower``, the answer is returned whatever the instance size.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
@@ -614,10 +661,11 @@ def min_spanner_exact(
         # cap; the flow MILP is the only engine with a chance beyond it.
         engine = "bnb" if len(removable) <= 40 else "flow"
     all_edges = frozenset(range(g.m))
+    lower = max(len(forced), _gossip_bound(g, s, requirement))
 
-    if not removable or (budget is not None and len(forced) > budget):
-        # The forced edges are the only spanner, or alone exceed the budget:
-        # no search or MILP is needed, so the cap does not apply.
+    if not removable or (budget is not None and lower > budget):
+        # The forced edges are the only spanner, or no spanner fits the
+        # budget: no search or MILP is needed, so the cap does not apply.
         kept = all_edges
     elif len(removable) > cap:
         raise InstanceTooLarge(f"{len(removable)} removable edges exceed cap {cap}")
@@ -630,7 +678,9 @@ def min_spanner_exact(
         oracle = _SubsetOracle(g, s, requirement)
         blocks = _conflict_blocks(g, oracle, removable)
         order = sorted(removable, key=lambda i: (blocks[0][i], i))
-        kept = all_edges - frozenset(_bnb_max_removal(oracle, order, target, blocks))
+        stop_at = g.m - lower if budget is None else None
+        removal = _bnb_max_removal(oracle, order, target, blocks, stop_at)
+        kept = all_edges - frozenset(removal)
     return SolveResult(
         spanner=Spanner(g, kept),
         size=len(kept),
@@ -794,28 +844,22 @@ def _greedy_local_min(g: TemporalGraph) -> frozenset[int]:
     return frozenset(i for i in range(g.m) if not removed[i])
 
 
-class _BudgetHit(Exception):
+class _SearchStop(Exception):
     pass
 
 
-def min_spanner_xp_vc(g: TemporalGraph, budget: int | None = None) -> SolveResult:
-    """Minimum spanner of a happy TC graph, parameterized by vertex cover number.
+def _xp_search(
+    g: TemporalGraph, budget: int | None, floor: int, best_kept: frozenset[int]
+) -> tuple[frozenset[int], bool]:
+    """The cover, candidate-tree and combination stages of
+    :func:`min_spanner_xp_vc`, improving on the spanner ``best_kept``.
 
-    Steps: minimum vertex cover X of the underlying graph; per root in X,
-    enumerate every temporal out-tree spanning the graph, walking the edges
-    in label order; combine one tree per root; add per-vertex extra edges;
-    verify connectivity; keep the smallest union found.  The trees are
-    exactly the paper's template instantiations: a spanning out-tree reaches
-    every cover vertex, and its non-cover vertices are either inner nodes
-    between two cover vertices (placeholders) or leaves under one.
-
-    The combination search visits each union at most once per level: the
-    bound only falls, so a repeated visit could not find a smaller spanner.
+    Returns the smallest spanner found and whether the search ran to the
+    end; it ends early on a spanner of at most ``floor`` edges, or of at
+    most ``budget``.  The combination search visits each union at most once
+    per level: the bound only falls, so a repeated visit could not find a
+    smaller spanner.
     """
-    if not classify(g).happy:
-        raise NotHappy("the vertex-cover algorithm requires a happy graph")
-    if not reach.is_tc(g, STRICT):
-        raise NotTemporallyConnected("input graph is not temporally connected")
     x_list = sorted(min_vertex_cover(underlying_graph(g), g.vertex_count))
     cand = {x: _candidate_trees(g, x) for x in x_list}
     # Most-constrained roots first narrows the union product early.
@@ -823,12 +867,10 @@ def min_spanner_xp_vc(g: TemporalGraph, budget: int | None = None) -> SolveResul
     # Smallest trees first, so the level bound meets a witness early.
     level_cands = [sorted(cand[x], key=int.bit_count) for x in levels]
 
-    best_kept = _greedy_local_min(g)
     best_size = len(best_kept)
     visited: list[set[int]] = [set() for _ in range(len(levels) + 1)]
-    completed = True
-
     x_set = set(x_list)
+    stop = floor if budget is None else max(floor, budget)
 
     def evaluate(acc: int) -> None:
         nonlocal best_kept, best_size
@@ -850,8 +892,8 @@ def min_spanner_xp_vc(g: TemporalGraph, budget: int | None = None) -> SolveResul
         if not reach.is_tc(g, STRICT, kept):
             return
         best_kept, best_size = kept, size
-        if budget is not None and best_size <= budget:
-            raise _BudgetHit
+        if best_size <= stop:
+            raise _SearchStop
 
     def rec(i: int, acc: int) -> None:
         if acc in visited[i]:
@@ -875,15 +917,45 @@ def min_spanner_xp_vc(g: TemporalGraph, budget: int | None = None) -> SolveResul
 
     try:
         rec(0, 0)
-    except _BudgetHit:
-        completed = False
+    except _SearchStop:
+        return best_kept, False
+    return best_kept, True
 
-    within = None if budget is None else best_size <= budget
+
+def min_spanner_xp_vc(g: TemporalGraph, budget: int | None = None) -> SolveResult:
+    """Minimum spanner of a happy TC graph, parameterized by vertex cover number.
+
+    Steps: minimum vertex cover X of the underlying graph; per root in X,
+    enumerate every temporal out-tree spanning the graph, walking the edges
+    in label order; combine one tree per root; add per-vertex extra edges;
+    verify connectivity; keep the smallest union found.  The trees are
+    exactly the paper's template instantiations: a spanning out-tree reaches
+    every cover vertex, and its non-cover vertices are either inner nodes
+    between two cover vertices (placeholders) or leaves under one.
+
+    The incumbent starts as a greedy local minimum.  A happy graph on
+    n >= 4 vertices has no spanner below the gossip bound 2n - 4 (see
+    :func:`_gossip_bound`), so an incumbent of that size is optimal: a
+    greedy result that meets it is returned with no cover or tree search,
+    and the combination search ends the moment it finds a union of that
+    size.  With a ``budget`` the search also ends on the first spanner
+    within it; ``optimal`` is then True only if the bound proves it.
+    """
+    if not classify(g).happy:
+        raise NotHappy("the vertex-cover algorithm requires a happy graph")
+    if not reach.is_tc(g, STRICT):
+        raise NotTemporallyConnected("input graph is not temporally connected")
+    best_kept = _greedy_local_min(g)
+    floor = _gossip_bound(g, STRICT, ALL_PAIRS)
+    completed = True
+    if len(best_kept) > floor:
+        best_kept, completed = _xp_search(g, budget, floor, best_kept)
+    size = len(best_kept)
     return SolveResult(
         spanner=Spanner(g, best_kept),
-        size=best_size,
-        optimal=completed,
-        within_budget=within,
+        size=size,
+        optimal=completed or size <= floor,
+        within_budget=None if budget is None else size <= budget,
         method="xp-vc",
     )
 

@@ -133,6 +133,15 @@ def test_solve_cap_skipped_when_no_search_is_needed(capsys, tmp_path):
     assert code == 2 and "resource guard" in err
 
 
+def test_solve_cap_skipped_below_the_gossip_bound(capsys, tmp_path):
+    # 58 removable edges exceed cap 0; 2 edges are forced, but no spanner of
+    # a 14-vertex graph has fewer than 2n - 4 = 24 edges.
+    path = tmp_path / "g.tg"
+    path.write_text(tg.serialize(random_happy_tc(14, 0, 0.6)))
+    code, _, err = run(capsys, "solve", "--k", 23, "--cap", 0, path)
+    assert code == 1 and "resource guard" not in err
+
+
 def test_verify_roundtrip(capsys, graph_file, tmp_path):
     span_file = tmp_path / "w.spanner"
     code, out, _ = run(capsys, "solve", "--out", span_file, graph_file)

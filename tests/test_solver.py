@@ -2,8 +2,11 @@ import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tempspan import generate, reach, solver
+from tempspan import reductions as red
 from tempspan import tempgraph as tg
 from tempspan.reach import NONSTRICT, STRICT
 from tempspan.solver import ALL_PAIRS, TwoSource
@@ -97,6 +100,80 @@ def test_cap_does_not_refuse_an_answer_that_needs_no_search():
         solver.min_spanner_exact(g, budget=8, cap=0)
 
 
+def test_budget_below_the_gossip_bound_needs_no_search():
+    # 58 removable edges exceed cap 0, but only 2 edges are forced: the
+    # gossip bound 2n - 4 = 24 alone exceeds budget 23.
+    g = generate.random_happy_tc(14, 0, 0.6)
+    assert len(solver.forced_edges(g, STRICT)) == 2
+    assert solver._gossip_bound(g, STRICT, ALL_PAIRS) == 24
+    res = solver.min_spanner_exact(g, budget=23, cap=0)
+    assert res.within_budget is False and not res.optimal
+
+
+def test_bnb_stops_at_the_gossip_bound():
+    # 58 removable edges: the exhausted search took over 90 s, but its first
+    # spanner of 2n - 4 edges is optimal.
+    g = generate.random_happy_tc(14, 0, 0.6)
+    res = solver.min_spanner_exact(g, cap=60, engine="bnb")
+    assert res.size == 24 and res.optimal
+    assert solver.requirement_holds(g, STRICT, ALL_PAIRS, res.spanner.kept)
+
+
+def test_bnb_searches_on_when_the_gossip_bound_is_not_met():
+    # The bound is 24 here and the optimum 28: the stop must not prune.
+    g = red.sat_to_spanner_instance(red.SatInstance(1, ((1, 1, 1),))).graph
+    assert solver._gossip_bound(g, STRICT, ALL_PAIRS) == 24
+    res = solver.min_spanner_exact(g, engine="bnb")
+    assert res.size == 28 and res.optimal
+    assert solver.requirement_holds(g, STRICT, ALL_PAIRS, res.spanner.kept)
+
+
+@st.composite
+def _hub_graphs(draw):
+    """A graph on 4 to 7 vertices, temporally connected in both settings:
+    every vertex meets a hub once at an early label and once at a later one,
+    plus random extra edges.  The hub's labels are distinct or drawn with
+    repeats, so the graph may or may not be proper."""
+    n = draw(st.integers(4, 7))
+    hub = draw(st.integers(0, n - 1))
+    others = [v for v in range(n) if v != hub]
+    if draw(st.booleans()):
+        ins = draw(st.permutations(range(1, n)))
+        outs = draw(st.permutations(range(n, 2 * n - 1)))
+    else:
+        k = draw(st.integers(1, n - 1))
+        ins = draw(st.lists(st.integers(1, k), min_size=n - 1, max_size=n - 1))
+        outs = draw(st.lists(st.integers(k + 1, 2 * k), min_size=n - 1, max_size=n - 1))
+    keys = {(min(hub, v), max(hub, v), t) for v, t in zip(others + others, ins + outs)}
+    pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True).map(sorted)
+    for u, v in draw(st.lists(pair, max_size=16 - 2 * n)):
+        keys.add((u, v, draw(st.integers(1, 2 * n - 2))))
+    return tg.build(n, sorted(keys))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(_hub_graphs(), st.sampled_from([STRICT, NONSTRICT]))
+def test_gossip_bound_never_exceeds_the_optimum(g, s):
+    bound = solver._gossip_bound(g, s, ALL_PAIRS)
+    applies = s is STRICT or tg.classify(g).proper
+    assert bound == (2 * g.vertex_count - 4 if applies else 0)
+    assert bound <= solver.min_spanner_brute(g, s).size
+
+
+def test_gossip_bound_is_zero_where_it_does_not_apply():
+    g = generate.random_happy_tc(6, 0, 0.6)
+    assert solver._gossip_bound(g, STRICT, ALL_PAIRS) == 8
+    assert solver._gossip_bound(g, STRICT, TwoSource(0, 5)) == 0
+    # n < 4: a TC triangle keeps 3 edges, more than 2n - 4 = 2.
+    triangle = tg.build(3, [(0, 1, 1), (1, 2, 2), (0, 2, 3), (0, 1, 4)])
+    assert solver._gossip_bound(triangle, STRICT, ALL_PAIRS) == 0
+    # The non-strict star at one label is temporally connected with 3 edges.
+    star = tg.build(4, [(0, 1, 1), (0, 2, 1), (0, 3, 1)])
+    assert solver._gossip_bound(star, NONSTRICT, ALL_PAIRS) == 0
+    assert solver.min_spanner_brute(star, NONSTRICT).size == 3 < 2 * 4 - 4
+    assert solver._gossip_bound(star, STRICT, ALL_PAIRS) == 4
+
+
 def test_requirement_not_satisfied():
     g = tg.build(3, [(0, 1, 1)])
     with pytest.raises(solver.RequirementNotSatisfied):
@@ -184,6 +261,15 @@ def test_bnb_agrees_with_brute_in_every_mode(kind, two_source, s):
         assert solver.requirement_holds(g, s, req, kept=yes.spanner.kept)
         no = solver.min_spanner_exact(g, s, budget=opt - 1, requirement=req, engine="bnb")
         assert no.within_budget is False
+        # The gossip bound often answers budget opt - 1 with no search; the
+        # exhausted decision search must reach the same answer.
+        oracle = solver._SubsetOracle(g, s, req)
+        forced = solver.forced_edges(g, s, req)
+        removable = [i for i in range(g.m) if i not in forced]
+        blocks = solver._conflict_blocks(g, oracle, removable)
+        order = sorted(removable, key=lambda i: (blocks[0][i], i))
+        target = g.m - (opt - 1)
+        assert len(solver._bnb_max_removal(oracle, order, target, blocks)) < target
 
 
 @pytest.mark.parametrize("kind", ["happy", "multilabel"])
@@ -203,6 +289,9 @@ def test_flow_agrees_with_brute_in_every_mode(kind, two_source, s):
         assert solver.requirement_holds(g, s, req, kept=yes.spanner.kept)
         no = solver.min_spanner_exact(g, s, budget=opt - 1, requirement=req, engine="flow")
         assert no.within_budget is False
+        # As for bnb: solve the decision MILP the gossip bound may skip.
+        forced = solver.forced_edges(g, s, req)
+        assert solver._exact_by_flow(g, s, req, forced, budget=opt - 1) is None
 
 
 @pytest.mark.parametrize("engine", ["bnb", "flow"])
@@ -484,6 +573,22 @@ def test_xp_budget_mode():
     assert yes.within_budget is True and yes.size <= opt
     no = solver.min_spanner_xp_vc(g, budget=opt - 1)
     assert no.within_budget is False
+
+
+def test_xp_spanner_at_the_gossip_bound_is_optimal():
+    # The greedy spanner keeps 2n - 4 = 8 edges, so no search runs.
+    g = generate.random_happy_tc(6, 0, 0.6)
+    assert len(solver._greedy_local_min(g)) == 8
+    for budget, within in ((None, None), (9, True), (8, True), (7, False)):
+        res = solver.min_spanner_xp_vc(g, budget=budget)
+        assert res.size == 8 and res.optimal and res.within_budget is within
+    # Greedy keeps 13 edges; the search stops on a spanner of 2n - 4 = 12,
+    # which is optimal even when it also ends a decision search.
+    g = generate.random_happy_tc_with_cover(8, 3, 1)
+    assert len(solver._greedy_local_min(g)) == 13
+    for budget, within in ((None, None), (13, True), (12, True), (11, False)):
+        res = solver.min_spanner_xp_vc(g, budget=budget)
+        assert res.size == 12 and res.optimal and res.within_budget is within
 
 
 @pytest.mark.parametrize("n, d, seed", [(8, 3, 1), (9, 3, 0), (8, 4, 0), (9, 4, 0)])
