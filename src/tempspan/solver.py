@@ -15,7 +15,8 @@ Contents:
   on proper graphs.  It is not used for the two-source requirement or for
   non-strict paths on graphs that are not proper, where it fails.  Branch
   and bound in optimise mode and the XP algorithm stop as soon as their
-  incumbent meets it,
+  incumbent meets it, and the flow engine builds no model when its greedy
+  incumbent does,
 * an XP algorithm for happy graphs parameterized by the vertex cover number
   of the underlying graph: per cover root, enumerate every temporal out-tree
   directly in label order, combine one per root, select at most one extra
@@ -412,6 +413,19 @@ def _conflict_blocks(
     return block_of, caps
 
 
+def _greedy_local_min(oracle: _SubsetOracle, order: Iterable[int]) -> frozenset[int]:
+    """Drop the edges of ``order`` one by one while the oracle's requirement
+    holds; returns the kept edge set, a spanner from which no edge of
+    ``order`` can be dropped alone."""
+    m = oracle.g.m
+    removed = bytearray(m)
+    for i in order:
+        removed[i] = 1
+        if not oracle.feasible(removed):
+            removed[i] = 0
+    return frozenset(i for i in range(m) if not removed[i])
+
+
 def _exact_by_flow(
     g: TemporalGraph,
     s: Strictness,
@@ -427,23 +441,29 @@ def _exact_by_flow(
     taken to its head's node at its label.  Temporal paths from a to b are
     then the paths from ``start(a) = (a, -1)`` to ``end(b)``, b's last node.
 
-    One unit commodity per ordered source/target pair (a, b), with
-    continuous flow variables.  Commodity (a, b) gets a column only for an
-    arc whose tail is reachable from ``start(a)`` and whose head reaches
-    ``end(b)`` over the model's arcs, and a conservation row only for a node
-    that does both (and for its two supply nodes).  This leaves the
-    projection onto the edge variables unchanged, for 0/1 and fractional
-    ones alike: a feasible flow of the full model splits into simple
-    ``start(a)`` to ``end(b)`` paths plus cycles, dropping the cycles keeps
-    it feasible, and every arc of such a path passes both tests.  So the
-    optimum and the LP bound are those of the model with every arc.
+    One unit commodity, with continuous flow variables, per ordered
+    source/target pair (a, b) that the forced edges alone do not connect.
+    Forced edges are constants (below), so a pair they connect is connected
+    whatever the edge variables are: its commodity would change neither the
+    optimum nor the LP bound, and it gets no columns and no rows.  If no
+    pair is left, the forced set is the answer and no model is built.
+
+    Commodity (a, b) gets a column only for an arc whose tail is reachable
+    from ``start(a)`` and whose head reaches ``end(b)`` over the model's
+    arcs, and a conservation row only for a node that does both (and for
+    its two supply nodes).  This leaves the projection onto the edge
+    variables unchanged, for 0/1 and fractional ones alike: a feasible flow
+    of the full model splits into simple ``start(a)`` to ``end(b)`` paths
+    plus cycles, dropping the cycles keeps it feasible, and every arc of
+    such a path passes both tests.  So the optimum and the LP bound are
+    those of the model with every arc.
 
     Removable edges get a 0/1 variable x_i that caps the flow on their arcs
     (``f <= x_i``).  Forced edges are constants: no variable, and their arcs
     keep only the column bound ``f <= 1``.  The objective counts the x_i;
     with a ``budget`` the row ``sum x_i <= budget - |forced|`` turns the
     solve into a decision, and None reports proven infeasibility.  Returns
-    the kept edge set.
+    the kept edge set, re-checked by the requirement's oracle.
     """
     import numpy as np
     from bisect import bisect_left, bisect_right
@@ -458,6 +478,12 @@ def _exact_by_flow(
         sources = sorted({requirement.s1, requirement.s2})
     else:
         sources = list(range(n))
+    over_forced = reach.reach_masks(g, s, kept=forced)
+    pairs = [
+        (a, b) for a in sources for b in range(n) if b != a and not (over_forced[b] >> a) & 1
+    ]
+    if not pairs:  # the forced edges meet the requirement on their own
+        return forced if budget is None or len(forced) <= budget else None
 
     events: list[list[int]] = [[] for _ in range(n)]
     for e in g.edges:
@@ -507,8 +533,8 @@ def _exact_by_flow(
         on[breadth_first_order(graph, root, return_predecessors=False)] = True
         return on
 
-    fwd = {a: reached(adj, first[a]) for a in sources}
-    bwd = [reached(adj_t, end[b]) for b in range(n)]
+    fwd = {a: reached(adj, first[a]) for a in {a for a, _ in pairs}}
+    bwd = {b: reached(adj_t, end[b]) for b in {b for _, b in pairs}}
 
     nv = len(free)
     row_parts: list[np.ndarray] = []
@@ -517,35 +543,32 @@ def _exact_by_flow(
     lo_parts: list[np.ndarray] = []
     hi_parts: list[np.ndarray] = []
     row = 0
-    for a in sources:
-        for b in range(n):
-            if b == a:
-                continue
-            arcs = np.flatnonzero(fwd[a][tail] & bwd[b][head])
-            on = fwd[a] & bwd[b]
-            on[first[a]] = on[end[b]] = True
-            row_of = np.cumsum(on) - 1 + row
-            cols = np.arange(nv, nv + len(arcs))
-            nv += len(arcs)
-            # Conservation rows: out-flow minus in-flow equals the supply.
-            row_parts += [row_of[tail[arcs]], row_of[head[arcs]]]
-            col_parts += [cols, cols]
-            val_parts += [np.ones(len(arcs)), -np.ones(len(arcs))]
-            supply = np.zeros(int(on.sum()))
-            supply[row_of[first[a]] - row] = 1.0
-            supply[row_of[end[b]] - row] = -1.0
-            lo_parts.append(supply)
-            hi_parts.append(supply)
-            row += len(supply)
-            # Capacity rows f - x_i <= 0 on the arcs of removable edges.
-            capped = cap[arcs] >= 0
-            c_rows = np.arange(row, row + int(capped.sum()))
-            row_parts += [c_rows, c_rows]
-            col_parts += [cols[capped], cap[arcs[capped]]]
-            val_parts += [np.ones(len(c_rows)), -np.ones(len(c_rows))]
-            lo_parts.append(np.full(len(c_rows), -np.inf))
-            hi_parts.append(np.zeros(len(c_rows)))
-            row += len(c_rows)
+    for a, b in pairs:
+        arcs = np.flatnonzero(fwd[a][tail] & bwd[b][head])
+        on = fwd[a] & bwd[b]
+        on[first[a]] = on[end[b]] = True
+        row_of = np.cumsum(on) - 1 + row
+        cols = np.arange(nv, nv + len(arcs))
+        nv += len(arcs)
+        # Conservation rows: out-flow minus in-flow equals the supply.
+        row_parts += [row_of[tail[arcs]], row_of[head[arcs]]]
+        col_parts += [cols, cols]
+        val_parts += [np.ones(len(arcs)), -np.ones(len(arcs))]
+        supply = np.zeros(int(on.sum()))
+        supply[row_of[first[a]] - row] = 1.0
+        supply[row_of[end[b]] - row] = -1.0
+        lo_parts.append(supply)
+        hi_parts.append(supply)
+        row += len(supply)
+        # Capacity rows f - x_i <= 0 on the arcs of removable edges.
+        capped = cap[arcs] >= 0
+        c_rows = np.arange(row, row + int(capped.sum()))
+        row_parts += [c_rows, c_rows]
+        col_parts += [cols[capped], cap[arcs[capped]]]
+        val_parts += [np.ones(len(c_rows)), -np.ones(len(c_rows))]
+        lo_parts.append(np.full(len(c_rows), -np.inf))
+        hi_parts.append(np.zeros(len(c_rows)))
+        row += len(c_rows)
 
     if budget is not None:
         row_parts.append(np.full(len(free), row))
@@ -648,9 +671,15 @@ def min_spanner_exact(
     gossip bound 2n - 4 where it applies (all-pairs on n >= 4 vertices, with
     strict paths or on a proper graph; see :func:`_gossip_bound`).  Branch
     and bound in optimise mode stops once its incumbent keeps ``lower``
-    edges; the flow MILP does not use the bound.  ``cap`` applies only when
-    a search is needed: with no removable edge, or a budget below
-    ``lower``, the answer is returned whatever the instance size.
+    edges.  The flow engine first drops removable edges greedily, in index
+    order, while the requirement holds.  A greedy spanner of at most
+    ``lower`` edges (at most ``budget`` in decision mode) is the answer, and
+    no model is built.  Otherwise one MILP asks for a spanner of at most
+    ``budget`` edges, or of at most one edge fewer than the greedy one when
+    optimising; its infeasibility proves that no spanner fits the budget, or
+    that the greedy spanner is optimal.  ``cap`` applies only when a search
+    is needed: with no removable edge, or a budget below ``lower``, the
+    answer is returned whatever the instance size.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
@@ -670,9 +699,15 @@ def min_spanner_exact(
     elif len(removable) > cap:
         raise InstanceTooLarge(f"{len(removable)} removable edges exceed cap {cap}")
     elif engine == "flow":
-        kept = _exact_by_flow(g, s, requirement, forced, budget)
-        if kept is None:  # proven: no spanner fits the budget
-            kept = all_edges
+        greedy = _greedy_local_min(_SubsetOracle(g, s, requirement), removable)
+        if len(greedy) <= (lower if budget is None else budget):
+            kept = greedy
+        else:
+            # Here the budget, if any, is below the greedy size.
+            cutoff = len(greedy) - 1 if budget is None else budget
+            kept = _exact_by_flow(g, s, requirement, forced, cutoff)
+            if kept is None:  # proven: no spanner keeps at most ``cutoff`` edges
+                kept = greedy if budget is None else all_edges
     else:
         target = None if budget is None else g.m - budget
         oracle = _SubsetOracle(g, s, requirement)
@@ -737,7 +772,8 @@ def min_vertex_cover(pairs: Iterable[tuple[int, int]], n: int | None = None) -> 
 
 
 def _candidate_trees(g: TemporalGraph, root: int) -> list[int]:
-    """All temporal out-trees rooted at ``root``, as sorted edge-index bitmasks.
+    """All temporal out-trees rooted at ``root`` of a happy graph, as sorted
+    edge-index bitmasks.
 
     Walks the edges in label order and branches on each edge with exactly
     one reached endpoint: take it, reaching the other endpoint at its label,
@@ -745,10 +781,10 @@ def _candidate_trees(g: TemporalGraph, root: int) -> list[int]:
     reached endpoint was reached strictly earlier; every taken path therefore
     has increasing labels, and each spanning out-tree comes out exactly once,
     as its own edges in label order.  A branch dies once an unreached vertex
-    has no incident edge left ahead of the cursor.  Every tree is re-checked
-    by :func:`reach.verify_out_tree`; that drops something only on graphs
-    that are not proper, where two adjacent edges with one label can both
-    be taken.
+    has no incident edge left ahead of the cursor.  Every result is thus a
+    temporal out-tree and needs no re-check.  On a graph that is not proper
+    two adjacent edges with one label could both be taken, so only
+    :func:`min_spanner_xp_vc`, which accepts happy graphs only, calls this.
     """
     n = g.vertex_count
     order = [edge for _, group in g.label_groups for edge in group]
@@ -772,7 +808,7 @@ def _candidate_trees(g: TemporalGraph, root: int) -> list[int]:
                 return
 
     rec(0, 1 << root, 0, 0)
-    return [mask for mask in sorted(found) if reach.verify_out_tree(g, _mask_indices(mask), root)]
+    return sorted(found)
 
 
 def _mask_indices(mask: int) -> list[int]:
@@ -831,17 +867,6 @@ def select_extra_edges(
     if fixes is None:
         return None
     return {v: fixes.get(v) for v in range(g.vertex_count) if v not in x_set}
-
-
-def _greedy_local_min(g: TemporalGraph) -> frozenset[int]:
-    """Drop edges one by one while the graph stays strictly temporally connected."""
-    oracle = _SubsetOracle(g, STRICT, ALL_PAIRS)
-    removed = bytearray(g.m)
-    for i in range(g.m):
-        removed[i] = 1
-        if not oracle.feasible(removed):
-            removed[i] = 0
-    return frozenset(i for i in range(g.m) if not removed[i])
 
 
 class _SearchStop(Exception):
@@ -945,7 +970,7 @@ def min_spanner_xp_vc(g: TemporalGraph, budget: int | None = None) -> SolveResul
         raise NotHappy("the vertex-cover algorithm requires a happy graph")
     if not reach.is_tc(g, STRICT):
         raise NotTemporallyConnected("input graph is not temporally connected")
-    best_kept = _greedy_local_min(g)
+    best_kept = _greedy_local_min(_SubsetOracle(g, STRICT, ALL_PAIRS), range(g.m))
     floor = _gossip_bound(g, STRICT, ALL_PAIRS)
     completed = True
     if len(best_kept) > floor:

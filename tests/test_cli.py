@@ -86,12 +86,18 @@ def test_solve_single_vertex_budget_exit_codes(capsys, tmp_path, method):
 
 
 @pytest.mark.parametrize("engine", ["flow"])
-def test_solve_milp_failure_exits_cleanly(capsys, graph_file, monkeypatch, engine):
+def test_solve_milp_failure_exits_cleanly(capsys, tmp_path, monkeypatch, engine):
     import scipy.optimize
 
+    # The greedy spanner keeps 11 edges, above the gossip bound 2n - 4 = 10,
+    # so the flow engine must ask the MILP whether 10 edges suffice.
+    path = tmp_path / "g.tg"
+    path.write_text(tg.serialize(random_happy_tc_with_cover(7, 3, 0)))
     failed = SimpleNamespace(status=4, message="numerical trouble", x=None, fun=None)
-    monkeypatch.setattr(scipy.optimize, "milp", lambda *a, **k: failed)
-    code, out, err = run(capsys, "solve", "--engine", engine, graph_file)
+    calls = []
+    monkeypatch.setattr(scipy.optimize, "milp", lambda *a, **k: calls.append(k) or failed)
+    code, out, err = run(capsys, "solve", "--engine", engine, path)
+    assert len(calls) == 1
     assert code == cli.EXIT_RESOURCE == 2
     assert out == ""
     assert err.strip() == "tempspan: solver failure: MILP solve failed: numerical trouble"

@@ -132,20 +132,37 @@ def test_flow_model_has_columns_only_for_usable_arcs(monkeypatch):
     models = []
 
     def spy(**kwargs):
-        models.append(kwargs)
-        return real(**kwargs)
+        res = real(**kwargs)
+        models.append((kwargs, res.status))
+        return res
 
     monkeypatch.setattr(scipy.optimize, "milp", spy)
     out = red.sat_to_spanner_instance(PHI_11)
-    res = solver.min_spanner_exact(out.graph, engine="flow")
-    assert res.size == out.budget
-    (model,) = models
-    removable = out.graph.m - len(solver.forced_edges(out.graph))
+    g = out.graph
+    res = solver.min_spanner_exact(g, engine="flow")
+    assert res.size == out.budget == 28 and res.optimal
+    assert reach.is_tc(g, STRICT, kept=res.spanner.kept)
+    # The greedy spanner keeps 28 edges, above the gossip bound 2n - 4 = 24:
+    # one MILP proves that no spanner keeps 27.
+    assert solver._gossip_bound(g, STRICT, solver.ALL_PAIRS) == 24
+    ((model, status),) = models
+    assert status == 2
+    forced = solver.forced_edges(g)
+    removable = g.m - len(forced)
     assert removable == 17
     # One integer column per removable edge; forced edges are constants.
     assert int(model["integrality"].sum()) == removable
-    # With a column for every arc and commodity the model had 26,973.
-    assert len(model["c"]) < 26_973 / 4
+    # One commodity, with one supply row at its source, per ordered pair
+    # that the forced edges alone do not connect: 45 of 182.
+    over_forced = reach.reach_masks(g, STRICT, kept=forced)
+    n = g.vertex_count
+    needed = sum(1 for a in range(n) for b in range(n) if a != b and not (over_forced[b] >> a) & 1)
+    assert needed == 45
+    (con,) = model["constraints"]
+    assert int(((con.lb == 1) & (con.ub == 1)).sum()) == needed
+    # With a column for every arc and commodity the model had 26,973, with
+    # one for every pair's usable arcs 5,530.
+    assert len(model["c"]) <= 983
 
 
 def test_sat_optimum_keeps_a_red_edge_per_variable():

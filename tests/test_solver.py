@@ -160,6 +160,28 @@ def test_gossip_bound_never_exceeds_the_optimum(g, s):
     assert bound <= solver.min_spanner_brute(g, s).size
 
 
+@settings(derandomize=True, deadline=None, max_examples=80, database=None)
+@given(_hub_graphs(), st.sampled_from([STRICT, NONSTRICT]), st.data())
+def test_flow_agrees_with_brute_on_hub_graphs(g, s, data):
+    if data.draw(st.booleans(), label="two_source"):
+        pair = st.lists(st.integers(0, g.vertex_count - 1), min_size=2, max_size=2, unique=True)
+        req = TwoSource(*data.draw(pair, label="sources"))
+    else:
+        req = ALL_PAIRS
+    opt = solver.min_spanner_brute(g, s, req).size
+    res = solver.min_spanner_exact(g, s, requirement=req, engine="flow")
+    assert res.size == opt and res.optimal
+    assert solver.requirement_holds(g, s, req, kept=res.spanner.kept)
+    yes = solver.min_spanner_exact(g, s, budget=opt, requirement=req, engine="flow")
+    assert yes.within_budget is True and yes.size <= opt
+    assert solver.requirement_holds(g, s, req, kept=yes.spanner.kept)
+    no = solver.min_spanner_exact(g, s, budget=opt - 1, requirement=req, engine="flow")
+    assert no.within_budget is False
+    # The lower bound often answers budget opt - 1 alone; the model must too.
+    forced = solver.forced_edges(g, s, req)
+    assert solver._exact_by_flow(g, s, req, forced, budget=opt - 1) is None
+
+
 def test_gossip_bound_is_zero_where_it_does_not_apply():
     g = generate.random_happy_tc(6, 0, 0.6)
     assert solver._gossip_bound(g, STRICT, ALL_PAIRS) == 8
@@ -292,6 +314,56 @@ def test_flow_agrees_with_brute_in_every_mode(kind, two_source, s):
         # As for bnb: solve the decision MILP the gossip bound may skip.
         forced = solver.forced_edges(g, s, req)
         assert solver._exact_by_flow(g, s, req, forced, budget=opt - 1) is None
+
+
+@pytest.fixture
+def milp_calls(monkeypatch):
+    """The statuses of the ``scipy.optimize.milp`` calls made during a test."""
+    import scipy.optimize
+
+    real = scipy.optimize.milp
+    statuses = []
+
+    def spy(**kwargs):
+        res = real(**kwargs)
+        statuses.append(res.status)
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "milp", spy)
+    return statuses
+
+
+@pytest.mark.parametrize("two_source", [False, True], ids=["all-pairs", "two-source"])
+@pytest.mark.parametrize("s", [STRICT, NONSTRICT], ids=["strict", "nonstrict"])
+def test_flow_takes_each_path_around_the_greedy_incumbent(milp_calls, two_source, s):
+    paths = set()
+    for kind in ("happy", "multilabel"):
+        for g, req in _instances(kind, s, two_source, 8):
+            forced = solver.forced_edges(g, s, req)
+            removable = [i for i in range(g.m) if i not in forced]
+            greedy = solver._greedy_local_min(solver._SubsetOracle(g, s, req), removable)
+            lower = max(len(forced), solver._gossip_bound(g, s, req))
+            opt = solver.min_spanner_brute(g, s, req).size
+            milp_calls.clear()
+            res = solver.min_spanner_exact(g, s, requirement=req, engine="flow")
+            assert res.size == opt and res.optimal
+            assert solver.requirement_holds(g, s, req, kept=res.spanner.kept)
+            if len(greedy) <= lower:
+                # The greedy set meets the bound: no model is built.
+                paths.add("greedy")
+                assert milp_calls == [] and res.spanner.kept == greedy
+            elif len(greedy) == opt:
+                # The MILP at cutoff |greedy| - 1 is infeasible: greedy is optimal.
+                paths.add("cutoff")
+                assert milp_calls == [2] and res.spanner.kept == greedy
+            else:
+                paths.add("beaten")
+                assert milp_calls == [0] and res.size < len(greedy)
+            # Decision mode: a budget the greedy set meets needs no model.
+            milp_calls.clear()
+            yes = solver.min_spanner_exact(g, s, budget=len(greedy), requirement=req, engine="flow")
+            assert milp_calls == [] and yes.spanner.kept == greedy and yes.within_budget
+    assert paths == {"greedy", "cutoff", "beaten"}
 
 
 @pytest.mark.parametrize("engine", ["bnb", "flow"])
@@ -575,17 +647,22 @@ def test_xp_budget_mode():
     assert no.within_budget is False
 
 
+def _strict_greedy(g):
+    """The greedy spanner that XP starts from."""
+    return solver._greedy_local_min(solver._SubsetOracle(g, STRICT, ALL_PAIRS), range(g.m))
+
+
 def test_xp_spanner_at_the_gossip_bound_is_optimal():
     # The greedy spanner keeps 2n - 4 = 8 edges, so no search runs.
     g = generate.random_happy_tc(6, 0, 0.6)
-    assert len(solver._greedy_local_min(g)) == 8
+    assert len(_strict_greedy(g)) == 8
     for budget, within in ((None, None), (9, True), (8, True), (7, False)):
         res = solver.min_spanner_xp_vc(g, budget=budget)
         assert res.size == 8 and res.optimal and res.within_budget is within
     # Greedy keeps 13 edges; the search stops on a spanner of 2n - 4 = 12,
     # which is optimal even when it also ends a decision search.
     g = generate.random_happy_tc_with_cover(8, 3, 1)
-    assert len(solver._greedy_local_min(g)) == 13
+    assert len(_strict_greedy(g)) == 13
     for budget, within in ((None, None), (13, True), (12, True), (11, False)):
         res = solver.min_spanner_xp_vc(g, budget=budget)
         assert res.size == 12 and res.optimal and res.within_budget is within
