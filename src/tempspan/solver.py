@@ -431,9 +431,11 @@ def _exact_by_flow(
     s: Strictness,
     requirement: AllPairs | TwoSource,
     forced: frozenset[int],
-    budget: int | None = None,
+    budget: int,
 ) -> frozenset[int] | None:
-    """Exact engine via one time-expanded multicommodity-flow MILP.
+    """Decide via one time-expanded multicommodity-flow MILP whether some
+    spanner keeps at most ``budget`` edges; returns a minimum one that does,
+    or None when none does.
 
     Each vertex v has a start node ``(v, -1)`` and one node per distinct
     label at v, chained by waiting arcs; each time edge gives one traversal
@@ -446,7 +448,8 @@ def _exact_by_flow(
     Forced edges are constants (below), so a pair they connect is connected
     whatever the edge variables are: its commodity would change neither the
     optimum nor the LP bound, and it gets no columns and no rows.  If no
-    pair is left, the forced set is the answer and no model is built.
+    pair is left, the forced set is the minimum spanner by construction: it
+    is returned if it fits the budget, with no model built and no re-check.
 
     Commodity (a, b) gets a column only for an arc whose tail is reachable
     from ``start(a)`` and whose head reaches ``end(b)`` over the model's
@@ -460,10 +463,10 @@ def _exact_by_flow(
 
     Removable edges get a 0/1 variable x_i that caps the flow on their arcs
     (``f <= x_i``).  Forced edges are constants: no variable, and their arcs
-    keep only the column bound ``f <= 1``.  The objective counts the x_i;
-    with a ``budget`` the row ``sum x_i <= budget - |forced|`` turns the
-    solve into a decision, and None reports proven infeasibility.  Returns
-    the kept edge set, re-checked by the requirement's oracle.
+    keep only the column bound ``f <= 1``.  The objective counts the x_i and
+    the row ``sum x_i <= budget - |forced|`` caps them; a proof that the
+    model is infeasible gives None.  A MILP answer is re-checked by the
+    requirement's oracle.
     """
     import numpy as np
     from bisect import bisect_left, bisect_right
@@ -483,7 +486,7 @@ def _exact_by_flow(
         (a, b) for a in sources for b in range(n) if b != a and not (over_forced[b] >> a) & 1
     ]
     if not pairs:  # the forced edges meet the requirement on their own
-        return forced if budget is None or len(forced) <= budget else None
+        return forced if len(forced) <= budget else None
 
     events: list[list[int]] = [[] for _ in range(n)]
     for e in g.edges:
@@ -570,13 +573,12 @@ def _exact_by_flow(
         hi_parts.append(np.zeros(len(c_rows)))
         row += len(c_rows)
 
-    if budget is not None:
-        row_parts.append(np.full(len(free), row))
-        col_parts.append(np.arange(len(free)))
-        val_parts.append(np.ones(len(free)))
-        lo_parts.append(np.array([-np.inf]))
-        hi_parts.append(np.array([float(budget - len(forced))]))
-        row += 1
+    row_parts.append(np.full(len(free), row))
+    col_parts.append(np.arange(len(free)))
+    val_parts.append(np.ones(len(free)))
+    lo_parts.append(np.array([-np.inf]))
+    hi_parts.append(np.array([float(budget - len(forced))]))
+    row += 1
 
     a_mat = sparse.csc_array(
         (
@@ -599,7 +601,7 @@ def _exact_by_flow(
         integrality=integrality,
         bounds=Bounds(np.zeros(nv), np.ones(nv)),
     )
-    if budget is not None and res.status == 2:
+    if res.status == 2:
         return None
     if res.status != 0:
         raise SolverFailed(f"MILP solve failed: {res.message}")
