@@ -5,6 +5,15 @@ positive integer label (the time step at which the edge is present).  Vertices
 are dense integers in ``[0, n)``.  Graphs are immutable after construction;
 every operation in this module is a pure function.
 
+A :class:`TemporalGraph` stores its edges as three equal-length int tuples in
+input order: one endpoint ``us``, the other endpoint ``vs`` and the label
+``ts``.  Edge ``i`` is ``(us[i], vs[i], ts[i])``.  Ingest (:func:`parse`,
+:func:`build`), classification, the derived index tables, the sweep table
+:attr:`TemporalGraph.label_groups` and :func:`serialize` read only these
+columns.  The ``TimeEdge`` objects of :attr:`TemporalGraph.edges` are built on
+its first read, so a graph that is only parsed, classified and swept never
+holds one object per edge.
+
 Classification vocabulary:
 
 * *simple*  -- every underlying edge carries exactly one label,
@@ -16,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
 from typing import Iterable
 
 
@@ -81,16 +89,18 @@ class GraphClass:
 
 @dataclass(frozen=True)
 class TemporalGraph:
-    """An immutable temporal graph.
+    """An immutable temporal graph: edge ``i`` is ``(us[i], vs[i], ts[i])``.
 
     ``lifetime`` is always normalized to the maximum label present (1 for an
-    edgeless graph), so construct instances through :func:`build` or
-    :func:`parse` rather than directly.
+    edgeless graph) and the columns are not validated here, so construct
+    instances through :func:`build` or :func:`parse` rather than directly.
     """
 
     vertex_count: int
-    edges: tuple[TimeEdge, ...]
     lifetime: int
+    us: tuple[int, ...]
+    vs: tuple[int, ...]
+    ts: tuple[int, ...]
 
     @property
     def n(self) -> int:
@@ -98,12 +108,18 @@ class TemporalGraph:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.ts)
+
+    @cached_property
+    def edges(self) -> tuple[TimeEdge, ...]:
+        """The edges as ``TimeEdge`` objects in stored order, built on first read."""
+        return tuple(map(TimeEdge, self.us, self.vs, self.ts))
 
     @cached_property
     def label_order(self) -> tuple[int, ...]:
         """Edge indices sorted by (label, index); the chronological scan order."""
-        return tuple(sorted(range(self.m), key=lambda i: (self.edges[i].t, i)))
+        # sorted() is stable, so equal labels keep ascending index order.
+        return tuple(sorted(range(self.m), key=self.ts.__getitem__))
 
     @cached_property
     def label_groups(self) -> tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]:
@@ -111,38 +127,49 @@ class TemporalGraph:
 
         The one table every reachability sweep reads; built on first use.
         """
-        edges = self.edges
-        return tuple(
-            (t, tuple((i, edges[i].u, edges[i].v) for i in group))
-            for t, group in groupby(self.label_order, key=lambda i: edges[i].t)
-        )
+        us, vs, ts = self.us, self.vs, self.ts
+        groups: list[tuple[int, tuple[tuple[int, int, int], ...]]] = []
+        label, rows = 0, []  # no edge carries label 0
+        for i in self.label_order:
+            if ts[i] != label:
+                if rows:
+                    groups.append((label, tuple(rows)))
+                label, rows = ts[i], []
+            rows.append((i, us[i], vs[i]))
+        if rows:
+            groups.append((label, tuple(rows)))
+        return tuple(groups)
 
     @cached_property
     def underlying_pairs(self) -> frozenset[tuple[int, int]]:
-        return frozenset(e.pair for e in self.edges)
+        return frozenset([(u, v) if u < v else (v, u) for u, v in zip(self.us, self.vs)])
 
     @cached_property
     def index_by_key(self) -> dict[tuple[int, int, int], int]:
         """(u, v, t) -> edge index, for u < v.  Total on multigraph labels."""
-        return {e.key: i for i, e in enumerate(self.edges)}
+        return {
+            (u, v, t) if u < v else (v, u, t): i
+            for i, (u, v, t) in enumerate(zip(self.us, self.vs, self.ts))
+        }
 
     @cached_property
     def index_by_pair(self) -> dict[tuple[int, int], int]:
         """(u, v) -> edge index, for u < v.  Only meaningful on simple graphs."""
         out: dict[tuple[int, int], int] = {}
-        for i, e in enumerate(self.edges):
-            if e.pair in out:
-                raise NotSimple(f"underlying edge {e.pair} carries several labels")
-            out[e.pair] = i
+        for i, (u, v) in enumerate(zip(self.us, self.vs)):
+            pair = (u, v) if u < v else (v, u)
+            if pair in out:
+                raise NotSimple(f"underlying edge {pair} carries several labels")
+            out[pair] = i
         return out
 
     @cached_property
     def incident(self) -> tuple[tuple[int, ...], ...]:
         """Per-vertex tuple of incident edge indices, ascending."""
         buckets: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for i, e in enumerate(self.edges):
-            buckets[e.u].append(i)
-            buckets[e.v].append(i)
+        for i, (u, v) in enumerate(zip(self.us, self.vs)):
+            buckets[u].append(i)
+            buckets[v].append(i)
         return tuple(tuple(b) for b in buckets)
 
 
@@ -155,35 +182,50 @@ def build(n: int, edges: Iterable[TimeEdge | tuple[int, int, int]]) -> TemporalG
     """
     if n < 1:
         raise EndpointOutOfRange(f"vertex count must be positive, got {n}")
-    normalized: list[TimeEdge] = []
-    seen: set[tuple[int, int, int]] = set()
+    us: list[int] = []
+    vs: list[int] = []
+    ts: list[int] = []
     for raw in edges:
-        e = raw if isinstance(raw, TimeEdge) else TimeEdge(*raw)
-        if e.u == e.v:
-            raise SelfLoop(f"self-loop at vertex {e.u}")
-        if not (0 <= e.u < n and 0 <= e.v < n):
-            raise EndpointOutOfRange(f"edge {e} outside vertex range [0, {n})")
-        if e.t < 1:
-            raise BadLabel(f"label must be a positive integer, got {e.t}")
-        if e.key in seen:
-            raise DuplicateTimeEdge(f"duplicate time edge {e.key}")
-        seen.add(e.key)
-        normalized.append(e)
-    lifetime = max((e.t for e in normalized), default=1)
-    return TemporalGraph(n, tuple(normalized), lifetime)
+        u, v, t = (raw.u, raw.v, raw.t) if isinstance(raw, TimeEdge) else raw
+        us.append(u)
+        vs.append(v)
+        ts.append(t)
+    return _from_columns(n, us, vs, ts)
+
+
+def _from_columns(n: int, us: list[int], vs: list[int], ts: list[int]) -> TemporalGraph:
+    """The one validating constructor behind :func:`build` and :func:`parse`.
+
+    Checks each edge in order, raising the first error met: self-loop,
+    endpoint range, label, then a (pair, label) seen before.
+    """
+    # A (pair, label) key (a, b, t) with a < b is encoded as the int
+    # (t * n + a) * n + b, one-to-one once both endpoints are in [0, n).
+    seen: set[int] = set()
+    for u, v, t in zip(us, vs, ts):
+        if u == v:
+            raise SelfLoop(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise EndpointOutOfRange(f"edge {TimeEdge(u, v, t)} outside vertex range [0, {n})")
+        if t < 1:
+            raise BadLabel(f"label must be a positive integer, got {t}")
+        key = (t * n + u) * n + v if u < v else (t * n + v) * n + u
+        if key in seen:
+            raise DuplicateTimeEdge(f"duplicate time edge {(min(u, v), max(u, v), t)}")
+        seen.add(key)
+    return TemporalGraph(n, max(ts, default=1), tuple(us), tuple(vs), tuple(ts))
 
 
 def classify(g: TemporalGraph) -> GraphClass:
     """Classify a graph as simple / proper / happy."""
     simple = len(g.underlying_pairs) == g.m
-    proper = True
-    at_vertex: set[tuple[int, int]] = set()
-    for e in g.edges:
-        if (e.u, e.t) in at_vertex or (e.v, e.t) in at_vertex:
-            proper = False
-            break
-        at_vertex.add((e.u, e.t))
-        at_vertex.add((e.v, e.t))
+    # Proper iff the 2m (endpoint, label) incidences are pairwise distinct;
+    # an edge's own two differ, as it is no self-loop.  Incidence (x, t) is
+    # encoded as the int t * n + x, one-to-one for endpoints in [0, n).
+    n = g.vertex_count
+    at_vertex = {t * n + u for u, t in zip(g.us, g.ts)}
+    at_vertex.update([t * n + v for v, t in zip(g.vs, g.ts)])
+    proper = len(at_vertex) == 2 * g.m
     return GraphClass(simple=simple, proper=proper, happy=simple and proper)
 
 
@@ -202,12 +244,12 @@ def relabel_to_happy(g: TemporalGraph) -> TemporalGraph:
     """
     if not classify(g).simple:
         raise NotSimple("relabeling requires a simple graph")
-    ranked = sorted(range(g.m), key=lambda i: (g.edges[i].t, *g.edges[i].pair, i))
+    us, vs, ts = g.us, g.vs, g.ts
+    ranked = sorted(range(g.m), key=lambda i: (ts[i], min(us[i], vs[i]), max(us[i], vs[i]), i))
     new_label = [0] * g.m
     for pos, i in enumerate(ranked):
         new_label[i] = pos + 1
-    edges = [TimeEdge(e.u, e.v, new_label[i]) for i, e in enumerate(g.edges)]
-    return build(g.vertex_count, edges)
+    return build(g.vertex_count, zip(us, vs, new_label))
 
 
 @dataclass(frozen=True)
@@ -243,35 +285,38 @@ def parse(text: str) -> TemporalGraph:
     """Parse the ``.tg`` text format.  Raises :class:`ParseError` with a line number."""
     n: int | None = None
     declared_t = 0
-    edges: list[TimeEdge] = []
+    us: list[int] = []
+    vs: list[int] = []
+    ts: list[int] = []
     for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        fields = line.split()
+        if not fields or fields[0][0] == "#":
             continue
-        fields = stripped.split()
         if n is None:
             if len(fields) != 2:
-                raise ParseError(line_no, f"expected header 'n T', got {stripped!r}")
+                raise ParseError(line_no, f"expected header 'n T', got {line.strip()!r}")
             try:
                 n, declared_t = int(fields[0]), int(fields[1])
             except ValueError:
-                raise ParseError(line_no, f"non-integer header field in {stripped!r}")
+                raise ParseError(line_no, f"non-integer header field in {line.strip()!r}")
             if n < 1 or declared_t < 1:
                 raise ParseError(line_no, "header values must be positive")
             continue
         if len(fields) != 3:
-            raise ParseError(line_no, f"expected 'u v t', got {stripped!r}")
+            raise ParseError(line_no, f"expected 'u v t', got {line.strip()!r}")
         try:
-            u, v, t = (int(f) for f in fields)
+            u, v, t = map(int, fields)
         except ValueError:
-            raise ParseError(line_no, f"non-integer edge field in {stripped!r}")
+            raise ParseError(line_no, f"non-integer edge field in {line.strip()!r}")
         if t < 1 or t > declared_t:
             raise ParseError(line_no, f"label {t} outside [1, {declared_t}]")
-        edges.append(TimeEdge(u, v, t))
+        us.append(u)
+        vs.append(v)
+        ts.append(t)
     if n is None:
         raise ParseError(0, "empty input")
     try:
-        return build(n, edges)
+        return _from_columns(n, us, vs, ts)
     except TempGraphError as exc:
         raise ParseError(0, str(exc))
 
@@ -279,13 +324,14 @@ def parse(text: str) -> TemporalGraph:
 def serialize(g: TemporalGraph) -> str:
     """Byte-exact ``.tg`` emitter: stored edge order, single spaces, newline-terminated."""
     lines = [f"{g.vertex_count} {g.lifetime}"]
-    lines.extend(f"{e.u} {e.v} {e.t}" for e in g.edges)
+    lines.extend(map("{} {} {}".format, g.us, g.vs, g.ts))
     return "\n".join(lines) + "\n"
 
 
 def serialize_spanner(s: Spanner, triples: bool = False) -> str:
     if triples:
-        return "".join(f"{e.u} {e.v} {e.t}\n" for e in s.edges())
+        g = s.parent
+        return "".join(f"{g.us[i]} {g.vs[i]} {g.ts[i]}\n" for i in sorted(s.kept))
     return "".join(f"{i}\n" for i in sorted(s.kept))
 
 
@@ -317,12 +363,6 @@ def parse_spanner(text: str, parent: TemporalGraph) -> Spanner:
     return Spanner(parent, frozenset(kept))
 
 
-def restrict(g: TemporalGraph, kept: Iterable[int]) -> TemporalGraph:
-    """A new graph containing only the given edge indices (re-indexed)."""
-    kept_sorted = sorted(set(kept))
-    return build(g.vertex_count, [g.edges[i] for i in kept_sorted])
-
-
 def delete_vertex(g: TemporalGraph, victim: int) -> tuple[TemporalGraph, list[int]]:
     """Drop a vertex and its incident edges, re-indexing the rest densely.
 
@@ -330,10 +370,11 @@ def delete_vertex(g: TemporalGraph, victim: int) -> tuple[TemporalGraph, list[in
     """
     if not (0 <= victim < g.vertex_count):
         raise EndpointOutOfRange(f"vertex {victim} out of range")
-    survivors = [i for i, e in enumerate(g.edges) if victim not in (e.u, e.v)]
+    us, vs, ts = g.us, g.vs, g.ts
+    survivors = [i for i in range(g.m) if victim != us[i] and victim != vs[i]]
 
     def shift(x: int) -> int:
         return x - 1 if x > victim else x
 
-    edges = [TimeEdge(shift(g.edges[i].u), shift(g.edges[i].v), g.edges[i].t) for i in survivors]
+    edges = [(shift(us[i]), shift(vs[i]), ts[i]) for i in survivors]
     return build(g.vertex_count - 1, edges), survivors

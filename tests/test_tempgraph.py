@@ -1,7 +1,10 @@
+from itertools import combinations, groupby
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tempspan import reach
 from tempspan import tempgraph as tg
 
 
@@ -99,6 +102,25 @@ simple_graphs = st.integers(min_value=2, max_value=7).flatmap(
 )
 
 
+# Few labels over few vertices: shared labels and parallel labels are common,
+# and so are graphs that are neither simple nor proper.
+multilabel_graphs = st.integers(min_value=2, max_value=6).flatmap(
+    lambda n: st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=n - 1),
+            st.integers(min_value=0, max_value=n - 1),
+            st.integers(min_value=1, max_value=4),
+        ).filter(lambda e: e[0] != e[1]),
+        max_size=14,
+    ).map(
+        lambda raw: tg.build(
+            n,
+            list({(min(u, v), max(u, v), t): (u, v, t) for u, v, t in raw}.values()),
+        )
+    )
+)
+
+
 @given(simple_graphs)
 @settings(max_examples=120, deadline=None)
 def test_relabel_properties(g):
@@ -126,6 +148,9 @@ def test_parse_minimal():
 def test_parse_comments_and_blanks():
     g = tg.parse("# header\n3 5\n\n0 1 2\n# mid\n1 2 5\n")
     assert g.m == 2
+    g = tg.parse("  # c\r\n\r\n  3   4  \r\n\t0  1 2 \r\n   \r\n 2 1 4\r\n")
+    assert (g.vertex_count, g.lifetime) == (3, 4)
+    assert g.edges == (tg.TimeEdge(0, 1, 2), tg.TimeEdge(2, 1, 4))
 
 
 def test_parse_rejects_label_zero():
@@ -145,6 +170,74 @@ def test_parse_rejects_malformed():
         tg.parse("2 1\n0 1 2\n")  # label above declared lifetime
 
 
+PARSE_ERRORS = [
+    # header
+    ("", 0, "empty input"),
+    ("# only a comment\n\n", 0, "empty input"),
+    ("2\n", 1, "expected header 'n T', got '2'"),
+    ("2 1 3\n", 1, "expected header 'n T', got '2 1 3'"),
+    ("2 x\n", 1, "non-integer header field in '2 x'"),
+    ("0 3\n", 1, "header values must be positive"),
+    ("2 0\n", 1, "header values must be positive"),
+    ("-1 2\n", 1, "header values must be positive"),
+    # edge lines
+    ("2 1\n0 1\n", 2, "expected 'u v t', got '0 1'"),
+    ("2 1\n0 1 1 1\n", 2, "expected 'u v t', got '0 1 1 1'"),
+    ("2 1\n0 x 1\n", 2, "non-integer edge field in '0 x 1'"),
+    ("2 1\n0 1 1.0\n", 2, "non-integer edge field in '0 1 1.0'"),
+    ("2 1\n0 1 0\n", 2, "label 0 outside [1, 1]"),
+    ("2 1\n0 1 2\n", 2, "label 2 outside [1, 1]"),
+    # build errors, reported at line 0 once every line has been read
+    ("2 2\n1 1 1\n", 0, "self-loop at vertex 1"),
+    ("2 1\n0 2 1\n", 0, "edge TimeEdge(u=0, v=2, t=1) outside vertex range [0, 2)"),
+    ("2 1\n-1 0 1\n", 0, "edge TimeEdge(u=-1, v=0, t=1) outside vertex range [0, 2)"),
+    ("2 3\n0 1 3\n0 1 3\n", 0, "duplicate time edge (0, 1, 3)"),
+    ("2 3\n0 1 3\n1 0 3\n", 0, "duplicate time edge (0, 1, 3)"),
+    ("2 3\n1 0 3\n0 1 3\n", 0, "duplicate time edge (0, 1, 3)"),
+    # a bad line beats an earlier build error; build errors come in edge order
+    ("3 2\n1 1 1\n0 1 5\n", 3, "label 5 outside [1, 2]"),
+    ("3 2\n0 1 1\n0 1 1\n2 2 1\n", 0, "duplicate time edge (0, 1, 1)"),
+    ("3 2\n2 2 1\n0 1 1\n0 1 1\n", 0, "self-loop at vertex 2"),
+    # blank, whitespace-only and indented comment lines still count
+    ("\n   \n\t\n  # note\n2 1\n\n0 1 2\n", 7, "label 2 outside [1, 1]"),
+    ("# c\r\n\r\n   \r\n  # x\r\n2 1\r\n\t\r\n0 1 2\r\n", 7, "label 2 outside [1, 1]"),
+    ("2 1\r\n0 1\r\n", 2, "expected 'u v t', got '0 1'"),
+]
+
+
+@pytest.mark.parametrize("text, line_no, message", PARSE_ERRORS)
+def test_parse_error_contract(text, line_no, message):
+    with pytest.raises(tg.ParseError) as err:
+        tg.parse(text)
+    assert type(err.value) is tg.ParseError
+    assert err.value.line_no == line_no
+    assert str(err.value) == f"line {line_no}: {message}"
+
+
+BUILD_ERRORS = [
+    (0, [], tg.EndpointOutOfRange, "vertex count must be positive, got 0"),
+    (0, [(1, 1, 1)], tg.EndpointOutOfRange, "vertex count must be positive, got 0"),
+    (2, [(1, 1, 1)], tg.SelfLoop, "self-loop at vertex 1"),
+    (2, [(5, 5, 0)], tg.SelfLoop, "self-loop at vertex 5"),
+    (2, [(0, 2, 1)], tg.EndpointOutOfRange, "edge TimeEdge(u=0, v=2, t=1) outside vertex range [0, 2)"),
+    (2, [tg.TimeEdge(0, 2, 0)], tg.EndpointOutOfRange, "edge TimeEdge(u=0, v=2, t=0) outside vertex range [0, 2)"),
+    (2, [(0, 1, 0)], tg.BadLabel, "label must be a positive integer, got 0"),
+    (2, [(0, 1, -3)], tg.BadLabel, "label must be a positive integer, got -3"),
+    (2, [(0, 1, 3), (1, 0, 3)], tg.DuplicateTimeEdge, "duplicate time edge (0, 1, 3)"),
+    (2, [tg.TimeEdge(1, 0, 3), (0, 1, 3)], tg.DuplicateTimeEdge, "duplicate time edge (0, 1, 3)"),
+    (3, [(0, 1, 1), (0, 1, 1), (0, 3, 1)], tg.DuplicateTimeEdge, "duplicate time edge (0, 1, 1)"),
+    (3, [(0, 3, 1), (0, 1, 1), (0, 1, 1)], tg.EndpointOutOfRange, "edge TimeEdge(u=0, v=3, t=1) outside vertex range [0, 3)"),
+]
+
+
+@pytest.mark.parametrize("n, edges, exc, message", BUILD_ERRORS)
+def test_build_error_contract(n, edges, exc, message):
+    with pytest.raises(tg.TempGraphError) as err:
+        tg.build(n, edges)
+    assert type(err.value) is exc
+    assert str(err.value) == message
+
+
 def test_roundtrip_serialize_parse():
     g = tg.build(4, [(0, 1, 3), (2, 3, 3), (1, 2, 1)])
     assert tg.parse(tg.serialize(g)).edges == g.edges
@@ -152,12 +245,60 @@ def test_roundtrip_serialize_parse():
     assert tg.serialize(tg.parse(text)) == text
 
 
-@given(simple_graphs)
-@settings(max_examples=60, deadline=None)
+@given(st.one_of(simple_graphs, multilabel_graphs))
+@settings(max_examples=150, deadline=None)
 def test_roundtrip_property(g):
-    again = tg.parse(tg.serialize(g))
-    assert again.edges == g.edges
-    assert again.vertex_count == g.vertex_count
+    text = tg.serialize(g)
+    again = tg.parse(text)
+    assert (again.vertex_count, again.lifetime, again.edges) == (g.vertex_count, g.lifetime, g.edges)
+    twice = tg.parse(text)
+    assert again == twice and hash(again) == hash(twice)
+
+    edges = g.edges
+    by_label = sorted(range(g.m), key=lambda i: (edges[i].t, i))
+    assert g.label_groups == tuple(
+        (t, tuple((i, edges[i].u, edges[i].v) for i in group))
+        for t, group in groupby(by_label, key=lambda i: edges[i].t)
+    )
+
+    pairs_of = [e.pair for e in edges]
+    simple = all(a != b for a, b in combinations(pairs_of, 2))
+    proper = all(
+        e.t != f.t or not {e.u, e.v} & {f.u, f.v} for e, f in combinations(edges, 2)
+    )
+    assert tg.classify(g) == tg.GraphClass(simple=simple, proper=proper, happy=simple and proper)
+
+    assert g.underlying_pairs == frozenset(pairs_of)
+    assert g.index_by_key == {e.key: i for i, e in enumerate(edges)}
+    assert g.incident == tuple(
+        tuple(i for i, e in enumerate(edges) if x in (e.u, e.v)) for x in range(g.vertex_count)
+    )
+    if simple:
+        assert g.index_by_pair == {pair: i for i, pair in enumerate(pairs_of)}
+    else:
+        with pytest.raises(tg.NotSimple):
+            g.index_by_pair
+
+
+def test_edges_built_only_when_read():
+    text = "4 5\n0 1 1\n1 2 2\n3 2 2\n3 0 4\n1 3 5\n0 2 3\n"
+    g = tg.parse(text)
+    tg.classify(g)
+    reach.is_tc(g, reach.STRICT)
+    reach.is_tc(g, reach.NONSTRICT)
+    reach.earliest_arrival(g, 0)
+    assert tg.serialize(g) == text
+    assert "edges" not in vars(g)
+    want = (
+        tg.TimeEdge(0, 1, 1),
+        tg.TimeEdge(1, 2, 2),
+        tg.TimeEdge(3, 2, 2),
+        tg.TimeEdge(3, 0, 4),
+        tg.TimeEdge(1, 3, 5),
+        tg.TimeEdge(0, 2, 3),
+    )
+    assert g.edges == want
+    assert "edges" in vars(g)
 
 
 def test_spanner_formats():
