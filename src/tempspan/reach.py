@@ -295,10 +295,10 @@ def verify_out_tree(g: TemporalGraph, candidate_edges: Iterable[int], root: int)
     if len(idxs) != n - 1:
         return False
     adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(n)}
+    us, vs, ts = g.us, g.vs, g.ts
     for i in idxs:
-        e = g.edges[i]
-        adj[e.u].append((e.v, e.t))
-        adj[e.v].append((e.u, e.t))
+        adj[us[i]].append((vs[i], ts[i]))
+        adj[vs[i]].append((us[i], ts[i]))
     seen = {root}
     stack = [(root, 0)]
     while stack:

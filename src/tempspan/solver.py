@@ -14,9 +14,13 @@ Contents:
   least 2n - 4 time edges, in the strict setting and in the non-strict one
   on proper graphs.  It is not used for the two-source requirement or for
   non-strict paths on graphs that are not proper, where it fails.  Branch
-  and bound in optimise mode and the XP algorithm stop as soon as their
-  incumbent meets it, and the flow engine builds no model when its greedy
-  incumbent does,
+  and bound in optimise mode stops as soon as its incumbent meets it,
+* bounds on both sides before the flow MILP and the XP search: an
+  incumbent from greedy local minima over the index order and up to
+  ``_RESTARTS`` seeded shuffles of it (:func:`_greedy_restarts`), and the
+  conflict-block lower bound m - sum of the block caps
+  (:func:`_block_bound`).  An incumbent that meets the lower bound, or a
+  budget below it, settles the answer with no search,
 * an XP algorithm for happy graphs parameterized by the vertex cover number
   of the underlying graph: per cover root, enumerate every temporal out-tree
   directly in label order, combine one per root, select at most one extra
@@ -29,6 +33,7 @@ Contents:
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -360,6 +365,7 @@ def _conflict_blocks(
     the block in at most that many edges, because subsets of feasible
     removals stay feasible.
     """
+    us, vs = g.us, g.vs
     hubs: set[int] = set()
 
     def components() -> list[list[int]]:
@@ -373,8 +379,7 @@ def _conflict_blocks(
 
         anchor: dict[int, int] = {}
         for i in removable:
-            e = g.edges[i]
-            for x in (e.u, e.v):
+            for x in (us[i], vs[i]):
                 if x in hubs:
                     continue
                 if x in anchor:
@@ -393,8 +398,7 @@ def _conflict_blocks(
             break
         degree: dict[int, int] = {}
         for i in big[0]:
-            e = g.edges[i]
-            for x in (e.u, e.v):
+            for x in (us[i], vs[i]):
                 if x not in hubs:
                     degree[x] = degree.get(x, 0) + 1
         if not degree:
@@ -424,6 +428,37 @@ def _greedy_local_min(oracle: _SubsetOracle, order: Iterable[int]) -> frozenset[
         if not oracle.feasible(removed):
             removed[i] = 0
     return frozenset(i for i in range(m) if not removed[i])
+
+
+# Greedy passes over shuffled orders after the index-order pass misses.
+_RESTARTS = 16
+
+
+def _greedy_restarts(oracle: _SubsetOracle, order: list[int], goal: int) -> frozenset[int]:
+    """The smallest greedy spanner (:func:`_greedy_local_min`) over ``order``
+    and then over up to ``_RESTARTS`` shuffles of it, drawn from one
+    ``random.Random(0)`` so that the answer is deterministic.  Stops as soon
+    as a spanner keeps at most ``goal`` edges."""
+    best = _greedy_local_min(oracle, order)
+    if len(best) <= goal:
+        return best
+    rng = random.Random(0)
+    order = list(order)
+    for _ in range(_RESTARTS):
+        rng.shuffle(order)
+        kept = _greedy_local_min(oracle, order)
+        if len(kept) < len(best):
+            best = kept
+            if len(best) <= goal:
+                break
+    return best
+
+
+def _block_bound(oracle: _SubsetOracle, removable: list[int]) -> int:
+    """m - sum of the :func:`_conflict_blocks` caps: a lower bound on every
+    spanner, since a feasible removal takes at most ``caps[b]`` of the
+    ``removable`` edges in block b and no other edge."""
+    return oracle.g.m - sum(_conflict_blocks(oracle.g, oracle, removable)[1])
 
 
 def _exact_by_flow(
@@ -489,9 +524,9 @@ def _exact_by_flow(
         return forced if len(forced) <= budget else None
 
     events: list[list[int]] = [[] for _ in range(n)]
-    for e in g.edges:
-        events[e.u].append(e.t)
-        events[e.v].append(e.t)
+    for u, v, t in zip(g.us, g.vs, g.ts):
+        events[u].append(t)
+        events[v].append(t)
     events = [sorted(set(ts)) for ts in events]
 
     # Node (v, k) has id first[v] + 1 + k; first[v] is the start node (v, -1).
@@ -513,14 +548,14 @@ def _exact_by_flow(
         tails.extend(range(first[v], end[v]))
         heads.extend(range(first[v] + 1, end[v] + 1))
         caps.extend([-1] * len(events[v]))
-    for i, e in enumerate(g.edges):
-        for a, b in ((e.u, e.v), (e.v, e.u)):
+    for i, (u, v, t) in enumerate(zip(g.us, g.vs, g.ts)):
+        for a, b in ((u, v), (v, u)):
             if strict:
-                k = bisect_left(events[a], e.t) - 1
+                k = bisect_left(events[a], t) - 1
             else:
-                k = bisect_right(events[a], e.t) - 1
+                k = bisect_right(events[a], t) - 1
             tails.append(first[a] + 1 + k)
-            heads.append(first[b] + 1 + bisect_left(events[b], e.t))
+            heads.append(first[b] + 1 + bisect_left(events[b], t))
             caps.append(x_col[i])
     tail = np.array(tails, dtype=np.int64)
     head = np.array(heads, dtype=np.int64)
@@ -673,15 +708,25 @@ def min_spanner_exact(
     gossip bound 2n - 4 where it applies (all-pairs on n >= 4 vertices, with
     strict paths or on a proper graph; see :func:`_gossip_bound`).  Branch
     and bound in optimise mode stops once its incumbent keeps ``lower``
-    edges.  The flow engine first drops removable edges greedily, in index
-    order, while the requirement holds.  A greedy spanner of at most
-    ``lower`` edges (at most ``budget`` in decision mode) is the answer, and
-    no model is built.  Otherwise one MILP asks for a spanner of at most
-    ``budget`` edges, or of at most one edge fewer than the greedy one when
-    optimising; its infeasibility proves that no spanner fits the budget, or
-    that the greedy spanner is optimal.  ``cap`` applies only when a search
-    is needed: with no removable edge, or a budget below ``lower``, the
-    answer is returned whatever the instance size.
+    edges.  The flow engine works in four steps, each run only if the
+    previous ones leave the answer open.  The goal is ``lower`` when
+    optimising and ``budget`` in decision mode.
+
+    1. Greedy: drop removable edges in index order while the requirement
+       holds.  A spanner within the goal is the answer.
+    2. Restarts: the same over up to ``_RESTARTS`` seeded shuffles of that
+       order (:func:`_greedy_restarts`), stopping once one meets the goal.
+    3. Block bound: raise ``lower`` to m - sum of the conflict-block caps
+       (:func:`_block_bound`).  A budget below it is answered "no"; an
+       incumbent at it is optimal.
+    4. Search: one MILP asks for a spanner of at most ``budget`` edges, or
+       of one edge fewer than the incumbent when optimising; its
+       infeasibility proves that no spanner fits the budget, or that the
+       incumbent is optimal.
+
+    ``cap`` applies only when a search may be needed: with no removable
+    edge, or a budget below the forced and gossip bound, the answer is
+    returned whatever the instance size.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
@@ -701,15 +746,21 @@ def min_spanner_exact(
     elif len(removable) > cap:
         raise InstanceTooLarge(f"{len(removable)} removable edges exceed cap {cap}")
     elif engine == "flow":
-        greedy = _greedy_local_min(_SubsetOracle(g, s, requirement), removable)
-        if len(greedy) <= (lower if budget is None else budget):
-            kept = greedy
+        oracle = _SubsetOracle(g, s, requirement)
+        goal = lower if budget is None else budget
+        best = _greedy_restarts(oracle, removable, goal)
+        if len(best) > goal:
+            lower = max(lower, _block_bound(oracle, removable))
+        if budget is not None and budget < lower:
+            kept = all_edges
+        elif len(best) <= max(goal, lower):  # within the budget, or optimal
+            kept = best
         else:
-            # Here the budget, if any, is below the greedy size.
-            cutoff = len(greedy) - 1 if budget is None else budget
+            # Here the budget, if any, is below the incumbent's size.
+            cutoff = len(best) - 1 if budget is None else budget
             kept = _exact_by_flow(g, s, requirement, forced, cutoff)
             if kept is None:  # proven: no spanner keeps at most ``cutoff`` edges
-                kept = greedy if budget is None else all_edges
+                kept = best if budget is None else all_edges
     else:
         target = None if budget is None else g.m - budget
         oracle = _SubsetOracle(g, s, requirement)
@@ -960,23 +1011,40 @@ def min_spanner_xp_vc(g: TemporalGraph, budget: int | None = None) -> SolveResul
     every cover vertex, and its non-cover vertices are either inner nodes
     between two cover vertices (placeholders) or leaves under one.
 
-    The incumbent starts as a greedy local minimum.  A happy graph on
-    n >= 4 vertices has no spanner below the gossip bound 2n - 4 (see
-    :func:`_gossip_bound`), so an incumbent of that size is optimal: a
-    greedy result that meets it is returned with no cover or tree search,
-    and the combination search ends the moment it finds a union of that
-    size.  With a ``budget`` the search also ends on the first spanner
-    within it; ``optimal`` is then True only if the bound proves it.
+    Before any cover or tree search, the answer is bounded on both sides,
+    as in the flow engine of :func:`min_spanner_exact`.  The goal is the
+    gossip bound 2n - 4 (see :func:`_gossip_bound`; a happy graph on n >= 4
+    vertices has no smaller spanner), or the budget if that is larger.
+
+    1. Greedy: a local minimum over the index order; one within the goal is
+       returned.
+    2. Restarts: up to ``_RESTARTS`` seeded shuffles, stopping once one
+       meets the goal (:func:`_greedy_restarts`).
+    3. Block bound: the floor rises to m - sum of the conflict-block caps
+       (:func:`_block_bound`).  An incumbent at the floor is optimal, and a
+       budget below it is answered "no".
+    4. Search: the combination search starts from the incumbent and ends
+       the moment it finds a spanner at the floor, or within the budget.
+
+    ``optimal`` is True only if the search ran to the end or the returned
+    spanner is at a lower bound.
     """
     if not classify(g).happy:
         raise NotHappy("the vertex-cover algorithm requires a happy graph")
     if not reach.is_tc(g, STRICT):
         raise NotTemporallyConnected("input graph is not temporally connected")
-    best_kept = _greedy_local_min(_SubsetOracle(g, STRICT, ALL_PAIRS), range(g.m))
+    oracle = _SubsetOracle(g, STRICT, ALL_PAIRS)
     floor = _gossip_bound(g, STRICT, ALL_PAIRS)
-    completed = True
-    if len(best_kept) > floor:
-        best_kept, completed = _xp_search(g, budget, floor, best_kept)
+    goal = floor if budget is None else max(floor, budget)
+    best_kept = _greedy_restarts(oracle, list(range(g.m)), goal)
+    completed = False  # whether a combination search ran to the end
+    if len(best_kept) > goal:
+        forced = forced_edges(g)
+        removable = [i for i in range(g.m) if i not in forced]
+        floor = max(floor, _block_bound(oracle, removable))
+        # A budget below the floor is answered "no" with no search.
+        if len(best_kept) > floor and (budget is None or budget >= floor):
+            best_kept, completed = _xp_search(g, budget, floor, best_kept)
     size = len(best_kept)
     return SolveResult(
         spanner=Spanner(g, best_kept),
@@ -1031,10 +1099,9 @@ def vc_tree_decompose(
         if v in x_set:
             continue
         tree = reach.foremost_out_tree(g, v, STRICT, kept=kept)
-        e = min(tree.tree_edges, key=lambda i: g.edges[i].t)
-        edge = g.edges[e]
-        assert v in (edge.u, edge.v), "minimum tree edge must touch its root"
-        x = edge.other(v)
+        e = min(tree.tree_edges, key=g.ts.__getitem__)
+        assert v in (g.us[e], g.vs[e]), "minimum tree edge must touch its root"
+        x = g.vs[e] if g.us[e] == v else g.us[e]
         min_edge[v] = e
         groups.setdefault(x, []).append(v)
 
@@ -1043,7 +1110,7 @@ def vc_tree_decompose(
     for x in sorted(x_set):
         members = groups.get(x)
         if members:
-            anchor = max(members, key=lambda v: g.edges[min_edge[v]].t)
+            anchor = max(members, key=lambda v: g.ts[min_edge[v]])
             tree = reach.foremost_out_tree(g, anchor, STRICT, kept=kept)
             trees.append(TemporalOutTree(root=x, tree_edges=tree.tree_edges))
             extras.extend((v, min_edge[v]) for v in members if v != anchor)

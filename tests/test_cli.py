@@ -89,10 +89,11 @@ def test_solve_single_vertex_budget_exit_codes(capsys, tmp_path, method):
 def test_solve_milp_failure_exits_cleanly(capsys, tmp_path, monkeypatch, engine):
     import scipy.optimize
 
-    # The greedy spanner keeps 11 edges, above the gossip bound 2n - 4 = 10,
-    # so the flow engine must ask the MILP whether 10 edges suffice.
+    # The best greedy restart keeps 23 edges, above the gossip bound
+    # 2n - 4 = 20 and the block bound 20, so the flow engine must ask the
+    # MILP whether 22 edges suffice.
     path = tmp_path / "g.tg"
-    path.write_text(tg.serialize(random_happy_tc_with_cover(7, 3, 0)))
+    path.write_text(tg.serialize(random_happy_tc(12, 0, 0.6)))
     failed = SimpleNamespace(status=4, message="numerical trouble", x=None, fun=None)
     calls = []
     monkeypatch.setattr(scipy.optimize, "milp", lambda *a, **k: calls.append(k) or failed)

@@ -10,6 +10,13 @@ from tempspan.solver import TwoSource
 PHI_11 = red.SatInstance(1, ((1, 1, 1),))
 PHI_MIXED = red.SatInstance(2, ((1, -2, 2), (-1, -1, 2)))
 PHI_UNSAT = red.SatInstance(1, ((1, 1, 1), (-1, -1, -1)))
+# Four variables and eight clauses: n=63, m=198, budget 142.
+PHI_4V_SAT = red.SatInstance(
+    4, ((3, 4, -2), (1, 4, -1), (3, -2, 3), (1, -3, 2), (-3, -1, -4), (2, 4, -1), (-1, -3, 4), (-3, -4, 2))
+)
+PHI_4V_UNSAT = red.SatInstance(
+    4, ((1, 1, 1), (-1, 2, 2), (-2, 3, 3), (-3, 4, 4), (-4, -4, -4), (1, 2, 3), (2, 3, 4), (-1, -2, 4))
+)
 
 
 def test_sat_instance_validation():
@@ -125,6 +132,22 @@ def test_flow_decides_sat_reduction_past_phi_11():
     assert no.within_budget is False
 
 
+@pytest.mark.parametrize("phi, within", [(PHI_4V_SAT, True), (PHI_4V_UNSAT, False)], ids=["sat", "unsat"])
+def test_flow_decides_four_variable_sat_reductions(phi, within):
+    out = red.sat_to_spanner_instance(phi)
+    g = out.graph
+    assert (g.vertex_count, g.m, out.budget) == (63, 198, 142)
+    # The block bound, 141, is one below the budget: it settles neither.
+    forced = solver.forced_edges(g)
+    removable = [i for i in range(g.m) if i not in forced]
+    assert solver._block_bound(solver._SubsetOracle(g, STRICT, solver.ALL_PAIRS), removable) == 141
+    res = solver.min_spanner_exact(g, budget=out.budget, cap=len(removable), engine="flow")
+    assert res.within_budget is within
+    if within:
+        assert res.size <= out.budget
+        assert solver.requirement_holds(g, STRICT, solver.ALL_PAIRS, res.spanner.kept)
+
+
 def test_flow_model_has_columns_only_for_usable_arcs(monkeypatch):
     import scipy.optimize
 
@@ -142,12 +165,14 @@ def test_flow_model_has_columns_only_for_usable_arcs(monkeypatch):
     res = solver.min_spanner_exact(g, engine="flow")
     assert res.size == out.budget == 28 and res.optimal
     assert reach.is_tc(g, STRICT, kept=res.spanner.kept)
-    # The greedy spanner keeps 28 edges, above the gossip bound 2n - 4 = 24:
-    # one MILP proves that no spanner keeps 27.
+    # The best greedy restart keeps 28 edges, above the gossip bound 2n - 4 = 24
+    # and the block bound 27: one MILP proves that no spanner keeps 27.
     assert solver._gossip_bound(g, STRICT, solver.ALL_PAIRS) == 24
     ((model, status),) = models
     assert status == 2
     forced = solver.forced_edges(g)
+    free = [i for i in range(g.m) if i not in forced]
+    assert solver._block_bound(solver._SubsetOracle(g, STRICT, solver.ALL_PAIRS), free) == 27
     removable = g.m - len(forced)
     assert removable == 17
     # One integer column per removable edge; forced edges are constants.

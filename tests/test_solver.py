@@ -160,26 +160,57 @@ def test_gossip_bound_never_exceeds_the_optimum(g, s):
     assert bound <= solver.min_spanner_brute(g, s).size
 
 
-@settings(derandomize=True, deadline=None, max_examples=80, database=None)
-@given(_hub_graphs(), st.sampled_from([STRICT, NONSTRICT]), st.data())
-def test_flow_agrees_with_brute_on_hub_graphs(g, s, data):
+def _draw_requirement(g, data):
+    """All pairs, or two distinct sources drawn from ``data``."""
     if data.draw(st.booleans(), label="two_source"):
         pair = st.lists(st.integers(0, g.vertex_count - 1), min_size=2, max_size=2, unique=True)
-        req = TwoSource(*data.draw(pair, label="sources"))
-    else:
-        req = ALL_PAIRS
+        return TwoSource(*data.draw(pair, label="sources"))
+    return ALL_PAIRS
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(_hub_graphs(), st.sampled_from([STRICT, NONSTRICT]), st.data())
+def test_bounds_enclose_the_optimum_on_hub_graphs(g, s, data):
+    req = _draw_requirement(g, data)
+    forced = solver.forced_edges(g, s, req)
+    removable = [i for i in range(g.m) if i not in forced]
+    oracle = solver._SubsetOracle(g, s, req)
     opt = solver.min_spanner_brute(g, s, req).size
-    res = solver.min_spanner_exact(g, s, requirement=req, engine="flow")
+    assert len(forced) <= opt
+    assert solver._gossip_bound(g, s, req) <= opt
+    assert solver._block_bound(oracle, removable) <= opt
+    # Goal 0 is never met, so every restart runs.
+    best = solver._greedy_restarts(oracle, removable, 0)
+    assert opt <= len(best)
+    assert solver.requirement_holds(g, s, req, kept=best)
+
+
+@pytest.mark.parametrize("engine", ["flow", "bnb", "auto"])
+@settings(derandomize=True, deadline=None, max_examples=80, database=None)
+@given(g=_hub_graphs(), s=st.sampled_from([STRICT, NONSTRICT]), data=st.data())
+def test_engines_agree_with_brute_on_hub_graphs(engine, g, s, data):
+    req = _draw_requirement(g, data)
+    opt = solver.min_spanner_brute(g, s, req).size
+    res = solver.min_spanner_exact(g, s, requirement=req, engine=engine)
     assert res.size == opt and res.optimal
     assert solver.requirement_holds(g, s, req, kept=res.spanner.kept)
-    yes = solver.min_spanner_exact(g, s, budget=opt, requirement=req, engine="flow")
+    yes = solver.min_spanner_exact(g, s, budget=opt, requirement=req, engine=engine)
     assert yes.within_budget is True and yes.size <= opt
     assert solver.requirement_holds(g, s, req, kept=yes.spanner.kept)
-    no = solver.min_spanner_exact(g, s, budget=opt - 1, requirement=req, engine="flow")
+    no = solver.min_spanner_exact(g, s, budget=opt - 1, requirement=req, engine=engine)
     assert no.within_budget is False
-    # The lower bound often answers budget opt - 1 alone; the model must too.
+    # The lower bounds often answer budget opt - 1 alone; the exhausted
+    # search must too.
     forced = solver.forced_edges(g, s, req)
-    assert solver._exact_by_flow(g, s, req, forced, budget=opt - 1) is None
+    if engine == "flow":
+        assert solver._exact_by_flow(g, s, req, forced, budget=opt - 1) is None
+    else:
+        oracle = solver._SubsetOracle(g, s, req)
+        removable = [i for i in range(g.m) if i not in forced]
+        blocks = solver._conflict_blocks(g, oracle, removable)
+        order = sorted(removable, key=lambda i: (blocks[0][i], i))
+        target = g.m - (opt - 1)
+        assert len(solver._bnb_max_removal(oracle, order, target, blocks)) < target
 
 
 def test_gossip_bound_is_zero_where_it_does_not_apply():
@@ -333,37 +364,75 @@ def milp_calls(monkeypatch):
     return statuses
 
 
+# Multi-label graphs, as (seed, n_range) of ``_multilabel_graph``, whose
+# restart incumbent no bound settles: between them the MILP confirms it
+# ("cutoff") and beats it ("beaten") in every mode.
+_UNSETTLED = [(1, (5, 7)), (14, (5, 7)), (174, (5, 7)), (236, (5, 7)), (336, (5, 7)), (1100, (6, 8))]
+
+
 @pytest.mark.parametrize("two_source", [False, True], ids=["all-pairs", "two-source"])
 @pytest.mark.parametrize("s", [STRICT, NONSTRICT], ids=["strict", "nonstrict"])
 def test_flow_takes_each_path_around_the_greedy_incumbent(milp_calls, two_source, s):
+    instances = _instances("happy", s, two_source, 8) + _instances("multilabel", s, two_source, 8)
+    for seed, n_range in _UNSETTLED:
+        g = _multilabel_graph(seed, n_range)
+        req = TwoSource(0, g.vertex_count - 1) if two_source else ALL_PAIRS
+        if solver.requirement_holds(g, s, req):
+            instances.append((g, req))
     paths = set()
-    for kind in ("happy", "multilabel"):
-        for g, req in _instances(kind, s, two_source, 8):
-            forced = solver.forced_edges(g, s, req)
-            removable = [i for i in range(g.m) if i not in forced]
-            greedy = solver._greedy_local_min(solver._SubsetOracle(g, s, req), removable)
-            lower = max(len(forced), solver._gossip_bound(g, s, req))
-            opt = solver.min_spanner_brute(g, s, req).size
-            milp_calls.clear()
-            res = solver.min_spanner_exact(g, s, requirement=req, engine="flow")
-            assert res.size == opt and res.optimal
-            assert solver.requirement_holds(g, s, req, kept=res.spanner.kept)
-            if len(greedy) <= lower:
-                # The greedy set meets the bound: no model is built.
-                paths.add("greedy")
-                assert milp_calls == [] and res.spanner.kept == greedy
-            elif len(greedy) == opt:
-                # The MILP at cutoff |greedy| - 1 is infeasible: greedy is optimal.
-                paths.add("cutoff")
-                assert milp_calls == [2] and res.spanner.kept == greedy
-            else:
-                paths.add("beaten")
-                assert milp_calls == [0] and res.size < len(greedy)
-            # Decision mode: a budget the greedy set meets needs no model.
-            milp_calls.clear()
-            yes = solver.min_spanner_exact(g, s, budget=len(greedy), requirement=req, engine="flow")
-            assert milp_calls == [] and yes.spanner.kept == greedy and yes.within_budget
-    assert paths == {"greedy", "cutoff", "beaten"}
+    for g, req in instances:
+        forced = solver.forced_edges(g, s, req)
+        removable = [i for i in range(g.m) if i not in forced]
+        oracle = solver._SubsetOracle(g, s, req)
+        lower = max(len(forced), solver._gossip_bound(g, s, req))
+        best = solver._greedy_restarts(oracle, removable, lower)
+        opt = solver.min_spanner_brute(g, s, req).size
+        milp_calls.clear()
+        res = solver.min_spanner_exact(g, s, requirement=req, engine="flow")
+        assert res.size == opt and res.optimal
+        assert solver.requirement_holds(g, s, req, kept=res.spanner.kept)
+        if len(best) <= lower:
+            # The first greedy pass or a restart meets the bound: no model.
+            paths.add("incumbent")
+            assert milp_calls == [] and res.spanner.kept == best
+        elif len(best) <= solver._block_bound(oracle, removable):
+            paths.add("bound")
+            assert milp_calls == [] and res.spanner.kept == best
+        elif len(best) == opt:
+            # The MILP at cutoff |best| - 1 is infeasible: best is optimal.
+            paths.add("cutoff")
+            assert milp_calls == [2] and res.spanner.kept == best
+        else:
+            paths.add("beaten")
+            assert milp_calls == [0] and res.size < len(best)
+        # Decision mode: restarts stop on the first spanner within the budget.
+        milp_calls.clear()
+        yes = solver.min_spanner_exact(g, s, budget=len(best), requirement=req, engine="flow")
+        assert milp_calls == [] and yes.within_budget
+        assert yes.spanner.kept == solver._greedy_restarts(oracle, removable, len(best))
+        # A budget below a lower bound is answered with no model.
+        milp_calls.clear()
+        budget = max(lower, solver._block_bound(oracle, removable)) - 1
+        no = solver.min_spanner_exact(g, s, budget=budget, requirement=req, engine="flow")
+        assert milp_calls == [] and no.within_budget is False
+    assert paths == {"incumbent", "bound", "cutoff", "beaten"}
+
+
+def test_restarts_run_only_until_the_goal(monkeypatch):
+    # The index order keeps 13 edges; a restart finds 12 = 2n - 4.
+    g = generate.random_happy_tc_with_cover(8, 3, 1)
+    oracle = solver._SubsetOracle(g, STRICT, ALL_PAIRS)
+    order = list(range(g.m))
+    passes = []
+    real = solver._greedy_local_min
+    monkeypatch.setattr(solver, "_greedy_local_min", lambda *a: passes.append(1) or real(*a))
+    sizes = {}
+    for goal in (13, 12, 0):
+        passes.clear()
+        sizes[goal] = (len(solver._greedy_restarts(oracle, order, goal)), len(passes))
+    assert sizes[13] == (13, 1)
+    assert sizes[12][0] == 12 and 1 < sizes[12][1] < 1 + solver._RESTARTS
+    assert sizes[0] == (12, 1 + solver._RESTARTS)
 
 
 @pytest.mark.parametrize("engine", ["bnb", "flow"])
@@ -659,13 +728,54 @@ def test_xp_spanner_at_the_gossip_bound_is_optimal():
     for budget, within in ((None, None), (9, True), (8, True), (7, False)):
         res = solver.min_spanner_xp_vc(g, budget=budget)
         assert res.size == 8 and res.optimal and res.within_budget is within
-    # Greedy keeps 13 edges; the search stops on a spanner of 2n - 4 = 12,
-    # which is optimal even when it also ends a decision search.
+    # The index-order greedy keeps 13 edges and a restart finds 2n - 4 = 12,
+    # optimal even when it also decides a budget.  Budget 13 is met by the
+    # first pass, whose spanner no bound proves optimal.
     g = generate.random_happy_tc_with_cover(8, 3, 1)
     assert len(_strict_greedy(g)) == 13
-    for budget, within in ((None, None), (13, True), (12, True), (11, False)):
+    for budget, size, within in ((None, 12, None), (13, 13, True), (12, 12, True), (11, 12, False)):
         res = solver.min_spanner_xp_vc(g, budget=budget)
-        assert res.size == 12 and res.optimal and res.within_budget is within
+        assert res.size == size and res.optimal is (size == 12)
+        assert res.within_budget is within
+        assert solver.requirement_holds(g, STRICT, ALL_PAIRS, res.spanner.kept)
+
+
+def test_xp_block_bound_settles_without_a_search(monkeypatch):
+    # No greedy pass keeps fewer than 17 edges, above 2n - 4 = 16, and the search
+    # took 20 s to prove 17 optimal.  The block bound is 17.
+    g = generate.random_happy_tc_with_cover(10, 3, 23)
+
+    def no_search(*args):
+        raise AssertionError("the bounds settle this graph")
+
+    monkeypatch.setattr(solver, "_xp_search", no_search)
+    # Budget 17 is met by the first greedy pass, before the bound is known.
+    for budget, optimal, within in ((None, True, None), (17, False, True), (16, True, False)):
+        res = solver.min_spanner_xp_vc(g, budget=budget)
+        assert res.size == 17 and res.optimal is optimal and res.within_budget is within
+
+
+def test_xp_search_matches_exact():
+    # The restarts and the block bound settle most XP calls on these graphs
+    # before any search, so the search is run directly, from the whole edge
+    # set.
+    graphs = small_corpus(30)
+    graphs += [generate.random_happy_tc_with_cover(*a) for a in ((8, 3, 1), (9, 3, 0), (8, 4, 0), (9, 4, 0))]
+    searched = 0
+    for g in graphs:
+        opt = solver.min_spanner_exact(g).size
+        floor = solver._gossip_bound(g, STRICT, ALL_PAIRS)
+        everything = frozenset(range(g.m))
+        for budget in (None, opt, opt - 1):
+            kept, completed = solver._xp_search(g, budget, floor, everything)
+            assert len(kept) == opt
+            assert reach.is_tc(g, STRICT, kept)
+            # It ends early exactly on a spanner smaller than the one it
+            # started from and within max(floor, budget).
+            stop = floor if budget is None else max(floor, budget)
+            assert completed is not (opt < g.m and opt <= stop)
+        searched += opt > floor
+    assert searched >= 5  # the full search runs, not only the stop at the floor
 
 
 @pytest.mark.parametrize("n, d, seed", [(8, 3, 1), (9, 3, 0), (8, 4, 0), (9, 4, 0)])

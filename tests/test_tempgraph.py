@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tempspan import reach
+from tempspan import generate, reach, solver
 from tempspan import tempgraph as tg
 
 
@@ -299,6 +299,19 @@ def test_edges_built_only_when_read():
     )
     assert g.edges == want
     assert "edges" in vars(g)
+    # Solving reads the columns only.  The MILP and the combination search
+    # are also called directly, since the bounds may settle a solve before
+    # either runs.
+    g = generate.random_happy_tc(7, 23, 0.7)
+    for engine in ("bnb", "flow"):
+        solver.min_spanner_exact(g, engine=engine)
+    res = solver.min_spanner_xp_vc(g)
+    solver._exact_by_flow(g, reach.STRICT, solver.ALL_PAIRS, solver.forced_edges(g), res.size)
+    solver._xp_search(g, None, 0, frozenset(range(g.m)))
+    cover = solver.min_vertex_cover(tg.underlying_graph(g), g.vertex_count)
+    for tree in solver.vc_tree_decompose(res.spanner, cover).trees:
+        assert reach.verify_out_tree(g, tree.tree_edges, tree.root)
+    assert "edges" not in vars(g)
 
 
 def test_spanner_formats():
