@@ -385,6 +385,7 @@ def test_flow_takes_each_path_around_the_greedy_incumbent(milp_calls, two_source
         removable = [i for i in range(g.m) if i not in forced]
         oracle = solver._SubsetOracle(g, s, req)
         lower = max(len(forced), solver._gossip_bound(g, s, req))
+        block = solver._block_bound(oracle, removable)
         best = solver._greedy_restarts(oracle, removable, lower)
         opt = solver.min_spanner_brute(g, s, req).size
         milp_calls.clear()
@@ -395,7 +396,7 @@ def test_flow_takes_each_path_around_the_greedy_incumbent(milp_calls, two_source
             # The first greedy pass or a restart meets the bound: no model.
             paths.add("incumbent")
             assert milp_calls == [] and res.spanner.kept == best
-        elif len(best) <= solver._block_bound(oracle, removable):
+        elif len(best) <= block:
             paths.add("bound")
             assert milp_calls == [] and res.spanner.kept == best
         elif len(best) == opt:
@@ -412,8 +413,7 @@ def test_flow_takes_each_path_around_the_greedy_incumbent(milp_calls, two_source
         assert yes.spanner.kept == solver._greedy_restarts(oracle, removable, len(best))
         # A budget below a lower bound is answered with no model.
         milp_calls.clear()
-        budget = max(lower, solver._block_bound(oracle, removable)) - 1
-        no = solver.min_spanner_exact(g, s, budget=budget, requirement=req, engine="flow")
+        no = solver.min_spanner_exact(g, s, budget=max(lower, block) - 1, requirement=req, engine="flow")
         assert milp_calls == [] and no.within_budget is False
     assert paths == {"incumbent", "bound", "cutoff", "beaten"}
 
