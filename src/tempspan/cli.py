@@ -52,12 +52,9 @@ def _strictness(args) -> Strictness:
     return NONSTRICT if args.nonstrict else STRICT
 
 
-def _requirement(args, g: TemporalGraph) -> AllPairs | TwoSource:
+def _requirement(args) -> AllPairs | TwoSource:
     if getattr(args, "two_source", None) is not None:
-        s1, s2 = args.two_source
-        if not (0 <= s1 < g.vertex_count and 0 <= s2 < g.vertex_count):
-            raise _UsageError("two-source vertices out of range")
-        return TwoSource(s1, s2)
+        return TwoSource(*args.two_source)
     return ALL_PAIRS
 
 
@@ -106,7 +103,7 @@ def _write_spanner(args, spanner: Spanner) -> str | None:
 def _cmd_solve(args) -> int:
     g, info = _read_graph(args.file)
     s = _strictness(args)
-    requirement = _requirement(args, g)
+    requirement = _requirement(args)
     started = time.monotonic()
     if args.method == "xp-vc":
         if isinstance(requirement, TwoSource):
@@ -141,7 +138,7 @@ def _cmd_verify(args) -> int:
         span_data = fh.read()
     spanner = tempgraph.parse_spanner(span_data.decode(), g)
     s = _strictness(args)
-    requirement = _requirement(args, g)
+    requirement = _requirement(args)
     holds = solver.requirement_holds(g, s, requirement, kept=spanner.kept)
     name = (
         f"two-source({requirement.s1},{requirement.s2})"

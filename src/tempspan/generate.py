@@ -70,12 +70,12 @@ def random_happy_tc_with_cover(
     n: int,
     cover_size: int,
     seed: int,
-    cover_edge_prob: float = 0.5,
-    max_attach: int | None = None,
     max_tries: int = 400,
 ) -> TemporalGraph:
     """A happy TC graph whose underlying graph has vertex cover number at most
-    ``cover_size``: vertices ``0..cover_size-1`` cover every edge by construction."""
+    ``cover_size``: vertices ``0..cover_size-1`` cover every edge by construction.
+    Cover pairs are joined with probability 1/2; every other vertex joins 1 to
+    ``cover_size`` cover vertices."""
     if not (1 <= cover_size < n):
         raise ValueError("need 1 <= cover_size < n")
     rng = random.Random(seed)
@@ -85,11 +85,10 @@ def random_happy_tc_with_cover(
             (a, b)
             for a in cover
             for b in cover
-            if a < b and rng.random() < cover_edge_prob
+            if a < b and rng.random() < 0.5
         ]
         for v in range(cover_size, n):
-            width = rng.randint(1, max_attach or cover_size)
-            for x in sorted(rng.sample(cover, min(width, cover_size))):
+            for x in sorted(rng.sample(cover, rng.randint(1, cover_size))):
                 pairs.append((x, v))
         if not _connected(n, pairs):
             continue

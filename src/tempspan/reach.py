@@ -61,12 +61,6 @@ class ArrivalProfile:
     start: int
     arrival: tuple[int | None, ...]
 
-    def reaches_all(self) -> bool:
-        return all(a is not None for a in self.arrival)
-
-    def reached(self) -> set[int]:
-        return {v for v, a in enumerate(self.arrival) if a is not None}
-
 
 @dataclass(frozen=True)
 class TemporalOutTree:

@@ -494,30 +494,19 @@ def mcc_to_spanner_instance(inst: MccInstance) -> MccReductionOutput:
     gadgets: list[GadgetInfo] = []
     cycle_of: dict[tuple[int, int], list[int]] = {}
     for i, j in combinations(range(k), 2):
-        s = len(by_pair[(i, j)])
-        cycle = []
-        for ell in range(s):
-            cycle.append(new_vertex(f"sel({i},{j}).v[{ell},{i}]"))
-            cycle.append(new_vertex(f"sel({i},{j}).v[{ell},{j}]"))
-            cycle.append(new_vertex(f"sel({i},{j}).u[{ell}]"))
+        # The standalone gadget, its vertex v mapped to cycle[v].
+        gadget = edge_selection_gadget(i, j, len(by_pair[(i, j)]), m, k, n)
+        cycle = [new_vertex(f"sel({i},{j}).{role}") for role in gadget.roles]
         cycle_of[(i, j)] = cycle
-        low_top = 3 * s // 2 + 4
-        high_start = c0 + 4 * k * n + 5
-        labels = list(range(5, low_top + 1)) + list(
-            range(high_start, high_start + 3 * s // 2)
-        )
-        size = 3 * s
-        for pos in range(size):
-            a, b = cycle[pos], cycle[(pos + 1) % size]
-            for t in labels:
-                add(a, b, t, f"selection({i},{j})")
+        for a, b, t in zip(gadget.graph.us, gadget.graph.vs, gadget.graph.ts):
+            add(cycle[a], cycle[b], t, f"selection({i},{j})")
         gadgets.append(
             GadgetInfo(
                 colors=(i, j),
-                edge_count=s,
+                edge_count=gadget.edge_count,
                 cycle_vertices=tuple(cycle),
-                low_top=low_top,
-                high_start=high_start,
+                low_top=gadget.low_labels[1],
+                high_start=gadget.high_labels[0],
             )
         )
 

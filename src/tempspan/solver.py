@@ -15,12 +15,9 @@ Contents:
   on proper graphs.  It is not used for the two-source requirement or for
   non-strict paths on graphs that are not proper, where it fails.  Branch
   and bound in optimise mode stops as soon as its incumbent meets it,
-* bounds on both sides before the flow MILP and the XP search: an
-  incumbent from greedy local minima over the index order and up to
-  ``_RESTARTS`` seeded shuffles of it (:func:`_greedy_restarts`), and the
-  conflict-block lower bound m - sum of the block caps
-  (:func:`_block_bound`).  An incumbent that meets the lower bound, or a
-  budget below it, settles the answer with no search,
+* bounds on both sides before the flow MILP and the XP search, in one
+  driver (:func:`_settle_then_search`): a greedy incumbent and a raised
+  lower bound settle the answer with no search where they can,
 * an XP algorithm for happy graphs parameterized by the vertex cover number
   of the underlying graph: per cover root, enumerate every temporal out-tree
   directly in label order, combine one per root, select at most one extra
@@ -36,7 +33,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import reach
 from .reach import NONSTRICT, STRICT, Strictness, TemporalOutTree
@@ -232,6 +229,14 @@ class SolveResult:
     optimal: bool
     within_budget: bool | None
     method: str
+
+
+def _result(
+    g: TemporalGraph, kept: frozenset[int], optimal: bool, budget: int | None, method: str
+) -> SolveResult:
+    """The result for the kept edge set; ``size`` and ``within_budget`` follow from it."""
+    within = None if budget is None else len(kept) <= budget
+    return SolveResult(Spanner(g, kept), len(kept), optimal, within, method)
 
 
 def _bnb_max_removal(
@@ -461,6 +466,36 @@ def _block_bound(oracle: _SubsetOracle, removable: list[int]) -> int:
     return oracle.g.m - sum(_conflict_blocks(oracle.g, oracle, removable)[1])
 
 
+def _settle_then_search(
+    oracle: _SubsetOracle, order: list[int], lower: int, budget: int | None,
+    bound: Callable[[], int], search: Callable[[frozenset[int], int], tuple[frozenset[int], bool]],
+) -> tuple[frozenset[int], bool]:
+    """Bound the answer on both sides; search only if it is still open.
+
+    Returns the kept edge set and whether it is proven minimum.  Every
+    spanner keeps at least ``lower`` edges.  The goal is ``lower`` when
+    optimising, else the budget or ``lower`` if larger.  Each step runs only
+    if the ones before leave the answer open:
+
+    1. Greedy: drop the edges of ``order`` in turn while the requirement
+       holds.  A spanner within the goal is the answer.
+    2. Restarts: the same over up to ``_RESTARTS`` seeded shuffles of
+       ``order`` (:func:`_greedy_restarts`), stopping once one meets the goal.
+    3. Bound: raise ``lower`` to ``bound()``.  An incumbent at it is optimal;
+       a budget below it is answered "no" with the incumbent.
+    4. Search: ``search(incumbent, lower)`` returns a spanner no larger than
+       the incumbent and whether it proved that spanner minimum.
+    """
+    goal = lower if budget is None else max(lower, budget)
+    kept = _greedy_restarts(oracle, order, goal)
+    proven = False
+    if len(kept) > goal:
+        lower = max(lower, bound())
+        if len(kept) > lower and (budget is None or budget >= lower):
+            kept, proven = search(kept, lower)
+    return kept, proven or len(kept) <= lower
+
+
 def _exact_by_flow(
     g: TemporalGraph,
     s: Strictness,
@@ -677,13 +712,7 @@ def min_spanner_brute(
             best_mask = mask
             best_count = count
     kept = frozenset(range(g.m)) - {removable[j] for j in range(r) if (best_mask >> j) & 1}
-    return SolveResult(
-        spanner=Spanner(g, kept),
-        size=len(kept),
-        optimal=True,
-        within_budget=None,
-        method="exact-brute",
-    )
+    return _result(g, kept, True, None, "exact-brute")
 
 
 def min_spanner_exact(
@@ -708,25 +737,17 @@ def min_spanner_exact(
     gossip bound 2n - 4 where it applies (all-pairs on n >= 4 vertices, with
     strict paths or on a proper graph; see :func:`_gossip_bound`).  Branch
     and bound in optimise mode stops once its incumbent keeps ``lower``
-    edges.  The flow engine works in four steps, each run only if the
-    previous ones leave the answer open.  The goal is ``lower`` when
-    optimising and ``budget`` in decision mode.
-
-    1. Greedy: drop removable edges in index order while the requirement
-       holds.  A spanner within the goal is the answer.
-    2. Restarts: the same over up to ``_RESTARTS`` seeded shuffles of that
-       order (:func:`_greedy_restarts`), stopping once one meets the goal.
-    3. Block bound: raise ``lower`` to m - sum of the conflict-block caps
-       (:func:`_block_bound`).  A budget below it is answered "no"; an
-       incumbent at it is optimal.
-    4. Search: one MILP asks for a spanner of at most ``budget`` edges, or
-       of one edge fewer than the incumbent when optimising; its
-       infeasibility proves that no spanner fits the budget, or that the
-       incumbent is optimal.
+    edges.  The flow engine runs :func:`_settle_then_search` over the
+    removable edges in index order, with the conflict-block bound
+    (:func:`_block_bound`) and, as the search, one MILP that asks for a
+    spanner of at most ``budget`` edges, or of one edge fewer than the
+    incumbent when optimising.  Its infeasibility proves that no spanner
+    fits the budget, or that the incumbent is optimal.  A "no" answer
+    reached after the greedy returns the incumbent.
 
     ``cap`` applies only when a search may be needed: with no removable
     edge, or a budget below the forced and gossip bound, the answer is
-    returned whatever the instance size.
+    returned whatever the instance size, and a "no" keeps every edge.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
@@ -747,20 +768,18 @@ def min_spanner_exact(
         raise InstanceTooLarge(f"{len(removable)} removable edges exceed cap {cap}")
     elif engine == "flow":
         oracle = _SubsetOracle(g, s, requirement)
-        goal = lower if budget is None else budget
-        best = _greedy_restarts(oracle, removable, goal)
-        if len(best) > goal:
-            lower = max(lower, _block_bound(oracle, removable))
-        if budget is not None and budget < lower:
-            kept = all_edges
-        elif len(best) <= max(goal, lower):  # within the budget, or optimal
-            kept = best
-        else:
-            # Here the budget, if any, is below the incumbent's size.
+
+        def search(best: frozenset[int], lower: int) -> tuple[frozenset[int], bool]:
+            # The budget, if any, is below the incumbent's size.
             cutoff = len(best) - 1 if budget is None else budget
-            kept = _exact_by_flow(g, s, requirement, forced, cutoff)
-            if kept is None:  # proven: no spanner keeps at most ``cutoff`` edges
-                kept = best if budget is None else all_edges
+            found = _exact_by_flow(g, s, requirement, forced, cutoff)
+            if found is None:  # proven: no spanner keeps at most ``cutoff`` edges
+                return best, budget is None
+            return found, True
+
+        kept, _ = _settle_then_search(
+            oracle, removable, lower, budget, lambda: _block_bound(oracle, removable), search
+        )
     else:
         target = None if budget is None else g.m - budget
         oracle = _SubsetOracle(g, s, requirement)
@@ -769,13 +788,7 @@ def min_spanner_exact(
         stop_at = g.m - lower if budget is None else None
         removal = _bnb_max_removal(oracle, order, target, blocks, stop_at)
         kept = all_edges - frozenset(removal)
-    return SolveResult(
-        spanner=Spanner(g, kept),
-        size=len(kept),
-        optimal=budget is None,
-        within_budget=None if budget is None else len(kept) <= budget,
-        method=f"exact-{engine}",
-    )
+    return _result(g, kept, budget is None, budget, f"exact-{engine}")
 
 
 # ---------------------------------------------------------------------------
@@ -1011,20 +1024,12 @@ def min_spanner_xp_vc(g: TemporalGraph, budget: int | None = None) -> SolveResul
     every cover vertex, and its non-cover vertices are either inner nodes
     between two cover vertices (placeholders) or leaves under one.
 
-    Before any cover or tree search, the answer is bounded on both sides,
-    as in the flow engine of :func:`min_spanner_exact`.  The goal is the
-    gossip bound 2n - 4 (see :func:`_gossip_bound`; a happy graph on n >= 4
-    vertices has no smaller spanner), or the budget if that is larger.
-
-    1. Greedy: a local minimum over the index order; one within the goal is
-       returned.
-    2. Restarts: up to ``_RESTARTS`` seeded shuffles, stopping once one
-       meets the goal (:func:`_greedy_restarts`).
-    3. Block bound: the floor rises to m - sum of the conflict-block caps
-       (:func:`_block_bound`).  An incumbent at the floor is optimal, and a
-       budget below it is answered "no".
-    4. Search: the combination search starts from the incumbent and ends
-       the moment it finds a spanner at the floor, or within the budget.
+    The cover and tree search runs inside :func:`_settle_then_search`, over
+    every edge in index order, from the gossip bound 2n - 4 (see
+    :func:`_gossip_bound`; a happy graph on n >= 4 vertices has no smaller
+    spanner) raised by the conflict-block bound (:func:`_block_bound`).  It
+    starts from the incumbent and ends the moment it finds a spanner at the
+    lower bound, or within the budget.
 
     ``optimal`` is True only if the search ran to the end or the returned
     spanner is at a lower bound.
@@ -1034,25 +1039,16 @@ def min_spanner_xp_vc(g: TemporalGraph, budget: int | None = None) -> SolveResul
     if not reach.is_tc(g, STRICT):
         raise NotTemporallyConnected("input graph is not temporally connected")
     oracle = _SubsetOracle(g, STRICT, ALL_PAIRS)
-    floor = _gossip_bound(g, STRICT, ALL_PAIRS)
-    goal = floor if budget is None else max(floor, budget)
-    best_kept = _greedy_restarts(oracle, list(range(g.m)), goal)
-    completed = False  # whether a combination search ran to the end
-    if len(best_kept) > goal:
+
+    def bound() -> int:
         forced = forced_edges(g)
-        removable = [i for i in range(g.m) if i not in forced]
-        floor = max(floor, _block_bound(oracle, removable))
-        # A budget below the floor is answered "no" with no search.
-        if len(best_kept) > floor and (budget is None or budget >= floor):
-            best_kept, completed = _xp_search(g, budget, floor, best_kept)
-    size = len(best_kept)
-    return SolveResult(
-        spanner=Spanner(g, best_kept),
-        size=size,
-        optimal=completed or size <= floor,
-        within_budget=None if budget is None else size <= budget,
-        method="xp-vc",
+        return _block_bound(oracle, [i for i in range(g.m) if i not in forced])
+
+    kept, optimal = _settle_then_search(
+        oracle, list(range(g.m)), _gossip_bound(g, STRICT, ALL_PAIRS), budget, bound,
+        lambda best, floor: _xp_search(g, budget, floor, best),
     )
+    return _result(g, kept, optimal, budget, "xp-vc")
 
 
 # ---------------------------------------------------------------------------

@@ -103,10 +103,6 @@ class TemporalGraph:
     ts: tuple[int, ...]
 
     @property
-    def n(self) -> int:
-        return self.vertex_count
-
-    @property
     def m(self) -> int:
         return len(self.ts)
 
@@ -116,21 +112,17 @@ class TemporalGraph:
         return tuple(map(TimeEdge, self.us, self.vs, self.ts))
 
     @cached_property
-    def label_order(self) -> tuple[int, ...]:
-        """Edge indices sorted by (label, index); the chronological scan order."""
-        # sorted() is stable, so equal labels keep ascending index order.
-        return tuple(sorted(range(self.m), key=self.ts.__getitem__))
-
-    @cached_property
     def label_groups(self) -> tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]:
         """``(label, ((edge index, u, v), ...))`` per distinct label, in scan order.
 
         The one table every reachability sweep reads; built on first use.
+        Edges are scanned by (label, index).
         """
         us, vs, ts = self.us, self.vs, self.ts
         groups: list[tuple[int, tuple[tuple[int, int, int], ...]]] = []
         label, rows = 0, []  # no edge carries label 0
-        for i in self.label_order:
+        # sorted() is stable, so equal labels keep ascending index order.
+        for i in sorted(range(self.m), key=ts.__getitem__):
             if ts[i] != label:
                 if rows:
                     groups.append((label, tuple(rows)))

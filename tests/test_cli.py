@@ -269,6 +269,19 @@ def test_usage_errors_exit_three(capsys, tmp_path):
     assert "invalid choice: 'cuts'" in err
 
 
+def test_two_source_out_of_range_exits_three(capsys, tmp_path):
+    # The solver's own range check raises ValueError, a usage error.
+    g = tg.build(3, [(0, 1, 1), (1, 2, 2), (0, 2, 3)])
+    path = tmp_path / "t.tg"
+    path.write_text(tg.serialize(g))
+    span = tmp_path / "t.spanner"
+    span.write_text("0\n1\n")
+    code, _, err = run(capsys, "solve", "--two-source", 0, 99, path)
+    assert code == 3 and "source 99 out of range" in err
+    code, _, err = run(capsys, "verify", path, span, "--two-source", 0, 99)
+    assert code == 3 and "source 99 out of range" in err
+
+
 def test_verify_two_source_flag(capsys, tmp_path):
     g = tg.build(3, [(0, 1, 1), (1, 2, 2), (0, 2, 3)])
     path = tmp_path / "t.tg"

@@ -344,6 +344,26 @@ def test_mcc_construction_shape():
         assert len(info.cycle_vertices) % 3 == 0
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_mcc_gadgets_are_the_standalone_gadget(k):
+    # Each selection gadget is edge_selection_gadget with its vertex v
+    # renamed to cycle_vertices[v]: same edges in the same order, same roles.
+    out = red.mcc_to_spanner_instance(complete_mcc(k))
+    g = out.graph
+    max_count = max(info.edge_count for info in out.gadgets)
+    for info in out.gadgets:
+        i, j = info.colors
+        gad = red.edge_selection_gadget(i, j, info.edge_count, max_count, k, 2)
+        cyc = info.cycle_vertices
+        want = [(cyc[u], cyc[v], t) for u, v, t in zip(gad.graph.us, gad.graph.vs, gad.graph.ts)]
+        got = [
+            (g.us[e], g.vs[e], g.ts[e]) for e in range(g.m) if out.gadget_map[e] == f"selection({i},{j})"
+        ]
+        assert got == want
+        assert [out.roles[x] for x in cyc] == [f"sel({i},{j}).{role}" for role in gad.roles]
+        assert (info.low_top, info.high_start) == (gad.low_labels[1], gad.high_labels[0])
+
+
 def _is_forest(n, pairs):
     parent = list(range(n))
 

@@ -379,7 +379,7 @@ def test_flow_takes_each_path_around_the_greedy_incumbent(milp_calls, two_source
         req = TwoSource(0, g.vertex_count - 1) if two_source else ALL_PAIRS
         if solver.requirement_holds(g, s, req):
             instances.append((g, req))
-    paths = set()
+    paths, nos = set(), set()
     for g, req in instances:
         forced = solver.forced_edges(g, s, req)
         removable = [i for i in range(g.m) if i not in forced]
@@ -411,11 +411,46 @@ def test_flow_takes_each_path_around_the_greedy_incumbent(milp_calls, two_source
         yes = solver.min_spanner_exact(g, s, budget=len(best), requirement=req, engine="flow")
         assert milp_calls == [] and yes.within_budget
         assert yes.spanner.kept == solver._greedy_restarts(oracle, removable, len(best))
-        # A budget below a lower bound is answered with no model.
+        # A budget below a lower bound is answered with no model.  Below the
+        # block bound the "no" carries the incumbent; below |forced| and the
+        # gossip bound the greedy does not run and every edge is kept.
         milp_calls.clear()
         no = solver.min_spanner_exact(g, s, budget=max(lower, block) - 1, requirement=req, engine="flow")
-        assert milp_calls == [] and no.within_budget is False
+        assert milp_calls == [] and no.within_budget is False and not no.optimal
+        if block > lower:
+            nos.add("block")
+            assert no.spanner.kept == solver._greedy_restarts(oracle, removable, block - 1)
+        else:
+            nos.add("early")
+            assert no.spanner.kept == frozenset(range(g.m))
+        if len(best) == opt > max(lower, block):
+            # The MILP refuses budget opt - 1: the "no" carries the incumbent.
+            milp_calls.clear()
+            no = solver.min_spanner_exact(g, s, budget=opt - 1, requirement=req, engine="flow")
+            assert milp_calls == [2] and no.within_budget is False and not no.optimal
+            assert no.spanner.kept == best
+            nos.add("milp")
     assert paths == {"incumbent", "bound", "cutoff", "beaten"}
+    assert nos == {"block", "early", "milp"}
+
+
+def test_flow_no_answer_after_the_greedy_carries_the_incumbent(milp_calls):
+    # PHI_UNSAT's graph: 26 forced edges, gossip bound 32, block bound 37,
+    # and no greedy pass below 38, the optimum.  The MILP refuses budget 37
+    # and the block bound budget 36; both answers keep the incumbent.
+    g = red.sat_to_spanner_instance(red.SatInstance(1, ((1, 1, 1), (-1, -1, -1)))).graph
+    forced = solver.forced_edges(g, STRICT)
+    removable = [i for i in range(g.m) if i not in forced]
+    best = solver._greedy_restarts(solver._SubsetOracle(g, STRICT, ALL_PAIRS), removable, 32)
+    assert len(forced) == 26 and len(best) == 38 < g.m
+    for budget, calls in ((37, [2]), (36, [])):
+        milp_calls.clear()
+        res = solver.min_spanner_exact(g, budget=budget, engine="flow")
+        assert milp_calls == calls and res.spanner.kept == best
+        assert res.size == 38 and res.within_budget is False and not res.optimal
+    # Below the gossip bound the greedy does not run: every edge is kept.
+    res = solver.min_spanner_exact(g, budget=31, engine="flow")
+    assert res.spanner.kept == frozenset(range(g.m)) and res.within_budget is False
 
 
 def test_restarts_run_only_until_the_goal(monkeypatch):
