@@ -8,6 +8,10 @@ Reports are deterministic given identical inputs, flags, and seeds; wall
 time is printed to stderr only.  ``--json`` replaces the human summary with
 a stable object: ``{"command": ..., "input": {"path", "sha256"} | null,
 "result": {...}}`` with no extra keys.
+
+``solve`` reports ``optimal`` true exactly when the spanner is proven
+minimum, with or without ``--k``; ``within_budget`` says whether it fits
+``--k``.
 """
 
 from __future__ import annotations
@@ -193,51 +197,35 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _write_instance(prefix: str, out, extra: dict[str, str]) -> None:
+    """Write a reduction's ``.tg``, ``.budget`` and ``.roles`` files, then
+    each ``extra`` suffix with its text."""
+    files = {
+        "tg": tempgraph.serialize(out.graph),
+        "budget": f"{out.budget}\n",
+        "roles": "".join(f"{v} {role}\n" for v, role in enumerate(out.roles)),
+        **extra,
+    }
+    for suffix, text in files.items():
+        _write_text(f"{prefix}.{suffix}", text)
+
+
 def _cmd_reduce_sat(args) -> int:
     with open(args.file, "rb") as fh:
         data = fh.read()
     phi = reductions.parse_dimacs(data.decode())
     out = reductions.sat_to_spanner_instance(phi)
-    prefix = args.out_prefix
     if args.two_source:
-        variant = reductions.sat_two_source_variant(out)
-        _write_text(f"{prefix}.tg", tempgraph.serialize(variant.graph))
-        _write_text(f"{prefix}.budget", f"{variant.budget}\n")
-        _write_text(f"{prefix}.sources", f"{variant.sources[0]} {variant.sources[1]}\n")
-        _write_text(
-            f"{prefix}.roles",
-            "".join(f"{v} {role}\n" for v, role in enumerate(variant.roles)),
-        )
-        result = {
-            "n": variant.graph.vertex_count,
-            "m": variant.graph.m,
-            "budget": variant.budget,
-            "sources": list(variant.sources),
-        }
-        human = (
-            f"n={variant.graph.vertex_count} m={variant.graph.m} "
-            f"budget={variant.budget} sources={variant.sources[0]},{variant.sources[1]}"
-        )
+        out = reductions.sat_two_source_variant(out)
+        extra = {"sources": f"{out.sources[0]} {out.sources[1]}\n"}
+        detail, human = {"sources": list(out.sources)}, f"sources={out.sources[0]},{out.sources[1]}"
     else:
-        _write_text(f"{prefix}.tg", tempgraph.serialize(out.graph))
-        _write_text(f"{prefix}.budget", f"{out.budget}\n")
-        _write_text(
-            f"{prefix}.critical", "".join(f"{i}\n" for i in sorted(out.critical))
-        )
-        _write_text(
-            f"{prefix}.roles",
-            "".join(f"{v} {role}\n" for v, role in enumerate(out.roles)),
-        )
-        result = {
-            "n": out.graph.vertex_count,
-            "m": out.graph.m,
-            "budget": out.budget,
-            "critical_count": len(out.critical),
-        }
-        human = (
-            f"n={out.graph.vertex_count} m={out.graph.m} budget={out.budget} "
-            f"critical={len(out.critical)}"
-        )
+        extra = {"critical": "".join(f"{i}\n" for i in sorted(out.critical))}
+        detail, human = {"critical_count": len(out.critical)}, f"critical={len(out.critical)}"
+    _write_instance(args.out_prefix, out, extra)
+    g = out.graph
+    result = {"n": g.vertex_count, "m": g.m, "budget": out.budget, **detail}
+    human = f"n={g.vertex_count} m={g.m} budget={out.budget} {human}"
     _report(args, "reduce-sat", _digest(args.file, data), result, human)
     return EXIT_OK
 
@@ -249,17 +237,10 @@ def _cmd_reduce_mcc(args) -> int:
     if args.pad_even:
         inst = reductions.pad_to_even(inst)
     out = reductions.mcc_to_spanner_instance(inst)
-    prefix = args.out_prefix
-    _write_text(f"{prefix}.tg", tempgraph.serialize(out.graph))
-    _write_text(f"{prefix}.budget", f"{out.budget}\n")
-    _write_text(f"{prefix}.fvs", "".join(f"{v}\n" for v in sorted(out.fvs)))
-    _write_text(
-        f"{prefix}.gadgets",
-        "".join(f"{i} {tag}\n" for i, tag in enumerate(out.gadget_map)),
-    )
-    _write_text(
-        f"{prefix}.roles", "".join(f"{v} {role}\n" for v, role in enumerate(out.roles))
-    )
+    _write_instance(args.out_prefix, out, {
+        "fvs": "".join(f"{v}\n" for v in sorted(out.fvs)),
+        "gadgets": "".join(f"{i} {tag}\n" for i, tag in enumerate(out.gadget_map)),
+    })
     result = {
         "n": out.graph.vertex_count,
         "m": out.graph.m,
@@ -314,12 +295,13 @@ def _build_parser() -> _Parser:
     _add_strictness(p)
     p.add_argument("--k", type=int, default=None, help="budget (decision mode)")
     p.add_argument("--two-source", nargs=2, type=int, metavar=("S1", "S2"))
-    p.add_argument("--cap", type=int, default=40, help="removable-edge guard")
+    p.add_argument("--cap", type=int, default=solver.DEFAULT_CAP, help="removable-edge guard")
     p.add_argument(
         "--engine",
         choices=solver.ENGINES,
         default="auto",
-        help="exact engine (auto: bnb up to 40 removable edges, else flow)",
+        help=f"exact engine (auto: bnb up to {solver.DEFAULT_CAP} removable edges, else flow,"
+        " which needs --cap raised above that)",
     )
     p.add_argument("--out", default="-", help="spanner output path ('-' = stdout)")
     p.add_argument("--triples", action="store_true", help="write 'u v t' lines instead of indices")

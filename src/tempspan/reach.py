@@ -48,11 +48,6 @@ class RootNotSpanning(Exception):
     """The requested root cannot reach every vertex."""
 
 
-# Edge relaxations performed by single-source scans; tests use the delta to
-# assert the one-pass complexity contract.
-relaxation_count = 0
-
-
 @dataclass(frozen=True)
 class ArrivalProfile:
     """Earliest arrival labels from one source, or ``None`` where unreachable."""
@@ -133,7 +128,6 @@ def _arrival_sweep(
     g: TemporalGraph, source: int, start: int, s: Strictness, removed: bytearray
 ) -> tuple[list[int | None], list[int | None]]:
     """Single-source mode: (arrival, via-edge-index) per vertex."""
-    global relaxation_count
     n = g.vertex_count
     if not 0 <= source < n:
         raise ValueError(f"source {source} out of range")
@@ -146,7 +140,6 @@ def _arrival_sweep(
     arrival = [never] * n
     via: list[int | None] = [None] * n
     arrival[source] = start - 1 + slack
-    relaxed = 0
     for t, group in g.label_groups:
         if t < start:
             continue
@@ -154,7 +147,6 @@ def _arrival_sweep(
             i, u, v = group[0]
             if removed[i]:
                 continue
-            relaxed += 1
             au, av = arrival[u], arrival[v]
             if au < t + slack and t < av:
                 arrival[v] = t
@@ -165,7 +157,6 @@ def _arrival_sweep(
             continue
         if strict:
             before = [(i, u, v, arrival[u], arrival[v]) for i, u, v in group if not removed[i]]
-            relaxed += len(before)
             for i, u, v, au, av in before:
                 if au < t and t < arrival[v]:
                     arrival[v] = t
@@ -178,14 +169,12 @@ def _arrival_sweep(
             changed = True
             while changed:
                 changed = False
-                relaxed += len(alive)
                 for i, u, v in alive:
                     for a, b in ((u, v), (v, u)):
                         if arrival[a] <= t and t < arrival[b]:
                             arrival[b] = t
                             via[b] = i
                             changed = True
-    relaxation_count += relaxed
     out = [None if a == never else a for a in arrival]
     out[source] = start
     return out, via

@@ -33,7 +33,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from . import reach
 from .reach import NONSTRICT, STRICT, Strictness, TemporalOutTree
@@ -83,6 +83,10 @@ ALL_PAIRS = AllPairs()
 # The engines that ``min_spanner_exact`` accepts.
 ENGINES = ("auto", "bnb", "flow")
 
+# The default removable-edge guard of ``min_spanner_exact``; ``auto`` runs
+# branch and bound up to it and the flow MILP beyond.
+DEFAULT_CAP = 40
+
 
 def requirement_holds(
     g: TemporalGraph,
@@ -90,7 +94,6 @@ def requirement_holds(
     requirement: AllPairs | TwoSource = ALL_PAIRS,
     kept: Iterable[int] | None = None,
 ) -> bool:
-    _check_requirement(g, requirement)
     return _SubsetOracle(g, s, requirement).feasible(reach._drop_flags(g, kept))
 
 
@@ -107,13 +110,19 @@ class _SubsetOracle:
     group j of ``label_groups`` (``cps[0]`` the start masks, ``cps[-1]`` the
     final ones).  A query whose drop flags match those of ``cps`` in every
     group before ``lo`` resumes from ``cps[lo]``.
+
+    The oracle is the one place that reads the requirement: it checks the
+    two sources' range and keeps ``sources`` sorted and without repeats.
     """
 
     def __init__(self, g: TemporalGraph, s: Strictness, requirement: AllPairs | TwoSource):
         self.g = g
         self.s = s
         if isinstance(requirement, TwoSource):
-            self.sources: Iterable[int] = (requirement.s1, requirement.s2)
+            self.sources: Sequence[int] = sorted({requirement.s1, requirement.s2})
+            for x in self.sources:
+                if not 0 <= x < g.vertex_count:
+                    raise ValueError(f"source {x} out of range")
         else:
             self.sources = range(g.vertex_count)
         need = 0
@@ -121,6 +130,15 @@ class _SubsetOracle:
             need |= 1 << x
         self.need = need
         self.start = [(1 << v) & need for v in range(g.vertex_count)]
+
+    @cached_property
+    def root(self) -> list[list[int]]:
+        """The checkpoints of the empty removal set, recorded once; raises
+        :class:`RequirementNotSatisfied` if the whole graph fails."""
+        cps = [self.start]
+        if not self.feasible(bytearray(self.g.m), record=cps):
+            raise RequirementNotSatisfied("graph does not satisfy the requirement")
+        return cps
 
     @cached_property
     def group_of(self) -> list[int]:
@@ -156,13 +174,6 @@ class _SubsetOracle:
         return [x for x in self.sources if not (good >> x) & 1]
 
 
-def _check_requirement(g: TemporalGraph, requirement: AllPairs | TwoSource) -> None:
-    if isinstance(requirement, TwoSource):
-        for x in (requirement.s1, requirement.s2):
-            if not (0 <= x < g.vertex_count):
-                raise ValueError(f"source {x} out of range")
-
-
 def forced_edges(
     g: TemporalGraph,
     s: Strictness = STRICT,
@@ -176,12 +187,9 @@ def forced_edges(
     checks the requirement (raising :class:`RequirementNotSatisfied`) and
     gives the checkpoints; each edge's query then resumes at its own group.
     """
-    _check_requirement(g, requirement)
     oracle = _SubsetOracle(g, s, requirement)
+    cps = oracle.root
     removed = bytearray(g.m)
-    cps = [oracle.start]
-    if not oracle.feasible(removed, record=cps):
-        raise RequirementNotSatisfied("graph does not satisfy the requirement")
     forced = []
     for j, (_, group) in enumerate(g.label_groups):
         for i, _, _ in group:
@@ -224,6 +232,17 @@ def _gossip_bound(
 
 @dataclass(frozen=True)
 class SolveResult:
+    """The answer of one solve.
+
+    * ``spanner``: the kept edges; they always meet the requirement.
+    * ``size``: the number of kept edges.
+    * ``optimal``: whether the solve proved that no spanner is smaller,
+      with or without a budget.
+    * ``within_budget``: whether ``size`` is at most the budget, or None
+      when no budget was given.  False is a proof that no spanner fits it.
+    * ``method``: the solver or engine that ran, such as ``exact-bnb``.
+    """
+
     spanner: Spanner
     size: int
     optimal: bool
@@ -232,11 +251,13 @@ class SolveResult:
 
 
 def _result(
-    g: TemporalGraph, kept: frozenset[int], optimal: bool, budget: int | None, method: str
+    g: TemporalGraph, kept: frozenset[int], bound: int, budget: int | None, method: str
 ) -> SolveResult:
-    """The result for the kept edge set; ``size`` and ``within_budget`` follow from it."""
-    within = None if budget is None else len(kept) <= budget
-    return SolveResult(Spanner(g, kept), len(kept), optimal, within, method)
+    """The result for the kept edge set and a proven lower ``bound`` on every
+    spanner; ``size``, ``optimal`` and ``within_budget`` follow from them."""
+    size = len(kept)
+    within = None if budget is None else size <= budget
+    return SolveResult(Spanner(g, kept), size, size <= bound, within, method)
 
 
 def _bnb_max_removal(
@@ -290,8 +311,6 @@ def _bnb_max_removal(
         low = min(low, group_of[removable[pos]])
         rest_lo[pos] = low
     removed = bytearray(oracle.g.m)
-    root = [oracle.start]  # the checkpoints of the empty removal set
-    oracle.feasible(removed, record=root)
     # The search ends once the incumbent removes ``stop`` edges.
     stop = min((x for x in (target, stop_at) if x is not None), default=k + 1)
     best: list[int] = []
@@ -351,26 +370,27 @@ def _bnb_max_removal(
         und[b] = u + 1
         headroom += by_decide
 
-    rec(0, root, False)
+    rec(0, oracle.root, False)
     return best
 
 
+# The largest conflict block that is not split further.
+_MAX_BLOCK = 12
+
+
 def _conflict_blocks(
-    g: TemporalGraph,
-    oracle: _SubsetOracle,
-    removable: list[int],
-    max_block: int = 12,
+    oracle: _SubsetOracle, removable: list[int]
 ) -> tuple[dict[int, int], list[int]]:
     """Partition removable edges into local blocks and cap each block.
 
     Blocks are connected components of the shares-an-endpoint graph on the
     removable edges, after iteratively hiding the busiest vertex of any
-    oversized component.  A block's cap is the largest feasible removal taken
-    from the block alone (everything else kept); any feasible removal meets
-    the block in at most that many edges, because subsets of feasible
-    removals stay feasible.
+    component of more than ``_MAX_BLOCK`` edges.  A block's cap is the
+    largest feasible removal taken from the block alone (everything else
+    kept); any feasible removal meets the block in at most that many edges,
+    because subsets of feasible removals stay feasible.
     """
-    us, vs = g.us, g.vs
+    us, vs = oracle.g.us, oracle.g.vs
     hubs: set[int] = set()
 
     def components() -> list[list[int]]:
@@ -398,7 +418,7 @@ def _conflict_blocks(
 
     while True:
         comps = components()
-        big = [c for c in comps if len(c) > max_block]
+        big = [c for c in comps if len(c) > _MAX_BLOCK]
         if not big:
             break
         degree: dict[int, int] = {}
@@ -463,19 +483,20 @@ def _block_bound(oracle: _SubsetOracle, removable: list[int]) -> int:
     """m - sum of the :func:`_conflict_blocks` caps: a lower bound on every
     spanner, since a feasible removal takes at most ``caps[b]`` of the
     ``removable`` edges in block b and no other edge."""
-    return oracle.g.m - sum(_conflict_blocks(oracle.g, oracle, removable)[1])
+    return oracle.g.m - sum(_conflict_blocks(oracle, removable)[1])
 
 
 def _settle_then_search(
     oracle: _SubsetOracle, order: list[int], lower: int, budget: int | None,
-    bound: Callable[[], int], search: Callable[[frozenset[int], int], tuple[frozenset[int], bool]],
-) -> tuple[frozenset[int], bool]:
+    bound: Callable[[], int], search: Callable[[frozenset[int], int], tuple[frozenset[int], int]],
+) -> tuple[frozenset[int], int]:
     """Bound the answer on both sides; search only if it is still open.
 
-    Returns the kept edge set and whether it is proven minimum.  Every
-    spanner keeps at least ``lower`` edges.  The goal is ``lower`` when
-    optimising, else the budget or ``lower`` if larger.  Each step runs only
-    if the ones before leave the answer open:
+    Returns the kept edge set and the lower bound proven on every spanner;
+    the set is minimum iff it keeps at most that many edges.  Every spanner
+    keeps at least ``lower`` edges.  The goal is ``lower`` when optimising,
+    else the budget or ``lower`` if larger.  Each step runs only if the ones
+    before leave the answer open:
 
     1. Greedy: drop the edges of ``order`` in turn while the requirement
        holds.  A spanner within the goal is the answer.
@@ -484,28 +505,24 @@ def _settle_then_search(
     3. Bound: raise ``lower`` to ``bound()``.  An incumbent at it is optimal;
        a budget below it is answered "no" with the incumbent.
     4. Search: ``search(incumbent, lower)`` returns a spanner no larger than
-       the incumbent and whether it proved that spanner minimum.
+       the incumbent and the lower bound it proved.
     """
     goal = lower if budget is None else max(lower, budget)
     kept = _greedy_restarts(oracle, order, goal)
-    proven = False
     if len(kept) > goal:
         lower = max(lower, bound())
         if len(kept) > lower and (budget is None or budget >= lower):
             kept, proven = search(kept, lower)
-    return kept, proven or len(kept) <= lower
+            lower = max(lower, proven)
+    return kept, lower
 
 
 def _exact_by_flow(
-    g: TemporalGraph,
-    s: Strictness,
-    requirement: AllPairs | TwoSource,
-    forced: frozenset[int],
-    budget: int,
+    oracle: _SubsetOracle, forced: frozenset[int], budget: int
 ) -> frozenset[int] | None:
     """Decide via one time-expanded multicommodity-flow MILP whether some
-    spanner keeps at most ``budget`` edges; returns a minimum one that does,
-    or None when none does.
+    spanner for ``oracle``'s graph and requirement keeps at most ``budget``
+    edges; returns a minimum one that does, or None when none does.
 
     Each vertex v has a start node ``(v, -1)`` and one node per distinct
     label at v, chained by waiting arcs; each time edge gives one traversal
@@ -536,7 +553,7 @@ def _exact_by_flow(
     keep only the column bound ``f <= 1``.  The objective counts the x_i and
     the row ``sum x_i <= budget - |forced|`` caps them; a proof that the
     model is infeasible gives None.  A MILP answer is re-checked by the
-    requirement's oracle.
+    oracle.
     """
     import numpy as np
     from bisect import bisect_left, bisect_right
@@ -544,16 +561,13 @@ def _exact_by_flow(
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse.csgraph import breadth_first_order
 
+    g, s = oracle.g, oracle.s
     m = g.m
     n = g.vertex_count
     strict = s is STRICT
-    if isinstance(requirement, TwoSource):
-        sources = sorted({requirement.s1, requirement.s2})
-    else:
-        sources = list(range(n))
     over_forced = reach.reach_masks(g, s, kept=forced)
     pairs = [
-        (a, b) for a in sources for b in range(n) if b != a and not (over_forced[b] >> a) & 1
+        (a, b) for a in oracle.sources for b in range(n) if b != a and not (over_forced[b] >> a) & 1
     ]
     if not pairs:  # the forced edges meet the requirement on their own
         return forced if len(forced) <= budget else None
@@ -676,12 +690,7 @@ def _exact_by_flow(
     if res.status != 0:
         raise SolverFailed(f"MILP solve failed: {res.message}")
     kept = forced | {i for col, i in enumerate(free) if res.x[col] > 0.5}
-    oracle = _SubsetOracle(g, s, requirement)
-    removed = bytearray(m)
-    for i in range(m):
-        if i not in kept:
-            removed[i] = 1
-    if not oracle.feasible(removed):
+    if not oracle.feasible(reach._drop_flags(g, kept)):
         raise SolverFailed("flow MILP produced an infeasible edge set")
     return kept
 
@@ -712,7 +721,7 @@ def min_spanner_brute(
             best_mask = mask
             best_count = count
     kept = frozenset(range(g.m)) - {removable[j] for j in range(r) if (best_mask >> j) & 1}
-    return _result(g, kept, True, None, "exact-brute")
+    return _result(g, kept, len(kept), None, "exact-brute")
 
 
 def min_spanner_exact(
@@ -720,30 +729,34 @@ def min_spanner_exact(
     s: Strictness = STRICT,
     budget: int | None = None,
     requirement: AllPairs | TwoSource = ALL_PAIRS,
-    cap: int = 40,
+    cap: int = DEFAULT_CAP,
     engine: str = "auto",
 ) -> SolveResult:
     """Exact minimum spanner for the requirement, guarded by a removable-edge cap.
 
     With a ``budget``, runs in decision mode: the search may stop on any
     feasible solution of size at most the budget, or on a proof that none
-    exists (``within_budget`` reports which); ``optimal`` is True only
-    without a budget.  ``engine`` is one of :data:`ENGINES`; the ``flow``
+    exists (``within_budget`` reports which).  ``optimal`` is True exactly
+    when the returned spanner is proven minimum, in either mode: always
+    without a budget, and with one when the spanner meets a proven lower
+    bound, such as a spanner of budget + 1 edges next to a proof that none
+    fits the budget.  ``engine`` is one of :data:`ENGINES`; the ``flow``
     engine raises :class:`SolverFailed` when the MILP solver gives no answer.
-    Every path only picks the kept edge set; the other result fields follow
-    from it.
+    Every path picks the kept edge set and the lower bound it proved; the
+    result fields follow from them.
 
     Every spanner keeps at least ``lower`` edges: the forced edges, and the
     gossip bound 2n - 4 where it applies (all-pairs on n >= 4 vertices, with
     strict paths or on a proper graph; see :func:`_gossip_bound`).  Branch
     and bound in optimise mode stops once its incumbent keeps ``lower``
-    edges.  The flow engine runs :func:`_settle_then_search` over the
-    removable edges in index order, with the conflict-block bound
-    (:func:`_block_bound`) and, as the search, one MILP that asks for a
-    spanner of at most ``budget`` edges, or of one edge fewer than the
-    incumbent when optimising.  Its infeasibility proves that no spanner
-    fits the budget, or that the incumbent is optimal.  A "no" answer
-    reached after the greedy returns the incumbent.
+    edges; in decision mode an exhausted search proves budget + 1.  The flow
+    engine runs :func:`_settle_then_search` over the removable edges in
+    index order, with the conflict-block bound (:func:`_block_bound`) and,
+    as the search, one MILP that asks for a spanner of at most ``budget``
+    edges, or of one edge fewer than the incumbent when optimising.  Its
+    infeasibility at that cutoff proves cutoff + 1: no spanner fits the
+    budget, or the incumbent is optimal.  A "no" answer reached after the
+    greedy returns the incumbent.
 
     ``cap`` applies only when a search may be needed: with no removable
     edge, or a budget below the forced and gossip bound, the answer is
@@ -756,39 +769,41 @@ def min_spanner_exact(
     if engine == "auto":
         # Block-bounded branch and bound wins through the default desk-scale
         # cap; the flow MILP is the only engine with a chance beyond it.
-        engine = "bnb" if len(removable) <= 40 else "flow"
-    all_edges = frozenset(range(g.m))
+        engine = "bnb" if len(removable) <= DEFAULT_CAP else "flow"
     lower = max(len(forced), _gossip_bound(g, s, requirement))
+    oracle = _SubsetOracle(g, s, requirement)
 
     if not removable or (budget is not None and lower > budget):
         # The forced edges are the only spanner, or no spanner fits the
         # budget: no search or MILP is needed, so the cap does not apply.
-        kept = all_edges
+        kept = frozenset(range(g.m))
     elif len(removable) > cap:
         raise InstanceTooLarge(f"{len(removable)} removable edges exceed cap {cap}")
     elif engine == "flow":
-        oracle = _SubsetOracle(g, s, requirement)
 
-        def search(best: frozenset[int], lower: int) -> tuple[frozenset[int], bool]:
+        def search(best: frozenset[int], lower: int) -> tuple[frozenset[int], int]:
             # The budget, if any, is below the incumbent's size.
             cutoff = len(best) - 1 if budget is None else budget
-            found = _exact_by_flow(g, s, requirement, forced, cutoff)
-            if found is None:  # proven: no spanner keeps at most ``cutoff`` edges
-                return best, budget is None
-            return found, True
+            found = _exact_by_flow(oracle, forced, cutoff)
+            if found is None:  # no spanner keeps at most ``cutoff`` edges
+                return best, cutoff + 1
+            return found, len(found)
 
-        kept, _ = _settle_then_search(
+        kept, lower = _settle_then_search(
             oracle, removable, lower, budget, lambda: _block_bound(oracle, removable), search
         )
     else:
         target = None if budget is None else g.m - budget
-        oracle = _SubsetOracle(g, s, requirement)
-        blocks = _conflict_blocks(g, oracle, removable)
+        blocks = _conflict_blocks(oracle, removable)
         order = sorted(removable, key=lambda i: (blocks[0][i], i))
         stop_at = g.m - lower if budget is None else None
         removal = _bnb_max_removal(oracle, order, target, blocks, stop_at)
-        kept = all_edges - frozenset(removal)
-    return _result(g, kept, budget is None, budget, f"exact-{engine}")
+        kept = frozenset(range(g.m)) - frozenset(removal)
+        if budget is None:  # the search ran to the end or stopped at ``lower``
+            lower = len(kept)
+        elif len(kept) > budget:  # exhausted: no spanner fits the budget
+            lower = budget + 1
+    return _result(g, kept, lower, budget, f"exact-{engine}")
 
 
 # ---------------------------------------------------------------------------
@@ -888,9 +903,10 @@ def _mask_indices(mask: int) -> list[int]:
     return out
 
 
-def _incomplete_vertices(g: TemporalGraph, kept: Iterable[int], cover: set[int]) -> list[int]:
-    """Non-cover vertices that miss some vertex through ``kept``."""
-    failing = _SubsetOracle(g, STRICT, ALL_PAIRS).failing_sources(reach._drop_flags(g, kept))
+def _incomplete_vertices(oracle: _SubsetOracle, kept: Iterable[int], cover: set[int]) -> list[int]:
+    """Non-cover vertices that miss some vertex through ``kept``; ``oracle``
+    is the strict all-pairs one."""
+    failing = oracle.failing_sources(reach._drop_flags(oracle.g, kept))
     return [v for v in failing if v not in cover]
 
 
@@ -929,7 +945,8 @@ def select_extra_edges(
     """
     union = set(tree_union)
     x_set = set(cover)
-    fixes = _single_edge_fixes(g, union, _incomplete_vertices(g, union, x_set))
+    oracle = _SubsetOracle(g, STRICT, ALL_PAIRS)
+    fixes = _single_edge_fixes(g, union, _incomplete_vertices(oracle, union, x_set))
     if fixes is None:
         return None
     return {v: fixes.get(v) for v in range(g.vertex_count) if v not in x_set}
@@ -940,17 +957,20 @@ class _SearchStop(Exception):
 
 
 def _xp_search(
-    g: TemporalGraph, budget: int | None, floor: int, best_kept: frozenset[int]
-) -> tuple[frozenset[int], bool]:
+    oracle: _SubsetOracle, budget: int | None, floor: int, best_kept: frozenset[int]
+) -> tuple[frozenset[int], int]:
     """The cover, candidate-tree and combination stages of
-    :func:`min_spanner_xp_vc`, improving on the spanner ``best_kept``.
+    :func:`min_spanner_xp_vc`, improving on the spanner ``best_kept``;
+    ``oracle`` is the strict all-pairs one of the graph.
 
-    Returns the smallest spanner found and whether the search ran to the
-    end; it ends early on a spanner of at most ``floor`` edges, or of at
-    most ``budget``.  The combination search visits each union at most once
-    per level: the bound only falls, so a repeated visit could not find a
+    Returns the smallest spanner found and the lower bound the search
+    proved: that spanner's size if the search ran to the end, else 0.  It
+    ends early on a spanner of at most ``floor`` edges, or of at most
+    ``budget``.  The combination search visits each union at most once per
+    level: the bound only falls, so a repeated visit could not find a
     smaller spanner.
     """
+    g = oracle.g
     x_list = sorted(min_vertex_cover(underlying_graph(g), g.vertex_count))
     cand = {x: _candidate_trees(g, x) for x in x_list}
     # Most-constrained roots first narrows the union product early.
@@ -966,7 +986,7 @@ def _xp_search(
     def evaluate(acc: int) -> None:
         nonlocal best_kept, best_size
         union = _mask_indices(acc)
-        incomplete = _incomplete_vertices(g, union, x_set)
+        incomplete = _incomplete_vertices(oracle, union, x_set)
         # Extra edges never coincide across vertices, so each one costs 1.
         if len(union) + len(incomplete) >= best_size:
             return
@@ -1009,8 +1029,8 @@ def _xp_search(
     try:
         rec(0, 0)
     except _SearchStop:
-        return best_kept, False
-    return best_kept, True
+        return best_kept, 0
+    return best_kept, best_size
 
 
 def min_spanner_xp_vc(g: TemporalGraph, budget: int | None = None) -> SolveResult:
@@ -1031,8 +1051,8 @@ def min_spanner_xp_vc(g: TemporalGraph, budget: int | None = None) -> SolveResul
     starts from the incumbent and ends the moment it finds a spanner at the
     lower bound, or within the budget.
 
-    ``optimal`` is True only if the search ran to the end or the returned
-    spanner is at a lower bound.
+    ``optimal`` is True exactly when the returned spanner is proven
+    minimum: it meets a lower bound, or the search ran to the end.
     """
     if not classify(g).happy:
         raise NotHappy("the vertex-cover algorithm requires a happy graph")
@@ -1044,11 +1064,11 @@ def min_spanner_xp_vc(g: TemporalGraph, budget: int | None = None) -> SolveResul
         forced = forced_edges(g)
         return _block_bound(oracle, [i for i in range(g.m) if i not in forced])
 
-    kept, optimal = _settle_then_search(
+    kept, lower = _settle_then_search(
         oracle, list(range(g.m)), _gossip_bound(g, STRICT, ALL_PAIRS), budget, bound,
-        lambda best, floor: _xp_search(g, budget, floor, best),
+        lambda best, floor: _xp_search(oracle, budget, floor, best),
     )
-    return _result(g, kept, optimal, budget, "xp-vc")
+    return _result(g, kept, lower, budget, "xp-vc")
 
 
 # ---------------------------------------------------------------------------

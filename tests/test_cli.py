@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from tempspan import cli
+from tempspan import cli, reductions
 from tempspan import tempgraph as tg
 from tempspan.generate import random_happy_tc, random_happy_tc_with_cover
 
@@ -251,6 +251,44 @@ def test_reduce_mcc_outputs(capsys, tmp_path):
     assert budget > 0
     code, out, _ = run(capsys, "check", tmp_path / "out.tg")
     assert code == 0  # strictly TC
+
+
+def _lines(items):
+    return "".join(f"{item}\n" for item in items)
+
+
+def test_reduce_files_are_what_the_library_objects_serialize_to(capsys, tmp_path):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 2 2\n1 -2 2 0\n-1 -1 2 0\n")
+    mcc = tmp_path / "g.mcc"
+    mcc.write_text("2 1\n1 1 2 1\n")
+    sat = reductions.sat_to_spanner_instance(reductions.parse_dimacs(cnf.read_text()))
+    variant = reductions.sat_two_source_variant(sat)
+    assert variant.sources == (0, 1)
+    padded = reductions.pad_to_even(reductions.parse_mcc(mcc.read_text()))
+    clique = reductions.mcc_to_spanner_instance(padded)
+
+    def common(out):
+        roles = [f"{v} {role}" for v, role in enumerate(out.roles)]
+        return {"tg": tg.serialize(out.graph), "budget": f"{out.budget}\n", "roles": _lines(roles)}
+
+    cases = [
+        (["reduce-sat", cnf], {**common(sat), "critical": _lines(sorted(sat.critical))}),
+        (["reduce-sat", cnf, "--two-source"], {**common(variant), "sources": "0 1\n"}),
+        (["reduce-mcc", mcc, "--pad-even"], {
+            **common(clique),
+            "fvs": _lines(sorted(clique.fvs)),
+            "gadgets": _lines(f"{i} {tag}" for i, tag in enumerate(clique.gadget_map)),
+        }),
+    ]
+    for k, (argv, want) in enumerate(cases):
+        out_dir = tmp_path / f"out{k}"
+        out_dir.mkdir()
+        code, _, _ = run(capsys, *argv, "--out-prefix", out_dir / "x")
+        assert code == 0
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == {
+            f"x.{suffix}": text.encode() for suffix, text in want.items()
+        }
 
 
 def test_usage_errors_exit_three(capsys, tmp_path):

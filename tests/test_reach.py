@@ -151,11 +151,21 @@ def test_verify_out_tree_rejects_out_of_range_root():
         reach.verify_out_tree(g, [0, 1], 5)
 
 
-def test_single_pass_relaxation_count():
+def test_single_pass_relaxation_count(monkeypatch):
+    # The sweep reads each edge's drop flag once: one pass over the edges.
     g = generate.random_happy_tc(7, 3)
-    before = reach.relaxation_count
+    assert tg.classify(g).happy
+    reads = []
+
+    class CountingFlags(bytearray):
+        def __getitem__(self, i):
+            reads.append(i)
+            return super().__getitem__(i)
+
+    real = reach._drop_flags
+    monkeypatch.setattr(reach, "_drop_flags", lambda g, kept: CountingFlags(real(g, kept)))
     reach.earliest_arrival(g, 0, 0, STRICT)
-    assert reach.relaxation_count - before == g.m
+    assert len(reads) == g.m
 
 
 def _multilabel_graph(seed):

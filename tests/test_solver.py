@@ -185,32 +185,55 @@ def test_bounds_enclose_the_optimum_on_hub_graphs(g, s, data):
     assert solver.requirement_holds(g, s, req, kept=best)
 
 
+def _solve(engine, g, s, req, budget=None):
+    if engine == "xp":
+        return solver.min_spanner_xp_vc(g, budget)
+    return solver.min_spanner_exact(g, s, budget=budget, requirement=req, engine=engine)
+
+
+def _search_refuses(engine, g, s, req, budget):
+    """Whether the engine's search, run with no bound to settle it first,
+    proves that no spanner keeps at most ``budget`` edges."""
+    oracle = solver._SubsetOracle(g, s, req)
+    forced = solver.forced_edges(g, s, req)
+    if engine == "flow":
+        return solver._exact_by_flow(oracle, forced, budget) is None
+    if engine == "xp":
+        return solver._xp_search(oracle, budget, 0, frozenset(range(g.m)))[1] > budget
+    removable = [i for i in range(g.m) if i not in forced]
+    blocks = solver._conflict_blocks(oracle, removable)
+    order = sorted(removable, key=lambda i: (blocks[0][i], i))
+    target = g.m - budget
+    return len(solver._bnb_max_removal(oracle, order, target, blocks)) < target
+
+
+def _agrees_with_brute(engine, g, s, req):
+    """Checks the engine's answers at budgets None, opt, opt - 1 and
+    |forced| - 1 against brute force: each is a spanner, right about the
+    budget, and reports ``optimal`` only at the optimum's size.  The lower
+    bounds often answer budget opt - 1 with no search, so the search is
+    also run alone there.  Returns the number of decision answers that
+    report ``optimal``."""
+    opt = solver.min_spanner_brute(g, s, req).size
+    proven = 0
+    for budget in (None, opt, opt - 1, len(solver.forced_edges(g, s, req)) - 1):
+        res = _solve(engine, g, s, req, budget)
+        assert solver.requirement_holds(g, s, req, kept=res.spanner.kept)
+        assert res.size >= opt and (res.size == opt or not res.optimal)
+        if budget is None:
+            assert res.size == opt and res.optimal
+        else:
+            assert res.within_budget is (budget >= opt)
+            proven += res.optimal
+    assert _search_refuses(engine, g, s, req, opt - 1)
+    return proven
+
+
 @pytest.mark.parametrize("engine", ["flow", "bnb", "auto"])
 @settings(derandomize=True, deadline=None, max_examples=80, database=None)
 @given(g=_hub_graphs(), s=st.sampled_from([STRICT, NONSTRICT]), data=st.data())
 def test_engines_agree_with_brute_on_hub_graphs(engine, g, s, data):
-    req = _draw_requirement(g, data)
-    opt = solver.min_spanner_brute(g, s, req).size
-    res = solver.min_spanner_exact(g, s, requirement=req, engine=engine)
-    assert res.size == opt and res.optimal
-    assert solver.requirement_holds(g, s, req, kept=res.spanner.kept)
-    yes = solver.min_spanner_exact(g, s, budget=opt, requirement=req, engine=engine)
-    assert yes.within_budget is True and yes.size <= opt
-    assert solver.requirement_holds(g, s, req, kept=yes.spanner.kept)
-    no = solver.min_spanner_exact(g, s, budget=opt - 1, requirement=req, engine=engine)
-    assert no.within_budget is False
-    # The lower bounds often answer budget opt - 1 alone; the exhausted
-    # search must too.
-    forced = solver.forced_edges(g, s, req)
-    if engine == "flow":
-        assert solver._exact_by_flow(g, s, req, forced, budget=opt - 1) is None
-    else:
-        oracle = solver._SubsetOracle(g, s, req)
-        removable = [i for i in range(g.m) if i not in forced]
-        blocks = solver._conflict_blocks(g, oracle, removable)
-        order = sorted(removable, key=lambda i: (blocks[0][i], i))
-        target = g.m - (opt - 1)
-        assert len(solver._bnb_max_removal(oracle, order, target, blocks)) < target
+    _agrees_with_brute(engine, g, s, _draw_requirement(g, data))
 
 
 def test_gossip_bound_is_zero_where_it_does_not_apply():
@@ -299,52 +322,39 @@ def _instances(kind, s, two_source, count):
     return out
 
 
-@pytest.mark.parametrize("kind", ["happy", "multilabel"])
-@pytest.mark.parametrize("two_source", [False, True], ids=["all-pairs", "two-source"])
-@pytest.mark.parametrize("s", [STRICT, NONSTRICT], ids=["strict", "nonstrict"])
-def test_bnb_agrees_with_brute_in_every_mode(kind, two_source, s):
+def _in_every_mode(test):
+    """Parametrizes ``test`` over the graph kind, the requirement and the
+    path semantics."""
+    test = pytest.mark.parametrize("s", [STRICT, NONSTRICT], ids=["strict", "nonstrict"])(test)
+    test = pytest.mark.parametrize("two_source", [False, True], ids=["all-pairs", "two-source"])(test)
+    return pytest.mark.parametrize("kind", ["happy", "multilabel"])(test)
+
+
+def _agrees_in_every_mode(engine, kind, two_source, s):
+    """:func:`_agrees_with_brute` on 8 instances of the mode; two-source
+    instances are also checked with both sources at vertex 0."""
+    proven = 0
     for g, req in _instances(kind, s, two_source, 8):
-        brute = solver.min_spanner_brute(g, s, req)
-        bnb = solver.min_spanner_exact(g, s, requirement=req, engine="bnb")
-        assert bnb.size == brute.size and bnb.optimal
-        assert solver.requirement_holds(g, s, req, kept=bnb.spanner.kept)
-        opt = bnb.size
-        yes = solver.min_spanner_exact(g, s, budget=opt, requirement=req, engine="bnb")
-        assert yes.within_budget is True and yes.size <= opt
-        assert solver.requirement_holds(g, s, req, kept=yes.spanner.kept)
-        no = solver.min_spanner_exact(g, s, budget=opt - 1, requirement=req, engine="bnb")
-        assert no.within_budget is False
-        # The gossip bound often answers budget opt - 1 with no search; the
-        # exhausted decision search must reach the same answer.
-        oracle = solver._SubsetOracle(g, s, req)
-        forced = solver.forced_edges(g, s, req)
-        removable = [i for i in range(g.m) if i not in forced]
-        blocks = solver._conflict_blocks(g, oracle, removable)
-        order = sorted(removable, key=lambda i: (blocks[0][i], i))
-        target = g.m - (opt - 1)
-        assert len(solver._bnb_max_removal(oracle, order, target, blocks)) < target
+        proven += _agrees_with_brute(engine, g, s, req)
+        if two_source:
+            proven += _agrees_with_brute(engine, g, s, TwoSource(0, 0))
+    return proven
 
 
-@pytest.mark.parametrize("kind", ["happy", "multilabel"])
-@pytest.mark.parametrize("two_source", [False, True], ids=["all-pairs", "two-source"])
-@pytest.mark.parametrize("s", [STRICT, NONSTRICT], ids=["strict", "nonstrict"])
+@_in_every_mode
+def test_bnb_agrees_with_brute_in_every_mode(kind, two_source, s):
+    _agrees_in_every_mode("bnb", kind, two_source, s)
+
+
+@_in_every_mode
 def test_flow_agrees_with_brute_in_every_mode(kind, two_source, s):
     # Non-strict multi-label graphs give the flow model cycles, which its
     # per-pair arc pruning must not cut into.
-    for g, req in _instances(kind, s, two_source, 8):
-        brute = solver.min_spanner_brute(g, s, req)
-        flow = solver.min_spanner_exact(g, s, requirement=req, engine="flow")
-        assert flow.size == brute.size and flow.optimal
-        assert solver.requirement_holds(g, s, req, kept=flow.spanner.kept)
-        opt = flow.size
-        yes = solver.min_spanner_exact(g, s, budget=opt, requirement=req, engine="flow")
-        assert yes.within_budget is True and yes.size <= opt
-        assert solver.requirement_holds(g, s, req, kept=yes.spanner.kept)
-        no = solver.min_spanner_exact(g, s, budget=opt - 1, requirement=req, engine="flow")
-        assert no.within_budget is False
-        # As for bnb: solve the decision MILP the gossip bound may skip.
-        forced = solver.forced_edges(g, s, req)
-        assert solver._exact_by_flow(g, s, req, forced, budget=opt - 1) is None
+    _agrees_in_every_mode("flow", kind, two_source, s)
+
+
+def test_xp_agrees_with_brute():
+    assert _agrees_in_every_mode("xp", "happy", False, STRICT) > 0
 
 
 @pytest.fixture
@@ -412,11 +422,13 @@ def test_flow_takes_each_path_around_the_greedy_incumbent(milp_calls, two_source
         assert milp_calls == [] and yes.within_budget
         assert yes.spanner.kept == solver._greedy_restarts(oracle, removable, len(best))
         # A budget below a lower bound is answered with no model.  Below the
-        # block bound the "no" carries the incumbent; below |forced| and the
-        # gossip bound the greedy does not run and every edge is kept.
+        # block bound the "no" carries the incumbent, optimal if it meets
+        # that bound; below |forced| and the gossip bound the greedy does not
+        # run and every edge is kept.
         milp_calls.clear()
         no = solver.min_spanner_exact(g, s, budget=max(lower, block) - 1, requirement=req, engine="flow")
-        assert milp_calls == [] and no.within_budget is False and not no.optimal
+        assert milp_calls == [] and no.within_budget is False
+        assert no.optimal is (no.size <= max(lower, block))
         if block > lower:
             nos.add("block")
             assert no.spanner.kept == solver._greedy_restarts(oracle, removable, block - 1)
@@ -424,10 +436,11 @@ def test_flow_takes_each_path_around_the_greedy_incumbent(milp_calls, two_source
             nos.add("early")
             assert no.spanner.kept == frozenset(range(g.m))
         if len(best) == opt > max(lower, block):
-            # The MILP refuses budget opt - 1: the "no" carries the incumbent.
+            # The MILP refuses budget opt - 1: the "no" carries the incumbent,
+            # proven optimal.
             milp_calls.clear()
             no = solver.min_spanner_exact(g, s, budget=opt - 1, requirement=req, engine="flow")
-            assert milp_calls == [2] and no.within_budget is False and not no.optimal
+            assert milp_calls == [2] and no.within_budget is False and no.optimal
             assert no.spanner.kept == best
             nos.add("milp")
     assert paths == {"incumbent", "bound", "cutoff", "beaten"}
@@ -437,20 +450,68 @@ def test_flow_takes_each_path_around_the_greedy_incumbent(milp_calls, two_source
 def test_flow_no_answer_after_the_greedy_carries_the_incumbent(milp_calls):
     # PHI_UNSAT's graph: 26 forced edges, gossip bound 32, block bound 37,
     # and no greedy pass below 38, the optimum.  The MILP refuses budget 37
-    # and the block bound budget 36; both answers keep the incumbent.
+    # and the block bound budget 36; both answers keep the incumbent, which
+    # only the MILP proves optimal.
     g = red.sat_to_spanner_instance(red.SatInstance(1, ((1, 1, 1), (-1, -1, -1)))).graph
     forced = solver.forced_edges(g, STRICT)
     removable = [i for i in range(g.m) if i not in forced]
     best = solver._greedy_restarts(solver._SubsetOracle(g, STRICT, ALL_PAIRS), removable, 32)
     assert len(forced) == 26 and len(best) == 38 < g.m
-    for budget, calls in ((37, [2]), (36, [])):
+    for budget, calls, optimal in ((37, [2], True), (36, [], False)):
         milp_calls.clear()
         res = solver.min_spanner_exact(g, budget=budget, engine="flow")
         assert milp_calls == calls and res.spanner.kept == best
-        assert res.size == 38 and res.within_budget is False and not res.optimal
+        assert res.size == 38 and res.within_budget is False and res.optimal is optimal
     # Below the gossip bound the greedy does not run: every edge is kept.
     res = solver.min_spanner_exact(g, budget=31, engine="flow")
     assert res.spanner.kept == frozenset(range(g.m)) and res.within_budget is False
+
+
+def test_each_solve_reads_the_requirement_once(monkeypatch, milp_calls):
+    # Counts oracle constructions and recordings of the empty set's
+    # checkpoints.  ``forced_edges`` and the solve build one oracle each and
+    # record its root once; the searches reuse the solve's oracle.
+    counts = {"oracles": 0, "roots": 0, "unions": 0}
+    real_init = solver._SubsetOracle.__init__
+    real_sweep = reach._mask_sweep
+    real_incomplete = solver._incomplete_vertices
+
+    def init(self, *args):
+        counts["oracles"] += 1
+        real_init(self, *args)
+
+    def sweep(g, s, removed, masks=None, lo=0, record=None):
+        counts["roots"] += record is not None and not any(removed)
+        return real_sweep(g, s, removed, masks, lo, record)
+
+    def incomplete(*args):
+        counts["unions"] += 1
+        return real_incomplete(*args)
+
+    monkeypatch.setattr(solver._SubsetOracle, "__init__", init)
+    monkeypatch.setattr(reach, "_mask_sweep", sweep)
+    monkeypatch.setattr(solver, "_incomplete_vertices", incomplete)
+
+    def counted(call):
+        for key in counts:
+            counts[key] = 0
+        call()
+        return counts["oracles"], counts["roots"]
+
+    # The MILP beats the incumbent; the solve's oracle re-checks its answer.
+    g = _multilabel_graph(174, (5, 7))
+    assert counted(lambda: solver.min_spanner_exact(g, engine="flow")) == (2, 2)
+    assert milp_calls == [0]
+    # phi-mixed at its budget: branch and bound over 6 conflict blocks used
+    # to record the root once per search, 8 times in all.
+    g = red.sat_to_spanner_instance(red.SatInstance(2, ((1, -2, 2), (-1, -1, 2)))).graph
+    assert counted(lambda: solver.min_spanner_exact(g, budget=54)) == (2, 2)
+    # XP: its own oracle and the one of ``forced_edges`` in the block bound,
+    # however many candidate unions the search evaluates.
+    g = generate.random_happy_tc_with_cover(7, 3, 47)
+    assert counted(lambda: solver.min_spanner_xp_vc(g))[0] == 2
+    assert counts["unions"] > 1
+    assert counted(lambda: solver.select_extra_edges(g, range(g.m), [0, 1, 2])) == (1, 0)
 
 
 def test_restarts_run_only_until_the_goal(monkeypatch):
@@ -478,7 +539,7 @@ def test_engines_return_the_forced_set_when_nothing_is_removable(engine):
         assert res.size == g.m and res.optimal and res.within_budget is None
         for budget in range(g.m + 1):
             res = solver.min_spanner_exact(g, budget=budget, engine=engine)
-            assert res.size == g.m and not res.optimal
+            assert res.size == g.m and res.optimal
             assert res.within_budget is (g.m <= budget)
 
 
@@ -489,9 +550,12 @@ def test_exact_result_fields_follow_from_kept(engine):
     opt = solver.min_spanner_exact(g, engine=engine).size
     assert 0 < len(forced) < opt - 1
     # The last budget is below the forced count: the early exit, no search.
+    # At budget opt the spanner meets the gossip bound 2n - 4 = opt, so it
+    # is proven optimal; the two "no" answers keep every edge.
+    assert solver._gossip_bound(g, STRICT, ALL_PAIRS) == opt
     for budget in (None, opt, opt - 1, len(forced) - 1):
         res = solver.min_spanner_exact(g, budget=budget, engine=engine)
-        assert res.optimal is (budget is None)
+        assert res.optimal is (budget in (None, opt))
         assert res.within_budget is (None if budget is None else res.size <= budget)
         assert res.size == len(res.spanner.kept)
         assert res.method == ("exact-bnb" if engine == "auto" else f"exact-{engine}")
@@ -800,15 +864,17 @@ def test_xp_search_matches_exact():
     for g in graphs:
         opt = solver.min_spanner_exact(g).size
         floor = solver._gossip_bound(g, STRICT, ALL_PAIRS)
+        oracle = solver._SubsetOracle(g, STRICT, ALL_PAIRS)
         everything = frozenset(range(g.m))
         for budget in (None, opt, opt - 1):
-            kept, completed = solver._xp_search(g, budget, floor, everything)
+            kept, proven = solver._xp_search(oracle, budget, floor, everything)
             assert len(kept) == opt
             assert reach.is_tc(g, STRICT, kept)
-            # It ends early exactly on a spanner smaller than the one it
-            # started from and within max(floor, budget).
+            # It ends early, proving nothing, exactly on a spanner smaller
+            # than the one it started from and within max(floor, budget);
+            # run to the end it proves the optimum.
             stop = floor if budget is None else max(floor, budget)
-            assert completed is not (opt < g.m and opt <= stop)
+            assert proven == (0 if opt < g.m and opt <= stop else opt)
         searched += opt > floor
     assert searched >= 5  # the full search runs, not only the stop at the floor
 

@@ -306,8 +306,9 @@ def test_edges_built_only_when_read():
     for engine in ("bnb", "flow"):
         solver.min_spanner_exact(g, engine=engine)
     res = solver.min_spanner_xp_vc(g)
-    solver._exact_by_flow(g, reach.STRICT, solver.ALL_PAIRS, solver.forced_edges(g), res.size)
-    solver._xp_search(g, None, 0, frozenset(range(g.m)))
+    oracle = solver._SubsetOracle(g, reach.STRICT, solver.ALL_PAIRS)
+    solver._exact_by_flow(oracle, solver.forced_edges(g), res.size)
+    solver._xp_search(oracle, None, 0, frozenset(range(g.m)))
     cover = solver.min_vertex_cover(tg.underlying_graph(g), g.vertex_count)
     for tree in solver.vc_tree_decompose(res.spanner, cover).trees:
         assert reach.verify_out_tree(g, tree.tree_edges, tree.root)
