@@ -20,7 +20,10 @@ The sweep has two modes, and both skip the edges flagged in a per-edge
   only some source bits (the two-source requirement);
 * the single-source arrival mode carries earliest arrival labels and the edge
   that set each (:func:`earliest_arrival`, :func:`reaches_all`,
-  :func:`foremost_out_tree`).
+  :func:`foremost_out_tree`).  Groups come in ascending label order, so a
+  vertex's arrival and edge are set once, when it is first reached, and never
+  change after.  The sweep therefore stops as soon as every vertex is reached;
+  it reads every group only when some vertex stays unreachable.
 
 The public functions take an optional ``kept`` edge subset and turn it into
 drop flags once per call.  ``None`` is the unreachable sentinel throughout.
@@ -127,7 +130,15 @@ def _mask_sweep(
 def _arrival_sweep(
     g: TemporalGraph, source: int, start: int, s: Strictness, removed: bytearray
 ) -> tuple[list[int | None], list[int | None]]:
-    """Single-source mode: (arrival, via-edge-index) per vertex."""
+    """Single-source mode: (arrival, via-edge-index) per vertex.
+
+    Groups come in ascending label order, so ``t < arrival[b]`` holds only
+    while b is unreached: each arrival and via edge is set once and is final.
+    ``left`` counts the unreached vertices; it is tested where it falls, and
+    after each multi-edge group.  At 0 no later group can change the answer,
+    so the sweep stops there.  A sweep that leaves a vertex unreached reads
+    every group.
+    """
     n = g.vertex_count
     if not 0 <= source < n:
         raise ValueError(f"source {source} out of range")
@@ -140,6 +151,7 @@ def _arrival_sweep(
     arrival = [never] * n
     via: list[int | None] = [None] * n
     arrival[source] = start - 1 + slack
+    left = n - 1
     for t, group in g.label_groups:
         if t < start:
             continue
@@ -154,6 +166,11 @@ def _arrival_sweep(
             elif av < t + slack and t < au:
                 arrival[u] = t
                 via[u] = i
+            else:
+                continue
+            left -= 1
+            if not left:
+                break
             continue
         if strict:
             before = [(i, u, v, arrival[u], arrival[v]) for i, u, v in group if not removed[i]]
@@ -161,9 +178,11 @@ def _arrival_sweep(
                 if au < t and t < arrival[v]:
                     arrival[v] = t
                     via[v] = i
+                    left -= 1
                 if av < t and t < arrival[u]:
                     arrival[u] = t
                     via[u] = i
+                    left -= 1
         else:
             alive = [edge for edge in group if not removed[edge[0]]]
             changed = True
@@ -174,7 +193,10 @@ def _arrival_sweep(
                         if arrival[a] <= t and t < arrival[b]:
                             arrival[b] = t
                             via[b] = i
+                            left -= 1
                             changed = True
+        if not left:
+            break
     out = [None if a == never else a for a in arrival]
     out[source] = start
     return out, via
@@ -234,6 +256,11 @@ def reaches_all(
     s: Strictness = STRICT,
     kept: Iterable[int] | None = None,
 ) -> bool:
+    """Whether ``source`` has a temporal path to every vertex.
+
+    One single-source sweep from label 0, which stops at the group where the
+    last vertex is first reached.
+    """
     arrival, _ = _arrival_sweep(g, source, 0, s, _drop_flags(g, kept))
     return None not in arrival
 

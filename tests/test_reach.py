@@ -151,10 +151,8 @@ def test_verify_out_tree_rejects_out_of_range_root():
         reach.verify_out_tree(g, [0, 1], 5)
 
 
-def test_single_pass_relaxation_count(monkeypatch):
-    # The sweep reads each edge's drop flag once: one pass over the edges.
-    g = generate.random_happy_tc(7, 3)
-    assert tg.classify(g).happy
+def _counted_arrival(monkeypatch, g, source, start, s, kept=None):
+    """``earliest_arrival``'s vector and the drop-flag reads of its sweep, in order."""
     reads = []
 
     class CountingFlags(bytearray):
@@ -163,9 +161,28 @@ def test_single_pass_relaxation_count(monkeypatch):
             return super().__getitem__(i)
 
     real = reach._drop_flags
-    monkeypatch.setattr(reach, "_drop_flags", lambda g, kept: CountingFlags(real(g, kept)))
-    reach.earliest_arrival(g, 0, 0, STRICT)
-    assert len(reads) == g.m
+    with monkeypatch.context() as mp:
+        mp.setattr(reach, "_drop_flags", lambda g, kept: CountingFlags(real(g, kept)))
+        arrival = reach.earliest_arrival(g, source, start, s, kept=kept).arrival
+    return arrival, reads
+
+
+def test_single_pass_relaxation_count(monkeypatch):
+    # The sweep reads each edge's drop flag once, in scan order, and stops
+    # after the group where the last vertex is first reached.
+    g = generate.random_happy_tc(7, 3)
+    assert tg.classify(g).happy
+    arrival, reads = _counted_arrival(monkeypatch, g, 0, 0, STRICT)
+    assert None not in arrival
+    last = max(arrival)
+    assert reads == [i for t, group in g.label_groups if t <= last for i, _, _ in group]
+    assert len(set(reads)) == len(reads) < g.m
+    # With a vertex nobody reaches, no group can be skipped.
+    h = tg.build(g.vertex_count + 1, g.edges)
+    arrival, reads = _counted_arrival(monkeypatch, h, 0, 0, STRICT)
+    assert arrival[-1] is None
+    assert reads == [i for _, group in h.label_groups for i, _, _ in group]
+    assert len(set(reads)) == h.m
 
 
 def _multilabel_graph(seed):
@@ -199,25 +216,59 @@ def _naive_arrival(g, source, start, strict, kept):
     return arrival
 
 
-def test_sweep_modes_agree_with_naive_fixpoint():
+def test_sweep_modes_agree_with_naive_fixpoint(monkeypatch):
     sizes = set()
+    # Sweeps that stopped early, after a multi-edge group.
+    stopped_in_group = {STRICT: 0, NONSTRICT: 0}
     for seed in range(60):
         g = _multilabel_graph(seed)
         sizes.update(len(group) for _, group in g.label_groups)
+        group_size = {i: len(group) for _, group in g.label_groups for i, _, _ in group}
         rng = random.Random(seed)
         for s in (STRICT, NONSTRICT):
+            strict = s is STRICT
             for kept in (None, [i for i in range(g.m) if rng.random() < 0.7]):
                 edges = range(g.m) if kept is None else kept
                 masks = reach.reach_masks(g, s, kept=kept)
                 for u in range(g.vertex_count):
-                    arrival = reach.earliest_arrival(g, u, 0, s, kept=kept).arrival
-                    assert list(arrival) == _naive_arrival(g, u, 0, s is STRICT, edges)
+                    naive = _naive_arrival(g, u, 0, strict, edges)
+                    arrival, reads = _counted_arrival(monkeypatch, g, u, 0, s, kept)
+                    assert list(arrival) == naive
+                    assert len(set(reads)) == len(reads)
+                    if len(reads) < g.m:
+                        assert None not in naive
+                        stopped_in_group[s] += group_size[reads[-1]] > 1
                     for v in range(g.vertex_count):
                         assert bool(masks[v] >> u & 1) == (arrival[v] is not None)
                     start = rng.randint(1, 6)
                     late = reach.earliest_arrival(g, u, start, s, kept=kept).arrival
-                    assert list(late) == _naive_arrival(g, u, start, s is STRICT, edges)
+                    assert list(late) == _naive_arrival(g, u, start, strict, edges)
+                    assert reach.reaches_all(g, u, s, kept=kept) == (None not in naive)
+                    if None in naive:
+                        with pytest.raises(reach.RootNotSpanning):
+                            reach.foremost_out_tree(g, u, s, kept=kept)
+                        continue
+                    tree = reach.foremost_out_tree(g, u, s, kept=kept).tree_edges
+                    assert len(tree) == g.vertex_count - 1
+                    assert reach.earliest_arrival(g, u, 0, s, kept=tree).arrival == arrival
     assert 1 in sizes and max(sizes) > 1  # both one-edge and multi-edge groups occur
+    assert min(stopped_in_group.values()) >= 1, stopped_in_group
+
+
+def test_arrival_sweep_edge_cases(monkeypatch):
+    arrival, reads = _counted_arrival(monkeypatch, tg.build(1, []), 0, 4, STRICT)
+    assert arrival == (4,) and reads == []
+    g = tg.build(3, [(0, 1, 1), (1, 2, 2), (0, 2, 5)])
+    for s in (STRICT, NONSTRICT):
+        arrival, reads = _counted_arrival(monkeypatch, g, 1, 6, s)
+        assert arrival == (None, 6, None) and reads == []
+    # 3 reaches only 0: the labels on to 1 and 2 come too early.
+    h = tg.build(4, [(1, 2, 1), (0, 1, 2), (0, 3, 3)])
+    for s in (STRICT, NONSTRICT):
+        for start in (0, 2, 3):
+            want = _naive_arrival(h, 3, start, s is STRICT, range(h.m))
+            assert None in want
+            assert list(reach.earliest_arrival(h, 3, start, s).arrival) == want
 
 
 def test_two_source_forced_edges_match_single_removals():
