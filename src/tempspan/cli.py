@@ -11,7 +11,9 @@ a stable object: ``{"command": ..., "input": {"path", "sha256"} | null,
 
 ``solve`` reports ``optimal`` true exactly when the spanner is proven
 minimum, with or without ``--k``; ``within_budget`` says whether it fits
-``--k``.
+``--k``.  Its ``--json`` result also carries ``lower_bound``, the lower
+bound on every spanner's size that the solve proved: ``optimal`` is true
+exactly when ``size`` is at most it.
 """
 
 from __future__ import annotations
@@ -122,6 +124,7 @@ def _cmd_solve(args) -> int:
     result = {
         "size": res.size,
         "optimal": res.optimal,
+        "lower_bound": res.lower_bound,
         "method": res.method,
         "within_budget": res.within_budget,
         "spanner": sorted(res.spanner.kept),

@@ -16,8 +16,9 @@ Contents:
   non-strict paths on graphs that are not proper, where it fails.  Branch
   and bound in optimise mode stops as soon as its incumbent meets it,
 * bounds on both sides before the flow MILP and the XP search, in one
-  driver (:func:`_settle_then_search`): a greedy incumbent and a raised
-  lower bound settle the answer with no search where they can,
+  helper (:func:`_settle_then_search`): a greedy incumbent and the
+  conflict-block bound of the solve's oracle settle the answer with no
+  search where they can,
 * an XP algorithm for happy graphs parameterized by the vertex cover number
   of the underlying graph: per cover root, enumerate every temporal out-tree
   directly in label order, combine one per root, select at most one extra
@@ -113,6 +114,15 @@ class _SubsetOracle:
 
     The oracle is the one place that reads the requirement: it checks the
     two sources' range and keeps ``sources`` sorted and without repeats.
+    Each solve builds one oracle, which owns what follows from its instance
+    (graph, path semantics, requirement); each part is computed at most
+    once, when first read:
+
+    * ``root``: the checkpoints of the empty removal set;
+    * ``forced``: the edges every spanner keeps;
+    * ``removable``: the other edges, in index order;
+    * ``blocks``: the conflict blocks of the removable edges and their caps
+      (:func:`_conflict_blocks`).
     """
 
     def __init__(self, g: TemporalGraph, s: Strictness, requirement: AllPairs | TwoSource):
@@ -139,6 +149,38 @@ class _SubsetOracle:
         if not self.feasible(bytearray(self.g.m), record=cps):
             raise RequirementNotSatisfied("graph does not satisfy the requirement")
         return cps
+
+    @cached_property
+    def forced(self) -> frozenset[int]:
+        """Edges whose individual removal violates the requirement.
+
+        Every spanner contains all of them: a spanner avoiding edge e is a
+        subset of the graph minus e, and reachability is monotone under edge
+        addition.  One recorded sweep of the whole graph (``root``) checks
+        the requirement and gives the checkpoints; each edge's query then
+        resumes at its own group.
+        """
+        cps = self.root
+        removed = bytearray(self.g.m)
+        forced = []
+        for j, (_, group) in enumerate(self.g.label_groups):
+            for i, _, _ in group:
+                removed[i] = 1
+                if not self.feasible(removed, cps, j):
+                    forced.append(i)
+                removed[i] = 0
+        return frozenset(forced)
+
+    @cached_property
+    def removable(self) -> list[int]:
+        """The edges outside ``forced``, in index order."""
+        forced = self.forced
+        return [i for i in range(self.g.m) if i not in forced]
+
+    @cached_property
+    def blocks(self) -> tuple[dict[int, int], list[int]]:
+        """The conflict blocks of ``removable`` and their caps."""
+        return _conflict_blocks(self)
 
     @cached_property
     def group_of(self) -> list[int]:
@@ -179,25 +221,10 @@ def forced_edges(
     s: Strictness = STRICT,
     requirement: AllPairs | TwoSource = ALL_PAIRS,
 ) -> frozenset[int]:
-    """Edges whose individual removal violates the requirement.
-
-    Every spanner satisfying the requirement contains all of them: a spanner
-    avoiding edge e is a subset of the graph minus e, and reachability is
-    monotone under edge addition.  One recorded sweep of the whole graph
-    checks the requirement (raising :class:`RequirementNotSatisfied`) and
-    gives the checkpoints; each edge's query then resumes at its own group.
-    """
-    oracle = _SubsetOracle(g, s, requirement)
-    cps = oracle.root
-    removed = bytearray(g.m)
-    forced = []
-    for j, (_, group) in enumerate(g.label_groups):
-        for i, _, _ in group:
-            removed[i] = 1
-            if not oracle.feasible(removed, cps, j):
-                forced.append(i)
-            removed[i] = 0
-    return frozenset(forced)
+    """Edges whose individual removal violates the requirement, hence kept
+    by every spanner: the oracle's set (:attr:`_SubsetOracle.forced`).
+    Raises :class:`RequirementNotSatisfied` if the whole graph fails."""
+    return _SubsetOracle(g, s, requirement).forced
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +268,8 @@ class SolveResult:
     * ``within_budget``: whether ``size`` is at most the budget, or None
       when no budget was given.  False is a proof that no spanner fits it.
     * ``method``: the solver or engine that ran, such as ``exact-bnb``.
+    * ``lower_bound``: the lower bound on every spanner's size that the
+      solve proved; ``optimal`` is ``size <= lower_bound``.
     """
 
     spanner: Spanner
@@ -248,6 +277,7 @@ class SolveResult:
     optimal: bool
     within_budget: bool | None
     method: str
+    lower_bound: int
 
 
 def _result(
@@ -257,7 +287,7 @@ def _result(
     spanner; ``size``, ``optimal`` and ``within_budget`` follow from them."""
     size = len(kept)
     within = None if budget is None else size <= budget
-    return SolveResult(Spanner(g, kept), size, size <= bound, within, method)
+    return SolveResult(Spanner(g, kept), size, size <= bound, within, method, bound)
 
 
 def _bnb_max_removal(
@@ -378,10 +408,9 @@ def _bnb_max_removal(
 _MAX_BLOCK = 12
 
 
-def _conflict_blocks(
-    oracle: _SubsetOracle, removable: list[int]
-) -> tuple[dict[int, int], list[int]]:
-    """Partition removable edges into local blocks and cap each block.
+def _conflict_blocks(oracle: _SubsetOracle) -> tuple[dict[int, int], list[int]]:
+    """Partition the oracle's removable edges into local blocks and cap each
+    block; read it as :attr:`_SubsetOracle.blocks`, computed once per oracle.
 
     Blocks are connected components of the shares-an-endpoint graph on the
     removable edges, after iteratively hiding the busiest vertex of any
@@ -391,6 +420,7 @@ def _conflict_blocks(
     because subsets of feasible removals stay feasible.
     """
     us, vs = oracle.g.us, oracle.g.vs
+    removable = oracle.removable
     hubs: set[int] = set()
 
     def components() -> list[list[int]]:
@@ -479,16 +509,16 @@ def _greedy_restarts(oracle: _SubsetOracle, order: list[int], goal: int) -> froz
     return best
 
 
-def _block_bound(oracle: _SubsetOracle, removable: list[int]) -> int:
-    """m - sum of the :func:`_conflict_blocks` caps: a lower bound on every
-    spanner, since a feasible removal takes at most ``caps[b]`` of the
-    ``removable`` edges in block b and no other edge."""
-    return oracle.g.m - sum(_conflict_blocks(oracle, removable)[1])
+def _block_bound(oracle: _SubsetOracle) -> int:
+    """m - sum of the oracle's block caps: a lower bound on every spanner,
+    since a feasible removal takes at most ``caps[b]`` of the removable
+    edges in block b and no forced edge."""
+    return oracle.g.m - sum(oracle.blocks[1])
 
 
 def _settle_then_search(
     oracle: _SubsetOracle, order: list[int], lower: int, budget: int | None,
-    bound: Callable[[], int], search: Callable[[frozenset[int], int], tuple[frozenset[int], int]],
+    search: Callable[[frozenset[int], int], tuple[frozenset[int], int]],
 ) -> tuple[frozenset[int], int]:
     """Bound the answer on both sides; search only if it is still open.
 
@@ -502,24 +532,23 @@ def _settle_then_search(
        holds.  A spanner within the goal is the answer.
     2. Restarts: the same over up to ``_RESTARTS`` seeded shuffles of
        ``order`` (:func:`_greedy_restarts`), stopping once one meets the goal.
-    3. Bound: raise ``lower`` to ``bound()``.  An incumbent at it is optimal;
-       a budget below it is answered "no" with the incumbent.
+    3. Bound: raise ``lower`` to the conflict-block bound of the oracle's
+       removable edges (:func:`_block_bound`).  An incumbent at it is
+       optimal; a budget below it is answered "no" with the incumbent.
     4. Search: ``search(incumbent, lower)`` returns a spanner no larger than
        the incumbent and the lower bound it proved.
     """
     goal = lower if budget is None else max(lower, budget)
     kept = _greedy_restarts(oracle, order, goal)
     if len(kept) > goal:
-        lower = max(lower, bound())
+        lower = max(lower, _block_bound(oracle))
         if len(kept) > lower and (budget is None or budget >= lower):
             kept, proven = search(kept, lower)
             lower = max(lower, proven)
     return kept, lower
 
 
-def _exact_by_flow(
-    oracle: _SubsetOracle, forced: frozenset[int], budget: int
-) -> frozenset[int] | None:
+def _exact_by_flow(oracle: _SubsetOracle, budget: int) -> frozenset[int] | None:
     """Decide via one time-expanded multicommodity-flow MILP whether some
     spanner for ``oracle``'s graph and requirement keeps at most ``budget``
     edges; returns a minimum one that does, or None when none does.
@@ -561,7 +590,7 @@ def _exact_by_flow(
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse.csgraph import breadth_first_order
 
-    g, s = oracle.g, oracle.s
+    g, s, forced = oracle.g, oracle.s, oracle.forced
     m = g.m
     n = g.vertex_count
     strict = s is STRICT
@@ -586,7 +615,7 @@ def _exact_by_flow(
         node_count += 1 + len(events[v])
     end = [first[v] + len(events[v]) for v in range(n)]
 
-    free = [i for i in range(m) if i not in forced]
+    free = oracle.removable
     x_col = [-1] * m
     for col, i in enumerate(free):
         x_col[i] = col
@@ -702,9 +731,8 @@ def min_spanner_brute(
     cap: int = 18,
 ) -> SolveResult:
     """Full subset enumeration over removable edges; the verification oracle."""
-    forced = forced_edges(g, s, requirement)
     oracle = _SubsetOracle(g, s, requirement)
-    removable = [i for i in range(g.m) if i not in forced]
+    removable = oracle.removable
     r = len(removable)
     if r > cap:
         raise InstanceTooLarge(f"{r} removable edges exceed enumeration cap {cap}")
@@ -749,7 +777,9 @@ def min_spanner_exact(
     gossip bound 2n - 4 where it applies (all-pairs on n >= 4 vertices, with
     strict paths or on a proper graph; see :func:`_gossip_bound`).  Branch
     and bound in optimise mode stops once its incumbent keeps ``lower``
-    edges; in decision mode an exhausted search proves budget + 1.  The flow
+    edges; in decision mode an exhausted search proves budget + 1 and
+    returns the smaller of its best removal's spanner and the index-order
+    greedy spanner (:func:`_greedy_local_min`).  The flow
     engine runs :func:`_settle_then_search` over the removable edges in
     index order, with the conflict-block bound (:func:`_block_bound`) and,
     as the search, one MILP that asks for a spanner of at most ``budget``
@@ -764,14 +794,13 @@ def min_spanner_exact(
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
-    forced = forced_edges(g, s, requirement)
-    removable = [i for i in range(g.m) if i not in forced]
+    oracle = _SubsetOracle(g, s, requirement)
+    removable = oracle.removable
     if engine == "auto":
         # Block-bounded branch and bound wins through the default desk-scale
         # cap; the flow MILP is the only engine with a chance beyond it.
         engine = "bnb" if len(removable) <= DEFAULT_CAP else "flow"
-    lower = max(len(forced), _gossip_bound(g, s, requirement))
-    oracle = _SubsetOracle(g, s, requirement)
+    lower = max(len(oracle.forced), _gossip_bound(g, s, requirement))
 
     if not removable or (budget is not None and lower > budget):
         # The forced edges are the only spanner, or no spanner fits the
@@ -784,17 +813,15 @@ def min_spanner_exact(
         def search(best: frozenset[int], lower: int) -> tuple[frozenset[int], int]:
             # The budget, if any, is below the incumbent's size.
             cutoff = len(best) - 1 if budget is None else budget
-            found = _exact_by_flow(oracle, forced, cutoff)
+            found = _exact_by_flow(oracle, cutoff)
             if found is None:  # no spanner keeps at most ``cutoff`` edges
                 return best, cutoff + 1
             return found, len(found)
 
-        kept, lower = _settle_then_search(
-            oracle, removable, lower, budget, lambda: _block_bound(oracle, removable), search
-        )
+        kept, lower = _settle_then_search(oracle, removable, lower, budget, search)
     else:
         target = None if budget is None else g.m - budget
-        blocks = _conflict_blocks(oracle, removable)
+        blocks = oracle.blocks
         order = sorted(removable, key=lambda i: (blocks[0][i], i))
         stop_at = g.m - lower if budget is None else None
         removal = _bnb_max_removal(oracle, order, target, blocks, stop_at)
@@ -803,6 +830,10 @@ def min_spanner_exact(
             lower = len(kept)
         elif len(kept) > budget:  # exhausted: no spanner fits the budget
             lower = budget + 1
+            if len(kept) > lower:
+                # The pruned search's best removal can be far from minimum;
+                # the index-order greedy spanner is often much smaller.
+                kept = min(kept, _greedy_local_min(oracle, removable), key=len)
     return _result(g, kept, lower, budget, f"exact-{engine}")
 
 
@@ -1059,13 +1090,8 @@ def min_spanner_xp_vc(g: TemporalGraph, budget: int | None = None) -> SolveResul
     if not reach.is_tc(g, STRICT):
         raise NotTemporallyConnected("input graph is not temporally connected")
     oracle = _SubsetOracle(g, STRICT, ALL_PAIRS)
-
-    def bound() -> int:
-        forced = forced_edges(g)
-        return _block_bound(oracle, [i for i in range(g.m) if i not in forced])
-
     kept, lower = _settle_then_search(
-        oracle, list(range(g.m)), _gossip_bound(g, STRICT, ALL_PAIRS), budget, bound,
+        oracle, list(range(g.m)), _gossip_bound(g, STRICT, ALL_PAIRS), budget,
         lambda best, floor: _xp_search(oracle, budget, floor, best),
     )
     return _result(g, kept, lower, budget, "xp-vc")

@@ -55,6 +55,19 @@ def test_solve_methods_agree(capsys, graph_file):
     assert exact["optimal"] and xp["optimal"]
 
 
+def test_solve_json_reports_the_proven_lower_bound(capsys, graph_file):
+    code, out, _ = run(capsys, "solve", "--json", graph_file)
+    assert code == 0
+    opt = json.loads(out)["result"]
+    assert opt["optimal"] and opt["lower_bound"] == opt["size"]
+    # One edge below the optimum: the "no" carries the bound that decided it.
+    code, out, _ = run(capsys, "solve", "--json", "--k", str(opt["size"] - 1), graph_file)
+    assert code == 1
+    no = json.loads(out)["result"]
+    assert no["within_budget"] is False and opt["size"] - 1 < no["lower_bound"] <= no["size"]
+    assert no["optimal"] is (no["size"] <= no["lower_bound"])
+
+
 def test_solve_flow_engine(capsys, graph_file):
     code, out, _ = run(capsys, "solve", "--engine", "bnb", "--json", graph_file)
     assert code == 0

@@ -138,10 +138,9 @@ def test_flow_decides_four_variable_sat_reductions(phi, within):
     g = out.graph
     assert (g.vertex_count, g.m, out.budget) == (63, 198, 142)
     # The block bound, 141, is one below the budget: it settles neither.
-    forced = solver.forced_edges(g)
-    removable = [i for i in range(g.m) if i not in forced]
-    assert solver._block_bound(solver._SubsetOracle(g, STRICT, solver.ALL_PAIRS), removable) == 141
-    res = solver.min_spanner_exact(g, budget=out.budget, cap=len(removable), engine="flow")
+    oracle = solver._SubsetOracle(g, STRICT, solver.ALL_PAIRS)
+    assert solver._block_bound(oracle) == 141
+    res = solver.min_spanner_exact(g, budget=out.budget, cap=len(oracle.removable), engine="flow")
     assert res.within_budget is within
     if within:
         assert res.size <= out.budget
@@ -171,8 +170,7 @@ def test_flow_model_has_columns_only_for_usable_arcs(monkeypatch):
     ((model, status),) = models
     assert status == 2
     forced = solver.forced_edges(g)
-    free = [i for i in range(g.m) if i not in forced]
-    assert solver._block_bound(solver._SubsetOracle(g, STRICT, solver.ALL_PAIRS), free) == 27
+    assert solver._block_bound(solver._SubsetOracle(g, STRICT, solver.ALL_PAIRS)) == 27
     removable = g.m - len(forced)
     assert removable == 17
     # One integer column per removable edge; forced edges are constants.

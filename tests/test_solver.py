@@ -172,15 +172,13 @@ def _draw_requirement(g, data):
 @given(_hub_graphs(), st.sampled_from([STRICT, NONSTRICT]), st.data())
 def test_bounds_enclose_the_optimum_on_hub_graphs(g, s, data):
     req = _draw_requirement(g, data)
-    forced = solver.forced_edges(g, s, req)
-    removable = [i for i in range(g.m) if i not in forced]
     oracle = solver._SubsetOracle(g, s, req)
     opt = solver.min_spanner_brute(g, s, req).size
-    assert len(forced) <= opt
+    assert len(oracle.forced) <= opt
     assert solver._gossip_bound(g, s, req) <= opt
-    assert solver._block_bound(oracle, removable) <= opt
+    assert solver._block_bound(oracle) <= opt
     # Goal 0 is never met, so every restart runs.
-    best = solver._greedy_restarts(oracle, removable, 0)
+    best = solver._greedy_restarts(oracle, oracle.removable, 0)
     assert opt <= len(best)
     assert solver.requirement_holds(g, s, req, kept=best)
 
@@ -195,14 +193,12 @@ def _search_refuses(engine, g, s, req, budget):
     """Whether the engine's search, run with no bound to settle it first,
     proves that no spanner keeps at most ``budget`` edges."""
     oracle = solver._SubsetOracle(g, s, req)
-    forced = solver.forced_edges(g, s, req)
     if engine == "flow":
-        return solver._exact_by_flow(oracle, forced, budget) is None
+        return solver._exact_by_flow(oracle, budget) is None
     if engine == "xp":
         return solver._xp_search(oracle, budget, 0, frozenset(range(g.m)))[1] > budget
-    removable = [i for i in range(g.m) if i not in forced]
-    blocks = solver._conflict_blocks(oracle, removable)
-    order = sorted(removable, key=lambda i: (blocks[0][i], i))
+    blocks = oracle.blocks
+    order = sorted(oracle.removable, key=lambda i: (blocks[0][i], i))
     target = g.m - budget
     return len(solver._bnb_max_removal(oracle, order, target, blocks)) < target
 
@@ -210,20 +206,29 @@ def _search_refuses(engine, g, s, req, budget):
 def _agrees_with_brute(engine, g, s, req):
     """Checks the engine's answers at budgets None, opt, opt - 1 and
     |forced| - 1 against brute force: each is a spanner, right about the
-    budget, and reports ``optimal`` only at the optimum's size.  The lower
-    bounds often answer budget opt - 1 with no search, so the search is
-    also run alone there.  Returns the number of decision answers that
-    report ``optimal``."""
+    budget, reports a lower bound no larger than the optimum, and reports
+    ``optimal`` exactly when it meets that bound, hence only at the
+    optimum's size.  A "no" at a budget that |forced| and the gossip bound
+    leave open keeps no more edges than the index-order greedy spanner.
+    The lower bounds often answer budget opt - 1 with no search, so the
+    search is also run alone there.  Returns the number of decision answers
+    that report ``optimal``."""
     opt = solver.min_spanner_brute(g, s, req).size
+    oracle = solver._SubsetOracle(g, s, req)
+    lower = max(len(oracle.forced), solver._gossip_bound(g, s, req))
+    greedy = len(solver._greedy_local_min(oracle, oracle.removable))
     proven = 0
-    for budget in (None, opt, opt - 1, len(solver.forced_edges(g, s, req)) - 1):
+    for budget in (None, opt, opt - 1, len(oracle.forced) - 1):
         res = _solve(engine, g, s, req, budget)
         assert solver.requirement_holds(g, s, req, kept=res.spanner.kept)
         assert res.size >= opt and (res.size == opt or not res.optimal)
+        assert res.lower_bound <= opt and res.optimal is (res.size <= res.lower_bound)
         if budget is None:
             assert res.size == opt and res.optimal
         else:
             assert res.within_budget is (budget >= opt)
+            if budget >= lower and not res.within_budget:
+                assert res.size <= greedy
             proven += res.optimal
     assert _search_refuses(engine, g, s, req, opt - 1)
     return proven
@@ -391,11 +396,10 @@ def test_flow_takes_each_path_around_the_greedy_incumbent(milp_calls, two_source
             instances.append((g, req))
     paths, nos = set(), set()
     for g, req in instances:
-        forced = solver.forced_edges(g, s, req)
-        removable = [i for i in range(g.m) if i not in forced]
         oracle = solver._SubsetOracle(g, s, req)
-        lower = max(len(forced), solver._gossip_bound(g, s, req))
-        block = solver._block_bound(oracle, removable)
+        removable = oracle.removable
+        lower = max(len(oracle.forced), solver._gossip_bound(g, s, req))
+        block = solver._block_bound(oracle)
         best = solver._greedy_restarts(oracle, removable, lower)
         opt = solver.min_spanner_brute(g, s, req).size
         milp_calls.clear()
@@ -467,14 +471,35 @@ def test_flow_no_answer_after_the_greedy_carries_the_incumbent(milp_calls):
     assert res.spanner.kept == frozenset(range(g.m)) and res.within_budget is False
 
 
+def test_bnb_no_answer_is_no_larger_than_the_greedy_spanner():
+    # The two-source PHI_UNSAT variant at its budget 21: the exhausted
+    # decision search of branch and bound keeps every one of the 35 edges,
+    # while the index-order greedy spanner keeps 22, the optimum.
+    var = red.sat_two_source_variant(red.sat_to_spanner_instance(red.SatInstance(1, ((1, 1, 1), (-1, -1, -1)))))
+    g, req = var.graph, TwoSource(*var.sources)
+    assert var.budget == 21 and g.m == 35
+    oracle = solver._SubsetOracle(g, STRICT, req)
+    blocks = oracle.blocks
+    order = sorted(oracle.removable, key=lambda i: (blocks[0][i], i))
+    assert solver._bnb_max_removal(oracle, order, g.m - 21, blocks) == []
+    greedy = solver._greedy_local_min(oracle, oracle.removable)
+    assert len(greedy) == 22
+    for engine in solver.ENGINES:
+        res = solver.min_spanner_exact(g, budget=21, requirement=req, engine=engine)
+        assert res.within_budget is False and res.size == 22 == res.lower_bound and res.optimal
+        assert res.spanner.kept == greedy
+
+
 def test_each_solve_reads_the_requirement_once(monkeypatch, milp_calls):
-    # Counts oracle constructions and recordings of the empty set's
-    # checkpoints.  ``forced_edges`` and the solve build one oracle each and
-    # record its root once; the searches reuse the solve's oracle.
-    counts = {"oracles": 0, "roots": 0, "unions": 0}
+    # Counts oracle constructions, recordings of the empty set's checkpoints
+    # and conflict-block computations.  Each solve builds one oracle, which
+    # records its root at most once and computes its blocks at most once;
+    # the forced set, the block bound and the searches all read it.
+    counts = {"oracles": 0, "roots": 0, "blocks": 0, "unions": 0}
     real_init = solver._SubsetOracle.__init__
     real_sweep = reach._mask_sweep
     real_incomplete = solver._incomplete_vertices
+    real_blocks = solver._conflict_blocks
 
     def init(self, *args):
         counts["oracles"] += 1
@@ -488,29 +513,41 @@ def test_each_solve_reads_the_requirement_once(monkeypatch, milp_calls):
         counts["unions"] += 1
         return real_incomplete(*args)
 
+    def blocks(*args):
+        counts["blocks"] += 1
+        return real_blocks(*args)
+
     monkeypatch.setattr(solver._SubsetOracle, "__init__", init)
     monkeypatch.setattr(reach, "_mask_sweep", sweep)
     monkeypatch.setattr(solver, "_incomplete_vertices", incomplete)
+    monkeypatch.setattr(solver, "_conflict_blocks", blocks)
 
     def counted(call):
         for key in counts:
             counts[key] = 0
         call()
+        assert counts["blocks"] <= 1
         return counts["oracles"], counts["roots"]
 
-    # The MILP beats the incumbent; the solve's oracle re-checks its answer.
+    # The MILP beats the incumbent after the block bound; the solve's oracle
+    # re-checks its answer.
     g = _multilabel_graph(174, (5, 7))
-    assert counted(lambda: solver.min_spanner_exact(g, engine="flow")) == (2, 2)
-    assert milp_calls == [0]
-    # phi-mixed at its budget: branch and bound over 6 conflict blocks used
-    # to record the root once per search, 8 times in all.
+    assert counted(lambda: solver.min_spanner_exact(g, engine="flow")) == (1, 1)
+    assert milp_calls == [0] and counts["blocks"] == 1
+    assert counted(lambda: solver.forced_edges(g)) == (1, 1)
+    assert counted(lambda: solver.min_spanner_brute(g)) == (1, 1)
+    # phi-mixed, optimum 54: the conflict-block searches and the main branch
+    # and bound all start from the one root.
     g = red.sat_to_spanner_instance(red.SatInstance(2, ((1, -2, 2), (-1, -1, 2)))).graph
-    assert counted(lambda: solver.min_spanner_exact(g, budget=54)) == (2, 2)
-    # XP: its own oracle and the one of ``forced_edges`` in the block bound,
-    # however many candidate unions the search evaluates.
+    for engine, budget in [("auto", None), ("bnb", None)] + [
+        (engine, budget) for engine in solver.ENGINES for budget in (54, 53)
+    ]:
+        assert counted(lambda: solver.min_spanner_exact(g, budget=budget, engine=engine)) == (1, 1)
+    # XP: one oracle, whose root the block bound records, however many
+    # candidate unions the search evaluates.
     g = generate.random_happy_tc_with_cover(7, 3, 47)
-    assert counted(lambda: solver.min_spanner_xp_vc(g))[0] == 2
-    assert counts["unions"] > 1
+    assert counted(lambda: solver.min_spanner_xp_vc(g)) == (1, 1)
+    assert counts["unions"] > 1 and counts["blocks"] == 1
     assert counted(lambda: solver.select_extra_edges(g, range(g.m), [0, 1, 2])) == (1, 0)
 
 
