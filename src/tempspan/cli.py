@@ -1,7 +1,9 @@
 """Command-line front end for checking, solving, generating, and reducing.
 
 Exit codes: 0 = property holds / solved within budget; 1 = property fails /
-budget infeasible; 2 = resource guard tripped or MILP solver failure; 3 = usage
+budget infeasible; 2 = resource guard tripped (the bounds and a node-limited
+search leave the answer open, and the MILP or a bnb run to the end would
+search more than ``--cap`` removable edges) or MILP solver failure; 3 = usage
 or I/O errors.
 
 Reports are deterministic given identical inputs, flags, and seeds; wall
@@ -298,13 +300,18 @@ def _build_parser() -> _Parser:
     _add_strictness(p)
     p.add_argument("--k", type=int, default=None, help="budget (decision mode)")
     p.add_argument("--two-source", nargs=2, type=int, metavar=("S1", "S2"))
-    p.add_argument("--cap", type=int, default=solver.DEFAULT_CAP, help="removable-edge guard")
+    p.add_argument(
+        "--cap",
+        type=int,
+        default=solver.DEFAULT_CAP,
+        help="removable-edge guard: it guards the MILP or a bnb run to the end, never the bounds",
+    )
     p.add_argument(
         "--engine",
         choices=solver.ENGINES,
         default="auto",
-        help=f"exact engine (auto: bnb up to {solver.DEFAULT_CAP} removable edges, else flow,"
-        " which needs --cap raised above that)",
+        help="search once the bounds and a node-limited bnb leave the answer open: bnb runs on,"
+        f" flow asks the MILP (auto: bnb up to {solver.DEFAULT_CAP} removable edges, else flow)",
     )
     p.add_argument("--out", default="-", help="spanner output path ('-' = stdout)")
     p.add_argument("--triples", action="store_true", help="write 'u v t' lines instead of indices")

@@ -228,20 +228,9 @@ def reach_masks(
     """For each vertex v, the bitmask of vertices with a temporal path to v.
 
     All-sources sweep: bit u of entry v means u reaches v.  This is the fast
-    path behind :func:`reach_matrix` and :func:`is_tc`.
+    path behind :func:`is_tc`.
     """
     return _mask_sweep(g, s, _drop_flags(g, kept))
-
-
-def reach_matrix(
-    g: TemporalGraph,
-    s: Strictness = STRICT,
-    kept: Iterable[int] | None = None,
-) -> list[list[bool]]:
-    """n x n boolean matrix; entry (u, v) is True iff u reaches v.  Diagonal is True."""
-    masks = reach_masks(g, s, kept)
-    n = g.vertex_count
-    return [[bool(masks[v] >> u & 1) for v in range(n)] for u in range(n)]
 
 
 def is_tc(g: TemporalGraph, s: Strictness = STRICT, kept: Iterable[int] | None = None) -> bool:

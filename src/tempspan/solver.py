@@ -13,12 +13,12 @@ Contents:
   Bumby 1981): every temporally connected graph on n >= 4 vertices keeps at
   least 2n - 4 time edges, in the strict setting and in the non-strict one
   on proper graphs.  It is not used for the two-source requirement or for
-  non-strict paths on graphs that are not proper, where it fails.  Branch
-  and bound in optimise mode stops as soon as its incumbent meets it,
-* bounds on both sides before the flow MILP and the XP search, in one
-  helper (:func:`_settle_then_search`): a greedy incumbent and the
-  conflict-block bound of the solve's oracle settle the answer with no
-  search where they can,
+  non-strict paths on graphs that are not proper, where it fails,
+* one schedule for every exact engine (:func:`_settle_then_search`): a
+  greedy incumbent and the conflict-block bound of the solve's oracle
+  settle the answer where they can, then branch and bound seeded with the
+  incumbent, and only if a node limit stops it, greedy restarts and the
+  engine's own search (the flow MILP or the XP search),
 * an XP algorithm for happy graphs parameterized by the vertex cover number
   of the underlying graph: per cover root, enumerate every temporal out-tree
   directly in label order, combine one per root, select at most one extra
@@ -296,21 +296,20 @@ def _bnb_max_removal(
     target: int | None,
     blocks: tuple[dict[int, int], list[int]] | None = None,
     stop_at: int | None = None,
-) -> list[int]:
+    incumbent: list[int] | None = None,
+    node_limit: int | None = None,
+) -> tuple[list[int], bool]:
     """Depth-first maximization of the removed-edge count.
 
-    Returns the best removal set found.  With ``target`` set, the search
-    stops as soon as a feasible removal of that size is found; an exhausted
-    search then proves no such removal exists.  ``stop_at`` is an upper
-    bound on every feasible removal, such as the edge count minus the
-    gossip bound (:func:`_gossip_bound`): the search returns once its
-    incumbent reaches it, since that incumbent is optimal.  Unlike
-    ``target`` it does not prune, so the removal returned is the first
-    optimum the full search would find, which it would keep, as it replaces
-    its incumbent only by a strictly larger one.  ``blocks`` supplies the
-    decomposition bound: per-block caps on how many edges any feasible
-    removal can take from each block.  The bound is kept as a running sum,
-    updated when one block's counts change.
+    Returns the best removal set found, the feasible ``incumbent`` unless a
+    larger one turns up, and whether the search stopped after
+    ``node_limit`` nodes, proving nothing.  With ``target`` set, it stops on
+    a feasible removal of that size; an exhausted search then proves none
+    exists.  ``stop_at`` is an upper bound on every feasible removal: the
+    search returns once its best reaches it.  Unlike ``target`` it does not
+    prune.  ``blocks`` supplies the decomposition bound: per-block caps on
+    how many edges any feasible removal can take from each block, kept as a
+    running sum, updated when one block's counts change.
 
     Decisions follow ``removable`` in order.  A node first asks whether
     removing every remaining edge is feasible; if not, it branches on the
@@ -343,14 +342,19 @@ def _bnb_max_removal(
     removed = bytearray(oracle.g.m)
     # The search ends once the incumbent removes ``stop`` edges.
     stop = min((x for x in (target, stop_at) if x is not None), default=k + 1)
-    best: list[int] = []
+    best = incumbent or []
     cur: list[int] = []
-    hit = False
+    hit = stopped = False
+    nodes = 0
 
     def rec(pos: int, cps: list[list[int]], rest_infeasible: bool) -> None:
-        nonlocal best, hit, headroom
+        nonlocal best, hit, stopped, nodes, headroom
         if hit:
             return
+        if nodes == node_limit:
+            hit = stopped = True
+            return
+        nodes += 1
         if len(cur) > len(best):
             best = cur.copy()
             if len(best) >= stop:
@@ -401,7 +405,7 @@ def _bnb_max_removal(
         headroom += by_decide
 
     rec(0, oracle.root, False)
-    return best
+    return best, stopped
 
 
 # The largest conflict block that is not split further.
@@ -468,7 +472,7 @@ def _conflict_blocks(oracle: _SubsetOracle) -> tuple[dict[int, int], list[int]]:
         if len(comp) == 1:
             caps.append(1)  # each removable edge is individually droppable
         else:
-            caps.append(len(_bnb_max_removal(oracle, comp, None)))
+            caps.append(len(_bnb_max_removal(oracle, comp, None)[0]))
     return block_of, caps
 
 
@@ -485,18 +489,17 @@ def _greedy_local_min(oracle: _SubsetOracle, order: Iterable[int]) -> frozenset[
     return frozenset(i for i in range(m) if not removed[i])
 
 
-# Greedy passes over shuffled orders after the index-order pass misses.
+# Greedy passes over shuffled orders after a node-limited search stops.
 _RESTARTS = 16
 
 
-def _greedy_restarts(oracle: _SubsetOracle, order: list[int], goal: int) -> frozenset[int]:
-    """The smallest greedy spanner (:func:`_greedy_local_min`) over ``order``
-    and then over up to ``_RESTARTS`` shuffles of it, drawn from one
-    ``random.Random(0)`` so that the answer is deterministic.  Stops as soon
-    as a spanner keeps at most ``goal`` edges."""
-    best = _greedy_local_min(oracle, order)
-    if len(best) <= goal:
-        return best
+def _greedy_restarts(
+    oracle: _SubsetOracle, order: list[int], goal: int, best: frozenset[int]
+) -> frozenset[int]:
+    """The smallest of the spanner ``best`` and the greedy spanners
+    (:func:`_greedy_local_min`) over up to ``_RESTARTS`` shuffles of
+    ``order``, drawn from one ``random.Random(0)`` so that the answer is
+    deterministic.  Stops as soon as a spanner keeps at most ``goal`` edges."""
     rng = random.Random(0)
     order = list(order)
     for _ in range(_RESTARTS):
@@ -516,11 +519,16 @@ def _block_bound(oracle: _SubsetOracle) -> int:
     return oracle.g.m - sum(oracle.blocks[1])
 
 
+# Branch-and-bound nodes before a search that has a fallback gives way to it.
+_NODE_LIMIT = 2000
+
+
 def _settle_then_search(
     oracle: _SubsetOracle, order: list[int], lower: int, budget: int | None,
-    search: Callable[[frozenset[int], int], tuple[frozenset[int], int]],
+    fallback: Callable[[frozenset[int], int], tuple[frozenset[int], int]] | None = None,
 ) -> tuple[frozenset[int], int]:
-    """Bound the answer on both sides; search only if it is still open.
+    """The one schedule of every exact engine: bound the answer on both
+    sides, then search only while it is still open.
 
     Returns the kept edge set and the lower bound proven on every spanner;
     the set is minimum iff it keeps at most that many edges.  Every spanner
@@ -529,22 +537,46 @@ def _settle_then_search(
     before leave the answer open:
 
     1. Greedy: drop the edges of ``order`` in turn while the requirement
-       holds.  A spanner within the goal is the answer.
-    2. Restarts: the same over up to ``_RESTARTS`` seeded shuffles of
-       ``order`` (:func:`_greedy_restarts`), stopping once one meets the goal.
-    3. Bound: raise ``lower`` to the conflict-block bound of the oracle's
-       removable edges (:func:`_block_bound`).  An incumbent at it is
-       optimal; a budget below it is answered "no" with the incumbent.
-    4. Search: ``search(incumbent, lower)`` returns a spanner no larger than
-       the incumbent and the lower bound it proved.
+       holds (:func:`_greedy_local_min`).  A spanner within the goal is the
+       answer.
+    2. Block bound: raise ``lower`` to the conflict-block bound
+       (:func:`_block_bound`).  An incumbent at it is optimal; a budget
+       below it is answered "no" with the incumbent.
+    3. Branch and bound (:func:`_bnb_max_removal`) over the removable edges
+       in block order, from the incumbent's removal set, stopping at the
+       budget or, when optimising, at ``lower``.  Without a ``fallback`` it
+       runs to the end.  With one it stops after ``_NODE_LIMIT`` nodes: 12
+       of the 14 ``solve-flow`` benchmark ops that reach this step end
+       within it, and the other 2 stop after 9-17 ms on a 2-core VM.
+    4. After a stopped search only: greedy passes over seeded shuffles of
+       ``order`` (:func:`_greedy_restarts`), then ``fallback(incumbent,
+       lower)``, which returns a spanner no larger than the incumbent and
+       the lower bound it proved.
     """
+    m = oracle.g.m
     goal = lower if budget is None else max(lower, budget)
-    kept = _greedy_restarts(oracle, order, goal)
+    kept = _greedy_local_min(oracle, order)
+    if len(kept) <= goal:
+        return kept, lower
+    lower = max(lower, _block_bound(oracle))
+    goal = max(goal, lower)
+    if len(kept) <= goal or (budget is not None and budget < lower):
+        return kept, lower
+    block_of = oracle.blocks[0]
+    removable = sorted(oracle.removable, key=lambda i: (block_of[i], i))
+    removal, stopped = _bnb_max_removal(
+        oracle, removable, None if budget is None else m - budget, oracle.blocks, m - lower,
+        [i for i in removable if i not in kept], None if fallback is None else _NODE_LIMIT,
+    )
+    kept = frozenset(range(m)).difference(removal)
+    if not stopped:
+        if budget is None:  # the search ran to the end or stopped at ``lower``
+            return kept, len(kept)
+        return kept, lower if len(kept) <= budget else budget + 1
+    kept = _greedy_restarts(oracle, order, goal, kept)
     if len(kept) > goal:
-        lower = max(lower, _block_bound(oracle))
-        if len(kept) > lower and (budget is None or budget >= lower):
-            kept, proven = search(kept, lower)
-            lower = max(lower, proven)
+        kept, proven = fallback(kept, lower)
+        lower = max(lower, proven)
     return kept, lower
 
 
@@ -762,78 +794,42 @@ def min_spanner_exact(
 ) -> SolveResult:
     """Exact minimum spanner for the requirement, guarded by a removable-edge cap.
 
-    With a ``budget``, runs in decision mode: the search may stop on any
-    feasible solution of size at most the budget, or on a proof that none
-    exists (``within_budget`` reports which).  ``optimal`` is True exactly
-    when the returned spanner is proven minimum, in either mode: always
-    without a budget, and with one when the spanner meets a proven lower
-    bound, such as a spanner of budget + 1 edges next to a proof that none
-    fits the budget.  ``engine`` is one of :data:`ENGINES`; the ``flow``
-    engine raises :class:`SolverFailed` when the MILP solver gives no answer.
-    Every path picks the kept edge set and the lower bound it proved; the
-    result fields follow from them.
-
-    Every spanner keeps at least ``lower`` edges: the forced edges, and the
-    gossip bound 2n - 4 where it applies (all-pairs on n >= 4 vertices, with
-    strict paths or on a proper graph; see :func:`_gossip_bound`).  Branch
-    and bound in optimise mode stops once its incumbent keeps ``lower``
-    edges; in decision mode an exhausted search proves budget + 1 and
-    returns the smaller of its best removal's spanner and the index-order
-    greedy spanner (:func:`_greedy_local_min`).  The flow
-    engine runs :func:`_settle_then_search` over the removable edges in
-    index order, with the conflict-block bound (:func:`_block_bound`) and,
-    as the search, one MILP that asks for a spanner of at most ``budget``
-    edges, or of one edge fewer than the incumbent when optimising.  Its
-    infeasibility at that cutoff proves cutoff + 1: no spanner fits the
-    budget, or the incumbent is optimal.  A "no" answer reached after the
-    greedy returns the incumbent.
-
-    ``cap`` applies only when a search may be needed: with no removable
-    edge, or a budget below the forced and gossip bound, the answer is
-    returned whatever the instance size, and a "no" keeps every edge.
+    With a ``budget``, runs in decision mode: the answer is a spanner within
+    the budget or a proof that none exists (``within_budget`` says which).
+    ``optimal`` is True exactly when the spanner is proven minimum, in
+    either mode.  Every engine runs :func:`_settle_then_search` over the
+    removable edges from the forced and gossip bounds; ``engine`` (one of
+    :data:`ENGINES`; ``auto`` is ``bnb`` up to :data:`DEFAULT_CAP` removable
+    edges, else ``flow``) picks only its fallback.  For ``flow`` it is one
+    MILP (:func:`_exact_by_flow`) at the budget, or at one edge below the
+    incumbent when optimising; its infeasibility proves that cutoff + 1, and
+    :class:`SolverFailed` means the MILP solver gave no answer.  ``bnb`` has
+    none, so its branch and bound runs to the end.  ``cap`` guards only
+    those unbounded searches: beyond ``cap`` removable edges either engine
+    gets the fallback that raises :class:`InstanceTooLarge`, once the
+    bounds, a node-limited branch and bound and the restarts leave the
+    answer open.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     oracle = _SubsetOracle(g, s, requirement)
     removable = oracle.removable
     if engine == "auto":
-        # Block-bounded branch and bound wins through the default desk-scale
-        # cap; the flow MILP is the only engine with a chance beyond it.
         engine = "bnb" if len(removable) <= DEFAULT_CAP else "flow"
     lower = max(len(oracle.forced), _gossip_bound(g, s, requirement))
 
-    if not removable or (budget is not None and lower > budget):
-        # The forced edges are the only spanner, or no spanner fits the
-        # budget: no search or MILP is needed, so the cap does not apply.
-        kept = frozenset(range(g.m))
-    elif len(removable) > cap:
-        raise InstanceTooLarge(f"{len(removable)} removable edges exceed cap {cap}")
-    elif engine == "flow":
+    def search(best: frozenset[int], lower: int) -> tuple[frozenset[int], int]:
+        if len(removable) > cap:
+            raise InstanceTooLarge(f"{len(removable)} removable edges exceed cap {cap}")
+        # Only flow gets here, with any budget below the incumbent's size.
+        cutoff = len(best) - 1 if budget is None else budget
+        found = _exact_by_flow(oracle, cutoff)
+        if found is None:  # no spanner keeps at most ``cutoff`` edges
+            return best, cutoff + 1
+        return found, len(found)
 
-        def search(best: frozenset[int], lower: int) -> tuple[frozenset[int], int]:
-            # The budget, if any, is below the incumbent's size.
-            cutoff = len(best) - 1 if budget is None else budget
-            found = _exact_by_flow(oracle, cutoff)
-            if found is None:  # no spanner keeps at most ``cutoff`` edges
-                return best, cutoff + 1
-            return found, len(found)
-
-        kept, lower = _settle_then_search(oracle, removable, lower, budget, search)
-    else:
-        target = None if budget is None else g.m - budget
-        blocks = oracle.blocks
-        order = sorted(removable, key=lambda i: (blocks[0][i], i))
-        stop_at = g.m - lower if budget is None else None
-        removal = _bnb_max_removal(oracle, order, target, blocks, stop_at)
-        kept = frozenset(range(g.m)) - frozenset(removal)
-        if budget is None:  # the search ran to the end or stopped at ``lower``
-            lower = len(kept)
-        elif len(kept) > budget:  # exhausted: no spanner fits the budget
-            lower = budget + 1
-            if len(kept) > lower:
-                # The pruned search's best removal can be far from minimum;
-                # the index-order greedy spanner is often much smaller.
-                kept = min(kept, _greedy_local_min(oracle, removable), key=len)
+    fallback = None if engine == "bnb" and len(removable) <= cap else search
+    kept, lower = _settle_then_search(oracle, removable, lower, budget, fallback)
     return _result(g, kept, lower, budget, f"exact-{engine}")
 
 
@@ -1075,12 +1071,11 @@ def min_spanner_xp_vc(g: TemporalGraph, budget: int | None = None) -> SolveResul
     every cover vertex, and its non-cover vertices are either inner nodes
     between two cover vertices (placeholders) or leaves under one.
 
-    The cover and tree search runs inside :func:`_settle_then_search`, over
-    every edge in index order, from the gossip bound 2n - 4 (see
-    :func:`_gossip_bound`; a happy graph on n >= 4 vertices has no smaller
-    spanner) raised by the conflict-block bound (:func:`_block_bound`).  It
-    starts from the incumbent and ends the moment it finds a spanner at the
-    lower bound, or within the budget.
+    The cover and tree search is the fallback of :func:`_settle_then_search`,
+    which runs over every edge in index order from the gossip bound 2n - 4
+    (see :func:`_gossip_bound`; a happy graph on n >= 4 vertices has no
+    smaller spanner).  It starts from the incumbent and ends the moment it
+    finds a spanner at the lower bound, or within the budget.
 
     ``optimal`` is True exactly when the returned spanner is proven
     minimum: it meets a lower bound, or the search ran to the end.

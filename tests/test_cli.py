@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from tempspan import cli, reductions
+from tempspan import cli, reductions, solver
 from tempspan import tempgraph as tg
 from tempspan.generate import random_happy_tc, random_happy_tc_with_cover
 
@@ -103,8 +103,9 @@ def test_solve_milp_failure_exits_cleanly(capsys, tmp_path, monkeypatch, engine)
     import scipy.optimize
 
     # The best greedy restart keeps 23 edges, above the gossip bound
-    # 2n - 4 = 20 and the block bound 20, so the flow engine must ask the
-    # MILP whether 22 edges suffice.
+    # 2n - 4 = 20 and the block bound 20.  With no branch-and-bound nodes
+    # the flow engine must ask the MILP whether 22 edges suffice.
+    monkeypatch.setattr(solver, "_NODE_LIMIT", 0)
     path = tmp_path / "g.tg"
     path.write_text(tg.serialize(random_happy_tc(12, 0, 0.6)))
     failed = SimpleNamespace(status=4, message="numerical trouble", x=None, fun=None)
@@ -136,21 +137,38 @@ def test_solve_budget_exit_codes(capsys, graph_file, tmp_path):
     assert code == 1
 
 
-def test_solve_resource_guard(capsys, graph_file):
-    code, _, err = run(capsys, "solve", "--cap", 0, graph_file)
-    assert code == 2
-    assert "resource guard" in err
+def test_solve_resource_guard(capsys, tmp_path):
+    # 48 removable edges exceed the default cap 40, and neither the bounds,
+    # a node-limited branch and bound nor the restarts settle the optimum.
+    path = tmp_path / "g.tg"
+    path.write_text(tg.serialize(random_happy_tc(16, 0, 0.4)))
+    code, out, err = run(capsys, "solve", path)
+    assert code == 2 and out == ""
+    assert "resource guard" in err and "48 removable edges exceed cap 40" in err
+
+
+def test_solve_default_answers_what_the_bounds_settle_beyond_the_cap(capsys, tmp_path):
+    # 58 removable edges exceed the default cap 40, but a node-limited
+    # branch and bound finds a spanner at the gossip bound 2n - 4 = 24.
+    path = tmp_path / "g.tg"
+    path.write_text(tg.serialize(random_happy_tc(14, 0, 0.6)))
+    code, out, _ = run(capsys, "solve", "--json", path)
+    result = json.loads(out)["result"]
+    assert code == 0
+    assert result["size"] == 24 == result["lower_bound"] and result["optimal"] is True
 
 
 def test_solve_cap_skipped_when_no_search_is_needed(capsys, tmp_path):
-    # 9 removable edges exceed cap 0, but the 3 forced edges alone exceed k=2.
+    # 9 removable edges exceed cap 0, but the index greedy spanner keeps
+    # 2n - 4 = 8 edges: it answers k=2 and k=8, proven optimal.
     path = tmp_path / "g.tg"
     path.write_text(tg.serialize(random_happy_tc(6, 0, 0.6)))
     code, out, _ = run(capsys, "solve", "--k", 2, "--cap", 0, path)
     assert code == 1
-    assert out.startswith("size=12 ")
-    code, _, err = run(capsys, "solve", "--k", 8, "--cap", 0, path)
-    assert code == 2 and "resource guard" in err
+    assert out.startswith("size=8 optimal=true ")
+    code, out, err = run(capsys, "solve", "--k", 8, "--cap", 0, path)
+    assert code == 0 and out.startswith("size=8 optimal=true ")
+    assert "resource guard" not in err
 
 
 def test_solve_cap_skipped_below_the_gossip_bound(capsys, tmp_path):

@@ -36,10 +36,14 @@ def test_reduction_graph_start_at_three_reaches_dummy_clause():
     assert prof.arrival[cx] == 7
 
 
-def test_reach_matrix_trivial():
-    assert reach.reach_matrix(tg.build(1, []), STRICT) == [[True]]
+def test_reach_masks_trivial():
+    assert reach.reach_masks(tg.build(1, []), STRICT) == [0b1]
     g = tg.build(2, [(0, 1, 1)])
-    assert reach.reach_matrix(g, STRICT) == [[True, True], [True, True]]
+    assert reach.reach_masks(g, STRICT) == [0b11, 0b11]
+    # Bit u of entry v: u reaches v.  On the chain 0-1-2 with rising labels
+    # 2 reaches 1 but not 0.
+    g = tg.build(3, [(0, 1, 1), (1, 2, 2)])
+    assert reach.reach_masks(g, STRICT) == [0b011, 0b111, 0b111]
 
 
 def test_is_tc_edge_cases():
@@ -63,7 +67,7 @@ def test_reach_monotone_under_edge_addition():
 def test_strictness_collapses_on_proper_graphs():
     for seed in range(15):
         g = generate.random_happy_tc(6, seed)
-        assert reach.reach_matrix(g, STRICT) == reach.reach_matrix(g, NONSTRICT)
+        assert reach.reach_masks(g, STRICT) == reach.reach_masks(g, NONSTRICT)
 
 
 def test_foremost_out_tree_star():

@@ -85,19 +85,33 @@ def test_budget_decision_mode():
 
 
 def test_instance_too_large_guard():
-    g = generate.random_happy_tc_with_cover(7, 3, 5)
-    with pytest.raises(solver.InstanceTooLarge):
-        solver.min_spanner_exact(g, cap=0)
+    # 48 removable edges: the index greedy keeps 31, the gossip bound is 28
+    # and the block bound 16, and neither a node-limited branch and bound
+    # nor the restarts settle the optimum 29.  Only a search beyond the cap
+    # could, so every engine refuses.
+    g = generate.random_happy_tc(16, 0, 0.4)
+    assert len(solver._SubsetOracle(g, STRICT, ALL_PAIRS).removable) == 48
+    for engine in solver.ENGINES:
+        with pytest.raises(solver.InstanceTooLarge, match="48 removable edges exceed cap 40"):
+            solver.min_spanner_exact(g, engine=engine)
+    with pytest.raises(solver.InstanceTooLarge, match="exceed cap 47"):
+        solver.min_spanner_exact(g, cap=47, engine="bnb")
 
 
 def test_cap_does_not_refuse_an_answer_that_needs_no_search():
-    # 9 removable edges exceed cap 0, but the 3 forced edges alone exceed
-    # budget 2, so the answer is known without a search.
+    # 9 removable edges exceed cap 0, but the index greedy spanner keeps
+    # 2n - 4 = 8 edges, the optimum: every budget is answered with it, and
+    # the "no" answers are proven optimal.
     g = generate.random_happy_tc(6, 0, 0.6)
-    res = solver.min_spanner_exact(g, budget=2, cap=0)
-    assert res.within_budget is False and res.size == g.m
-    with pytest.raises(solver.InstanceTooLarge):
-        solver.min_spanner_exact(g, budget=8, cap=0)
+    oracle = solver._SubsetOracle(g, STRICT, ALL_PAIRS)
+    greedy = solver._greedy_local_min(oracle, oracle.removable)
+    assert len(oracle.removable) == 9 and len(greedy) == 8
+    for budget in (None, 2, 7, 8):
+        for engine in solver.ENGINES:
+            res = solver.min_spanner_exact(g, budget=budget, cap=0, engine=engine)
+            assert res.spanner.kept == greedy and res.optimal and res.lower_bound == 8
+            assert res.within_budget is (None if budget is None else budget >= 8)
+    # The cap still guards a search: see test_instance_too_large_guard.
 
 
 def test_budget_below_the_gossip_bound_needs_no_search():
@@ -178,7 +192,9 @@ def test_bounds_enclose_the_optimum_on_hub_graphs(g, s, data):
     assert solver._gossip_bound(g, s, req) <= opt
     assert solver._block_bound(oracle) <= opt
     # Goal 0 is never met, so every restart runs.
-    best = solver._greedy_restarts(oracle, oracle.removable, 0)
+    best = solver._greedy_restarts(
+        oracle, oracle.removable, 0, solver._greedy_local_min(oracle, oracle.removable)
+    )
     assert opt <= len(best)
     assert solver.requirement_holds(g, s, req, kept=best)
 
@@ -200,7 +216,9 @@ def _search_refuses(engine, g, s, req, budget):
     blocks = oracle.blocks
     order = sorted(oracle.removable, key=lambda i: (blocks[0][i], i))
     target = g.m - budget
-    return len(solver._bnb_max_removal(oracle, order, target, blocks)) < target
+    removal, stopped = solver._bnb_max_removal(oracle, order, target, blocks)
+    assert not stopped
+    return len(removal) < target
 
 
 def _agrees_with_brute(engine, g, s, req):
@@ -208,14 +226,12 @@ def _agrees_with_brute(engine, g, s, req):
     |forced| - 1 against brute force: each is a spanner, right about the
     budget, reports a lower bound no larger than the optimum, and reports
     ``optimal`` exactly when it meets that bound, hence only at the
-    optimum's size.  A "no" at a budget that |forced| and the gossip bound
-    leave open keeps no more edges than the index-order greedy spanner.
-    The lower bounds often answer budget opt - 1 with no search, so the
-    search is also run alone there.  Returns the number of decision answers
-    that report ``optimal``."""
+    optimum's size.  Every "no" keeps no more edges than the index-order
+    greedy spanner.  The lower bounds often answer budget opt - 1 with no
+    search, so the search is also run alone there.  Returns the number of
+    decision answers that report ``optimal``."""
     opt = solver.min_spanner_brute(g, s, req).size
     oracle = solver._SubsetOracle(g, s, req)
-    lower = max(len(oracle.forced), solver._gossip_bound(g, s, req))
     greedy = len(solver._greedy_local_min(oracle, oracle.removable))
     proven = 0
     for budget in (None, opt, opt - 1, len(oracle.forced) - 1):
@@ -227,7 +243,7 @@ def _agrees_with_brute(engine, g, s, req):
             assert res.size == opt and res.optimal
         else:
             assert res.within_budget is (budget >= opt)
-            if budget >= lower and not res.within_budget:
+            if not res.within_budget:
                 assert res.size <= greedy
             proven += res.optimal
     assert _search_refuses(engine, g, s, req, opt - 1)
@@ -238,7 +254,13 @@ def _agrees_with_brute(engine, g, s, req):
 @settings(derandomize=True, deadline=None, max_examples=80, database=None)
 @given(g=_hub_graphs(), s=st.sampled_from([STRICT, NONSTRICT]), data=st.data())
 def test_engines_agree_with_brute_on_hub_graphs(engine, g, s, data):
-    _agrees_with_brute(engine, g, s, _draw_requirement(g, data))
+    # With no branch-and-bound nodes before the fallback, the flow engine's
+    # restarts and MILP run on these small graphs too.  The bnb engine,
+    # which ``auto`` picks here, has no fallback, so the limit does not
+    # apply to it.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_NODE_LIMIT", 0)
+        _agrees_with_brute(engine, g, s, _draw_requirement(g, data))
 
 
 def test_gossip_bound_is_zero_where_it_does_not_apply():
@@ -352,13 +374,16 @@ def test_bnb_agrees_with_brute_in_every_mode(kind, two_source, s):
 
 
 @_in_every_mode
-def test_flow_agrees_with_brute_in_every_mode(kind, two_source, s):
+def test_flow_agrees_with_brute_in_every_mode(monkeypatch, kind, two_source, s):
     # Non-strict multi-label graphs give the flow model cycles, which its
-    # per-pair arc pruning must not cut into.
+    # per-pair arc pruning must not cut into.  With no branch-and-bound
+    # nodes the restarts and the MILP run on these small graphs.
+    monkeypatch.setattr(solver, "_NODE_LIMIT", 0)
     _agrees_in_every_mode("flow", kind, two_source, s)
 
 
-def test_xp_agrees_with_brute():
+def test_xp_agrees_with_brute(monkeypatch):
+    monkeypatch.setattr(solver, "_NODE_LIMIT", 0)
     assert _agrees_in_every_mode("xp", "happy", False, STRICT) > 0
 
 
@@ -387,7 +412,10 @@ _UNSETTLED = [(1, (5, 7)), (14, (5, 7)), (174, (5, 7)), (236, (5, 7)), (336, (5,
 
 @pytest.mark.parametrize("two_source", [False, True], ids=["all-pairs", "two-source"])
 @pytest.mark.parametrize("s", [STRICT, NONSTRICT], ids=["strict", "nonstrict"])
-def test_flow_takes_each_path_around_the_greedy_incumbent(milp_calls, two_source, s):
+def test_flow_takes_each_path_around_the_greedy_incumbent(monkeypatch, milp_calls, two_source, s):
+    # With no branch-and-bound nodes, every answer that the index greedy
+    # and the bounds leave open goes to the restarts, then to the MILP.
+    monkeypatch.setattr(solver, "_NODE_LIMIT", 0)
     instances = _instances("happy", s, two_source, 8) + _instances("multilabel", s, two_source, 8)
     for seed, n_range in _UNSETTLED:
         g = _multilabel_graph(seed, n_range)
@@ -399,19 +427,23 @@ def test_flow_takes_each_path_around_the_greedy_incumbent(milp_calls, two_source
         oracle = solver._SubsetOracle(g, s, req)
         removable = oracle.removable
         lower = max(len(oracle.forced), solver._gossip_bound(g, s, req))
-        block = solver._block_bound(oracle)
-        best = solver._greedy_restarts(oracle, removable, lower)
+        bound = max(lower, solver._block_bound(oracle))
+        index = solver._greedy_local_min(oracle, removable)
+        best = solver._greedy_restarts(oracle, removable, bound, index)
         opt = solver.min_spanner_brute(g, s, req).size
         milp_calls.clear()
         res = solver.min_spanner_exact(g, s, requirement=req, engine="flow")
         assert res.size == opt and res.optimal
         assert solver.requirement_holds(g, s, req, kept=res.spanner.kept)
-        if len(best) <= lower:
-            # The first greedy pass or a restart meets the bound: no model.
+        if len(index) <= lower:
+            # The index greedy meets |forced| or the gossip bound: no model.
             paths.add("incumbent")
-            assert milp_calls == [] and res.spanner.kept == best
-        elif len(best) <= block:
+            assert milp_calls == [] and res.spanner.kept == index
+        elif len(index) <= bound:
             paths.add("bound")
+            assert milp_calls == [] and res.spanner.kept == index
+        elif len(best) <= bound:
+            paths.add("restart")
             assert milp_calls == [] and res.spanner.kept == best
         elif len(best) == opt:
             # The MILP at cutoff |best| - 1 is infeasible: best is optimal.
@@ -420,26 +452,19 @@ def test_flow_takes_each_path_around_the_greedy_incumbent(milp_calls, two_source
         else:
             paths.add("beaten")
             assert milp_calls == [0] and res.size < len(best)
-        # Decision mode: restarts stop on the first spanner within the budget.
+        # Decision mode: the greedy, then the restarts, stop on the first
+        # spanner within the budget.
         milp_calls.clear()
         yes = solver.min_spanner_exact(g, s, budget=len(best), requirement=req, engine="flow")
-        assert milp_calls == [] and yes.within_budget
-        assert yes.spanner.kept == solver._greedy_restarts(oracle, removable, len(best))
-        # A budget below a lower bound is answered with no model.  Below the
-        # block bound the "no" carries the incumbent, optimal if it meets
-        # that bound; below |forced| and the gossip bound the greedy does not
-        # run and every edge is kept.
+        assert milp_calls == [] and yes.within_budget and yes.spanner.kept == best
+        # A budget below a lower bound is answered with no model: the "no"
+        # carries the index greedy spanner, optimal if it meets the bound.
         milp_calls.clear()
-        no = solver.min_spanner_exact(g, s, budget=max(lower, block) - 1, requirement=req, engine="flow")
+        no = solver.min_spanner_exact(g, s, budget=bound - 1, requirement=req, engine="flow")
         assert milp_calls == [] and no.within_budget is False
-        assert no.optimal is (no.size <= max(lower, block))
-        if block > lower:
-            nos.add("block")
-            assert no.spanner.kept == solver._greedy_restarts(oracle, removable, block - 1)
-        else:
-            nos.add("early")
-            assert no.spanner.kept == frozenset(range(g.m))
-        if len(best) == opt > max(lower, block):
+        assert no.spanner.kept == index and no.optimal is (len(index) <= bound)
+        nos.add("block" if bound > lower else "early")
+        if len(best) == opt > bound:
             # The MILP refuses budget opt - 1: the "no" carries the incumbent,
             # proven optimal.
             milp_calls.clear()
@@ -447,43 +472,106 @@ def test_flow_takes_each_path_around_the_greedy_incumbent(milp_calls, two_source
             assert milp_calls == [2] and no.within_budget is False and no.optimal
             assert no.spanner.kept == best
             nos.add("milp")
-    assert paths == {"incumbent", "bound", "cutoff", "beaten"}
+    assert paths == {"incumbent", "bound", "restart", "cutoff", "beaten"}
     assert nos == {"block", "early", "milp"}
 
 
-def test_flow_no_answer_after_the_greedy_carries_the_incumbent(milp_calls):
+def test_flow_no_answer_after_the_greedy_carries_the_incumbent(monkeypatch, milp_calls):
     # PHI_UNSAT's graph: 26 forced edges, gossip bound 32, block bound 37,
-    # and no greedy pass below 38, the optimum.  The MILP refuses budget 37
-    # and the block bound budget 36; both answers keep the incumbent, which
-    # only the MILP proves optimal.
+    # and no greedy pass below 38, the optimum.  With no branch-and-bound
+    # nodes the MILP refuses budget 37, and the block bound budgets 36 and
+    # 31; every answer keeps the index greedy spanner, which only the MILP
+    # proves optimal.
+    monkeypatch.setattr(solver, "_NODE_LIMIT", 0)
     g = red.sat_to_spanner_instance(red.SatInstance(1, ((1, 1, 1), (-1, -1, -1)))).graph
-    forced = solver.forced_edges(g, STRICT)
-    removable = [i for i in range(g.m) if i not in forced]
-    best = solver._greedy_restarts(solver._SubsetOracle(g, STRICT, ALL_PAIRS), removable, 32)
-    assert len(forced) == 26 and len(best) == 38 < g.m
-    for budget, calls, optimal in ((37, [2], True), (36, [], False)):
+    oracle = solver._SubsetOracle(g, STRICT, ALL_PAIRS)
+    index = solver._greedy_local_min(oracle, oracle.removable)
+    assert len(oracle.forced) == 26 and solver._block_bound(oracle) == 37
+    assert solver._greedy_restarts(oracle, oracle.removable, 32, index) == index
+    assert len(index) == 38 < g.m
+    for budget, calls, optimal in ((37, [2], True), (36, [], False), (31, [], False)):
         milp_calls.clear()
         res = solver.min_spanner_exact(g, budget=budget, engine="flow")
-        assert milp_calls == calls and res.spanner.kept == best
+        assert milp_calls == calls and res.spanner.kept == index
         assert res.size == 38 and res.within_budget is False and res.optimal is optimal
-    # Below the gossip bound the greedy does not run: every edge is kept.
-    res = solver.min_spanner_exact(g, budget=31, engine="flow")
-    assert res.spanner.kept == frozenset(range(g.m)) and res.within_budget is False
+    # At the default limit branch and bound proves 38 with no model.
+    monkeypatch.setattr(solver, "_NODE_LIMIT", 2000)
+    milp_calls.clear()
+    res = solver.min_spanner_exact(g, budget=37, engine="flow")
+    assert milp_calls == [] and res.size == 38 and res.optimal and res.within_budget is False
+
+
+def test_flow_engine_settles_a_graph_with_no_model(milp_calls):
+    # The index greedy keeps 23 edges, the optimum, but the gossip and
+    # block bounds are 20: branch and bound, seeded with that spanner,
+    # proves it within its node limit, so the MILP never runs.
+    g = generate.random_happy_tc(12, 0, 0.6)
+    oracle = solver._SubsetOracle(g, STRICT, ALL_PAIRS)
+    assert len(solver._greedy_local_min(oracle, oracle.removable)) == 23
+    assert solver._block_bound(oracle) == 20
+    res = solver.min_spanner_exact(g, engine="flow")
+    assert res.size == 23 and res.optimal and milp_calls == []
+    assert solver.requirement_holds(g, STRICT, ALL_PAIRS, res.spanner.kept)
+
+
+@pytest.mark.parametrize("limit", [0, 2000], ids=["no-nodes", "default"])
+def test_restarts_and_fallback_run_only_after_a_stopped_search(monkeypatch, milp_calls, limit):
+    # Logs whether the main branch and bound (the call given an incumbent)
+    # stopped at the node limit, and when the restarts run.  They and the
+    # MILP run exactly after a stopped search, and never for the bnb
+    # engine, which has no fallback within its cap.
+    monkeypatch.setattr(solver, "_NODE_LIMIT", limit)
+    log = []
+    real_bnb, real_restarts = solver._bnb_max_removal, solver._greedy_restarts
+
+    def bnb(*args):
+        removal, stopped = real_bnb(*args)
+        if len(args) > 5:
+            log.append("stopped" if stopped else "searched")
+        return removal, stopped
+
+    def restarts(*args):
+        log.append("restarts")
+        return real_restarts(*args)
+
+    monkeypatch.setattr(solver, "_bnb_max_removal", bnb)
+    monkeypatch.setattr(solver, "_greedy_restarts", restarts)
+    instances = [(g, ALL_PAIRS) for g in (_multilabel_graph(*a) for a in _UNSETTLED)]
+    instances += _instances("multilabel", NONSTRICT, True, 8)
+    searched = milps = 0
+    for g, req in instances:
+        for engine in ("bnb", "flow"):
+            log.clear()
+            milp_calls.clear()
+            res = solver.min_spanner_exact(g, NONSTRICT, requirement=req, engine=engine)
+            assert res.optimal
+            if engine == "bnb" or limit:
+                assert "stopped" not in log and "restarts" not in log and milp_calls == []
+            elif log:
+                assert log[:2] == ["stopped", "restarts"] and len(log) == 2
+                milps += len(milp_calls)
+            else:  # the greedy or the block bound settled it
+                assert milp_calls == []
+            searched += "searched" in log
+    assert searched and (milps > 0) is (limit == 0)
 
 
 def test_bnb_no_answer_is_no_larger_than_the_greedy_spanner():
     # The two-source PHI_UNSAT variant at its budget 21: the exhausted
     # decision search of branch and bound keeps every one of the 35 edges,
-    # while the index-order greedy spanner keeps 22, the optimum.
+    # while the index-order greedy spanner keeps 22, the optimum.  Seeded
+    # with the greedy's removal set the search returns that set.
     var = red.sat_two_source_variant(red.sat_to_spanner_instance(red.SatInstance(1, ((1, 1, 1), (-1, -1, -1)))))
     g, req = var.graph, TwoSource(*var.sources)
     assert var.budget == 21 and g.m == 35
     oracle = solver._SubsetOracle(g, STRICT, req)
     blocks = oracle.blocks
     order = sorted(oracle.removable, key=lambda i: (blocks[0][i], i))
-    assert solver._bnb_max_removal(oracle, order, g.m - 21, blocks) == []
+    assert solver._bnb_max_removal(oracle, order, g.m - 21, blocks) == ([], False)
     greedy = solver._greedy_local_min(oracle, oracle.removable)
     assert len(greedy) == 22
+    seed = [i for i in order if i not in greedy]
+    assert solver._bnb_max_removal(oracle, order, g.m - 21, blocks, incumbent=seed) == (seed, False)
     for engine in solver.ENGINES:
         res = solver.min_spanner_exact(g, budget=21, requirement=req, engine=engine)
         assert res.within_budget is False and res.size == 22 == res.lower_bound and res.optimal
@@ -494,7 +582,9 @@ def test_each_solve_reads_the_requirement_once(monkeypatch, milp_calls):
     # Counts oracle constructions, recordings of the empty set's checkpoints
     # and conflict-block computations.  Each solve builds one oracle, which
     # records its root at most once and computes its blocks at most once;
-    # the forced set, the block bound and the searches all read it.
+    # the forced set, the block bound and the searches all read it.  With
+    # no branch-and-bound nodes the MILP and the XP search run here.
+    monkeypatch.setattr(solver, "_NODE_LIMIT", 0)
     counts = {"oracles": 0, "roots": 0, "blocks": 0, "unions": 0}
     real_init = solver._SubsetOracle.__init__
     real_sweep = reach._mask_sweep
@@ -552,20 +642,25 @@ def test_each_solve_reads_the_requirement_once(monkeypatch, milp_calls):
 
 
 def test_restarts_run_only_until_the_goal(monkeypatch):
-    # The index order keeps 13 edges; a restart finds 12 = 2n - 4.
+    # The index order keeps 13 edges; a shuffle finds 12 = 2n - 4.  The
+    # restarts run shuffles only, and keep the spanner they are given
+    # unless one is smaller.
     g = generate.random_happy_tc_with_cover(8, 3, 1)
     oracle = solver._SubsetOracle(g, STRICT, ALL_PAIRS)
     order = list(range(g.m))
+    index = solver._greedy_local_min(oracle, order)
+    assert len(index) == 13
     passes = []
     real = solver._greedy_local_min
     monkeypatch.setattr(solver, "_greedy_local_min", lambda *a: passes.append(1) or real(*a))
     sizes = {}
-    for goal in (13, 12, 0):
+    for goal in (12, 0):
         passes.clear()
-        sizes[goal] = (len(solver._greedy_restarts(oracle, order, goal)), len(passes))
-    assert sizes[13] == (13, 1)
-    assert sizes[12][0] == 12 and 1 < sizes[12][1] < 1 + solver._RESTARTS
-    assert sizes[0] == (12, 1 + solver._RESTARTS)
+        sizes[goal] = (len(solver._greedy_restarts(oracle, order, goal, index)), len(passes))
+    assert sizes[12][0] == 12 and 0 < sizes[12][1] < solver._RESTARTS
+    assert sizes[0] == (12, solver._RESTARTS)
+    best = solver._greedy_restarts(oracle, order, 0, index)
+    assert solver._greedy_restarts(oracle, order, 0, best) is best
 
 
 @pytest.mark.parametrize("engine", ["bnb", "flow"])
@@ -583,16 +678,18 @@ def test_engines_return_the_forced_set_when_nothing_is_removable(engine):
 @pytest.mark.parametrize("engine", ["auto", "bnb", "flow"])
 def test_exact_result_fields_follow_from_kept(engine):
     g = generate.random_happy_tc(6, 0, 0.6)
-    forced = solver.forced_edges(g, STRICT)
+    oracle = solver._SubsetOracle(g, STRICT, ALL_PAIRS)
+    forced = oracle.forced
+    greedy = solver._greedy_local_min(oracle, oracle.removable)
     opt = solver.min_spanner_exact(g, engine=engine).size
     assert 0 < len(forced) < opt - 1
-    # The last budget is below the forced count: the early exit, no search.
-    # At budget opt the spanner meets the gossip bound 2n - 4 = opt, so it
-    # is proven optimal; the two "no" answers keep every edge.
-    assert solver._gossip_bound(g, STRICT, ALL_PAIRS) == opt
+    # The index greedy spanner meets the gossip bound 2n - 4 = opt, so it
+    # answers every budget, proven optimal, with no search: the "no" at
+    # the last budget, below the forced count, too.
+    assert solver._gossip_bound(g, STRICT, ALL_PAIRS) == opt == len(greedy)
     for budget in (None, opt, opt - 1, len(forced) - 1):
         res = solver.min_spanner_exact(g, budget=budget, engine=engine)
-        assert res.optimal is (budget in (None, opt))
+        assert res.spanner.kept == greedy and res.optimal and res.lower_bound == opt
         assert res.within_budget is (None if budget is None else res.size <= budget)
         assert res.size == len(res.spanner.kept)
         assert res.method == ("exact-bnb" if engine == "auto" else f"exact-{engine}")
@@ -864,14 +961,15 @@ def test_xp_spanner_at_the_gossip_bound_is_optimal():
     for budget, within in ((None, None), (9, True), (8, True), (7, False)):
         res = solver.min_spanner_xp_vc(g, budget=budget)
         assert res.size == 8 and res.optimal and res.within_budget is within
-    # The index-order greedy keeps 13 edges and a restart finds 2n - 4 = 12,
-    # optimal even when it also decides a budget.  Budget 13 is met by the
-    # first pass, whose spanner no bound proves optimal.
+    # The index-order greedy keeps 13 edges and branch and bound finds
+    # 2n - 4 = 12, optimal even when it also decides a budget.  Budget 13 is
+    # met by the greedy, whose spanner no bound proves optimal.  Budget 11
+    # is below the gossip bound: the "no" carries the greedy spanner.
     g = generate.random_happy_tc_with_cover(8, 3, 1)
     assert len(_strict_greedy(g)) == 13
-    for budget, size, within in ((None, 12, None), (13, 13, True), (12, 12, True), (11, 12, False)):
+    for budget, size, within in ((None, 12, None), (13, 13, True), (12, 12, True), (11, 13, False)):
         res = solver.min_spanner_xp_vc(g, budget=budget)
-        assert res.size == size and res.optimal is (size == 12)
+        assert res.size == size and res.optimal is (size == 12) and res.lower_bound == 12
         assert res.within_budget is within
         assert solver.requirement_holds(g, STRICT, ALL_PAIRS, res.spanner.kept)
 
