@@ -5,8 +5,9 @@ scan of Wu et al., "Path Problems in Temporal Graphs" (VLDB 2014), over one
 table: :attr:`TemporalGraph.label_groups`, the edges grouped by equal label in
 ascending label order.  Under strict semantics a group sees only the values
 from before it (equal labels cannot chain); under non-strict semantics it is
-iterated to a fixpoint.  A group of one edge needs neither: both reduce to one
-relaxation judged on the values before the group.
+iterated to a fixpoint.  A label of one edge needs neither: both reduce to one
+relaxation judged on the values before it, read straight from the label's flat
+table entry.
 
 The sweep has two modes, and both skip the edges flagged in a per-edge
 ``removed`` bytearray:
@@ -100,20 +101,20 @@ def _mask_sweep(
     strict = s is STRICT
     keep = record.append if record is not None else None
     groups = g.label_groups[lo:] if lo else g.label_groups
-    for _, group in groups:
-        if len(group) == 1:
-            i, u, v = group[0]
+    for group in groups:
+        if len(group) == 4:
+            _, i, u, v = group
             if not removed[i]:
                 masks[u] = masks[v] = masks[u] | masks[v]
         elif strict:
             # Every read happens before the first write: the group sees only
             # pre-group masks.
-            before = [(u, v, masks[u], masks[v]) for i, u, v in group if not removed[i]]
+            before = [(u, v, masks[u], masks[v]) for i, u, v in group[1] if not removed[i]]
             for u, v, mu, mv in before:
                 masks[v] |= mu
                 masks[u] |= mv
         else:
-            alive = [(u, v) for i, u, v in group if not removed[i]]
+            alive = [(u, v) for i, u, v in group[1] if not removed[i]]
             changed = True
             while changed:
                 changed = False
@@ -152,12 +153,10 @@ def _arrival_sweep(
     via: list[int | None] = [None] * n
     arrival[source] = start - 1 + slack
     left = n - 1
-    for t, group in g.label_groups:
-        if t < start:
-            continue
-        if len(group) == 1:
-            i, u, v = group[0]
-            if removed[i]:
+    for group in g.label_groups:
+        if len(group) == 4:
+            t, i, u, v = group
+            if t < start or removed[i]:
                 continue
             au, av = arrival[u], arrival[v]
             if au < t + slack and t < av:
@@ -172,8 +171,11 @@ def _arrival_sweep(
             if not left:
                 break
             continue
+        t, rows = group
+        if t < start:
+            continue
         if strict:
-            before = [(i, u, v, arrival[u], arrival[v]) for i, u, v in group if not removed[i]]
+            before = [(i, u, v, arrival[u], arrival[v]) for i, u, v in rows if not removed[i]]
             for i, u, v, au, av in before:
                 if au < t and t < arrival[v]:
                     arrival[v] = t
@@ -184,7 +186,7 @@ def _arrival_sweep(
                     via[u] = i
                     left -= 1
         else:
-            alive = [edge for edge in group if not removed[edge[0]]]
+            alive = [row for row in rows if not removed[row[0]]]
             changed = True
             while changed:
                 changed = False

@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import reach
 from .reach import NONSTRICT, STRICT, Strictness, TemporalOutTree
-from .tempgraph import Spanner, TemporalGraph, classify, underlying_graph
+from .tempgraph import Spanner, TemporalGraph, classify, group_rows, underlying_graph
 
 
 class RequirementNotSatisfied(Exception):
@@ -108,9 +108,10 @@ class _SubsetOracle:
     equals ``need``.
 
     Checkpoints are lists ``cps`` of mask states, ``cps[j]`` the state before
-    group j of ``label_groups`` (``cps[0]`` the start masks, ``cps[-1]`` the
-    final ones).  A query whose drop flags match those of ``cps`` in every
-    group before ``lo`` resumes from ``cps[lo]``.
+    entry j of ``label_groups``, the group of one label whether it holds one
+    edge or several (``cps[0]`` the start masks, ``cps[-1]`` the final ones).
+    A query whose drop flags match those of ``cps`` in every group before
+    ``lo`` resumes from ``cps[lo]``; :func:`group_rows` gives a group's edges.
 
     The oracle is the one place that reads the requirement: it checks the
     two sources' range and keeps ``sources`` sorted and without repeats.
@@ -163,8 +164,8 @@ class _SubsetOracle:
         cps = self.root
         removed = bytearray(self.g.m)
         forced = []
-        for j, (_, group) in enumerate(self.g.label_groups):
-            for i, _, _ in group:
+        for j, group in enumerate(self.g.label_groups):
+            for i, _, _ in group_rows(group):
                 removed[i] = 1
                 if not self.feasible(removed, cps, j):
                     forced.append(i)
@@ -186,8 +187,8 @@ class _SubsetOracle:
     def group_of(self) -> list[int]:
         """Per edge index, the index of its group in ``label_groups``."""
         out = [0] * self.g.m
-        for j, (_, group) in enumerate(self.g.label_groups):
-            for i, _, _ in group:
+        for j, group in enumerate(self.g.label_groups):
+            for i, _, _ in group_rows(group):
                 out[i] = j
         return out
 
@@ -895,7 +896,7 @@ def _candidate_trees(g: TemporalGraph, root: int) -> list[int]:
     :func:`min_spanner_xp_vc`, which accepts happy graphs only, calls this.
     """
     n = g.vertex_count
-    order = [edge for _, group in g.label_groups for edge in group]
+    order = [row for group in g.label_groups for row in group_rows(group)]
     last = [-1] * n  # position of each vertex's last incident edge in ``order``
     for pos, (_, u, v) in enumerate(order):
         last[u] = last[v] = pos

@@ -14,6 +14,11 @@ columns.  The ``TimeEdge`` objects of :attr:`TemporalGraph.edges` are built on
 its first read, so a graph that is only parsed, classified and swept never
 holds one object per edge.
 
+The sweep table :attr:`TemporalGraph.label_groups` has one entry per distinct
+label: the flat ``(label, i, u, v)`` for a label of one edge, and
+``(label, ((i, u, v), ...))`` for a label of several.  :func:`group_rows`
+gives the ``(i, u, v)`` rows of either kind.
+
 Classification vocabulary:
 
 * *simple*  -- every underlying edge carries exactly one label,
@@ -112,24 +117,34 @@ class TemporalGraph:
         return tuple(map(TimeEdge, self.us, self.vs, self.ts))
 
     @cached_property
-    def label_groups(self) -> tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]:
-        """``(label, ((edge index, u, v), ...))`` per distinct label, in scan order.
+    def label_groups(self) -> tuple[tuple, ...]:
+        """The sweep table: one entry per distinct label, in ascending order.
 
-        The one table every reachability sweep reads; built on first use.
-        Edges are scanned by (label, index).
+        A label of one edge is the flat ``(label, i, u, v)``; a label of
+        several edges is ``(label, ((i, u, v), ...))``, rows in index order.
+        Flat entries keep a graph with distinct labels at one table object
+        per edge.  Every reachability sweep reads this table; it is built on
+        first use.
         """
         us, vs, ts = self.us, self.vs, self.ts
-        groups: list[tuple[int, tuple[tuple[int, int, int], ...]]] = []
+        groups: list[tuple] = []
+        # rows: the current label's rows, once it has a second edge.
         label, rows = 0, []  # no edge carries label 0
         # sorted() is stable, so equal labels keep ascending index order.
         for i in sorted(range(self.m), key=ts.__getitem__):
-            if ts[i] != label:
+            t = ts[i]
+            if t != label:
                 if rows:
-                    groups.append((label, tuple(rows)))
-                label, rows = ts[i], []
-            rows.append((i, us[i], vs[i]))
+                    groups[-1] = (label, tuple(rows))
+                    rows = []
+                label = t
+                groups.append((t, i, us[i], vs[i]))
+            elif rows:
+                rows.append((i, us[i], vs[i]))
+            else:  # the label's second edge: its first leaves the flat entry
+                rows = [groups[-1][1:], (i, us[i], vs[i])]
         if rows:
-            groups.append((label, tuple(rows)))
+            groups[-1] = (label, tuple(rows))
         return tuple(groups)
 
     @cached_property
@@ -210,15 +225,22 @@ def _from_columns(n: int, us: list[int], vs: list[int], ts: list[int]) -> Tempor
 
 def classify(g: TemporalGraph) -> GraphClass:
     """Classify a graph as simple / proper / happy."""
-    simple = len(g.underlying_pairs) == g.m
+    # Simple iff the m underlying pairs are distinct.  Pair {u, v} with u < v
+    # is encoded as the int u * n + v, one-to-one for endpoints in [0, n).
+    n = g.vertex_count
+    simple = len({u * n + v if u < v else v * n + u for u, v in zip(g.us, g.vs)}) == g.m
     # Proper iff the 2m (endpoint, label) incidences are pairwise distinct;
     # an edge's own two differ, as it is no self-loop.  Incidence (x, t) is
     # encoded as the int t * n + x, one-to-one for endpoints in [0, n).
-    n = g.vertex_count
     at_vertex = {t * n + u for u, t in zip(g.us, g.ts)}
     at_vertex.update([t * n + v for v, t in zip(g.vs, g.ts)])
     proper = len(at_vertex) == 2 * g.m
     return GraphClass(simple=simple, proper=proper, happy=simple and proper)
+
+
+def group_rows(group: tuple) -> tuple[tuple[int, int, int], ...]:
+    """The ``(edge index, u, v)`` rows of one :attr:`TemporalGraph.label_groups` entry."""
+    return group[1] if len(group) == 2 else (group[1:],)
 
 
 def underlying_graph(g: TemporalGraph) -> set[tuple[int, int]]:

@@ -179,13 +179,13 @@ def test_single_pass_relaxation_count(monkeypatch):
     arrival, reads = _counted_arrival(monkeypatch, g, 0, 0, STRICT)
     assert None not in arrival
     last = max(arrival)
-    assert reads == [i for t, group in g.label_groups if t <= last for i, _, _ in group]
+    assert reads == [i for group in g.label_groups if group[0] <= last for i, _, _ in tg.group_rows(group)]
     assert len(set(reads)) == len(reads) < g.m
     # With a vertex nobody reaches, no group can be skipped.
     h = tg.build(g.vertex_count + 1, g.edges)
     arrival, reads = _counted_arrival(monkeypatch, h, 0, 0, STRICT)
     assert arrival[-1] is None
-    assert reads == [i for _, group in h.label_groups for i, _, _ in group]
+    assert reads == [i for group in h.label_groups for i, _, _ in tg.group_rows(group)]
     assert len(set(reads)) == h.m
 
 
@@ -222,12 +222,17 @@ def _naive_arrival(g, source, start, strict, kept):
 
 def test_sweep_modes_agree_with_naive_fixpoint(monkeypatch):
     sizes = set()
+    # Graphs whose table holds both a flat one-edge entry and a multi-edge one.
+    mixed = 0
     # Sweeps that stopped early, after a multi-edge group.
     stopped_in_group = {STRICT: 0, NONSTRICT: 0}
     for seed in range(60):
         g = _multilabel_graph(seed)
-        sizes.update(len(group) for _, group in g.label_groups)
-        group_size = {i: len(group) for _, group in g.label_groups for i, _, _ in group}
+        rows_of = [tg.group_rows(group) for group in g.label_groups]
+        graph_sizes = {len(rows) for rows in rows_of}
+        sizes.update(graph_sizes)
+        mixed += 1 in graph_sizes and max(graph_sizes) > 1
+        group_size = {i: len(rows) for rows in rows_of for i, _, _ in rows}
         rng = random.Random(seed)
         for s in (STRICT, NONSTRICT):
             strict = s is STRICT
@@ -256,6 +261,7 @@ def test_sweep_modes_agree_with_naive_fixpoint(monkeypatch):
                     assert len(tree) == g.vertex_count - 1
                     assert reach.earliest_arrival(g, u, 0, s, kept=tree).arrival == arrival
     assert 1 in sizes and max(sizes) > 1  # both one-edge and multi-edge groups occur
+    assert mixed >= 1
     assert min(stopped_in_group.values()) >= 1, stopped_in_group
 
 

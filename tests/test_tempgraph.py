@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations, groupby
 
 import pytest
@@ -256,10 +257,24 @@ def test_roundtrip_property(g):
 
     edges = g.edges
     by_label = sorted(range(g.m), key=lambda i: (edges[i].t, i))
-    assert g.label_groups == tuple(
-        (t, tuple((i, edges[i].u, edges[i].v) for i in group))
-        for t, group in groupby(by_label, key=lambda i: edges[i].t)
-    )
+    expected = []
+    for t, run in groupby(by_label, key=lambda i: edges[i].t):
+        rows = tuple((i, edges[i].u, edges[i].v) for i in run)
+        expected.append((t, *rows[0]) if len(rows) == 1 else (t, rows))
+    assert g.label_groups == tuple(expected)
+    # Every edge appears exactly once, in (label, index) order.
+    rows = [row for group in g.label_groups for row in tg.group_rows(group)]
+    assert rows == [(i, edges[i].u, edges[i].v) for i in by_label]
+    labels = [group[0] for group in g.label_groups]
+    assert labels == sorted(set(labels))
+    # A one-edge label is one flat tuple; any other label holds row tuples.
+    carried = Counter(e.t for e in edges)
+    for group in g.label_groups:
+        if carried[group[0]] == 1:
+            assert len(group) == 4 and all(type(x) is int for x in group)
+        else:
+            assert len(group) == 2 and len(group[1]) == carried[group[0]] > 1
+            assert all(len(row) == 3 for row in group[1])
 
     pairs_of = [e.pair for e in edges]
     simple = all(a != b for a, b in combinations(pairs_of, 2))
