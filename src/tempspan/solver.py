@@ -21,8 +21,10 @@ Contents:
   engine's own search (the flow MILP or the XP search),
 * an XP algorithm for happy graphs parameterized by the vertex cover number
   of the underlying graph: per cover root, enumerate every temporal out-tree
-  directly in label order, combine one per root, select at most one extra
-  edge per non-cover vertex, verify.  The paper guesses each tree as a
+  directly in label order, combine one per root, and give each non-cover
+  vertex that the union leaves short one extra edge of its own, chosen by
+  one per-vertex rule (:func:`_single_edge_fixes`); the union plus its
+  extras is a spanner by construction.  The paper guesses each tree as a
   template over the cover with placeholders and leaf attachments; every
   instantiation is a spanning temporal out-tree and every such tree is one,
   so both describe the same candidate set,
@@ -32,6 +34,7 @@ Contents:
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -58,7 +61,8 @@ class NotTemporallyConnected(Exception):
 
 
 class SolverFailed(RuntimeError):
-    """The flow MILP engine could not produce an answer."""
+    """An engine's own search, the flow MILP or the XP search, could not
+    produce a valid answer."""
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +409,14 @@ def _bnb_max_removal(
         und[b] = u + 1
         headroom += by_decide
 
-    rec(0, oracle.root, False)
+    # ``rec`` goes one level deeper per decided edge, so a dive over
+    # thousands of removable edges would pass the default recursion limit.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + k)
+    try:
+        rec(0, oracle.root, False)
+    finally:
+        sys.setrecursionlimit(limit)
     return best, stopped
 
 
@@ -920,31 +931,15 @@ def _candidate_trees(g: TemporalGraph, root: int) -> list[int]:
     return sorted(found)
 
 
-def _mask_indices(mask: int) -> list[int]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
-
-
-def _incomplete_vertices(oracle: _SubsetOracle, kept: Iterable[int], cover: set[int]) -> list[int]:
-    """Non-cover vertices that miss some vertex through ``kept``; ``oracle``
-    is the strict all-pairs one."""
-    failing = oracle.failing_sources(reach._drop_flags(oracle.g, kept))
-    return [v for v in failing if v not in cover]
-
-
 def _single_edge_fixes(
-    g: TemporalGraph, union: Iterable[int], vertices: Iterable[int]
-) -> dict[int, int] | None:
-    """Per vertex, the smallest-index incident edge outside ``union`` whose
-    addition lets it reach every vertex; None if some vertex has none."""
-    removed = reach._drop_flags(g, union)
-    fixes: dict[int, int] = {}
+    g: TemporalGraph, removed: bytearray, vertices: Iterable[int]
+) -> list[int] | None:
+    """The XP algorithm's per-vertex extra-edge rule against the edges kept by
+    the drop flags ``removed``: for each of ``vertices`` alone, the
+    smallest-index dropped incident edge whose addition lets it reach every
+    vertex.  Returns those edges in order, or None if some vertex has none;
+    ``removed`` comes back unchanged."""
+    fixes = []
     for v in vertices:
         for idx in g.incident[v]:
             if not removed[idx]:
@@ -953,35 +948,11 @@ def _single_edge_fixes(
             fixed = None not in reach._arrival_sweep(g, v, 0, STRICT, removed)[0]
             removed[idx] = 1
             if fixed:
-                fixes[v] = idx
+                fixes.append(idx)
                 break
         else:
             return None
     return fixes
-
-
-def select_extra_edges(
-    g: TemporalGraph,
-    tree_union: Iterable[int],
-    cover: Iterable[int],
-) -> dict[int, int | None] | None:
-    """Per-vertex extra edge selection against a fixed union of out-trees.
-
-    For each non-cover vertex independently: no extra if it already reaches
-    everything through the union, otherwise the smallest-index incident edge
-    restoring full reach.  Returns None if some vertex has no single-edge fix.
-    """
-    union = set(tree_union)
-    x_set = set(cover)
-    oracle = _SubsetOracle(g, STRICT, ALL_PAIRS)
-    fixes = _single_edge_fixes(g, union, _incomplete_vertices(oracle, union, x_set))
-    if fixes is None:
-        return None
-    return {v: fixes.get(v) for v in range(g.vertex_count) if v not in x_set}
-
-
-class _SearchStop(Exception):
-    pass
 
 
 def _xp_search(
@@ -994,71 +965,62 @@ def _xp_search(
     Returns the smallest spanner found and the lower bound the search
     proved: that spanner's size if the search ran to the end, else 0.  It
     ends early on a spanner of at most ``floor`` edges, or of at most
-    ``budget``.  The combination search visits each union at most once per
-    level: the bound only falls, so a repeated visit could not find a
-    smaller spanner.
+    ``budget``.  The combination search takes one candidate tree per cover
+    root and visits each union at most once per level: the bound only
+    falls, so a repeated visit could not find a smaller spanner.
+
+    Each full union's failing sources outside the cover get one extra edge
+    each (:func:`_single_edge_fixes`), distinct as each joins its vertex to
+    the cover.  The union plus its extras is a spanner with no further
+    check: each cover root reaches every vertex through its own tree, every
+    other vertex through the union or through its extra edge, and
+    reachability is monotone under edge addition.
     """
     g = oracle.g
-    x_list = sorted(min_vertex_cover(underlying_graph(g), g.vertex_count))
-    cand = {x: _candidate_trees(g, x) for x in x_list}
-    # Most-constrained roots first narrows the union product early.
-    levels = sorted(x_list, key=lambda x: (len(cand[x]), x))
-    # Smallest trees first, so the level bound meets a witness early.
-    level_cands = [sorted(cand[x], key=int.bit_count) for x in levels]
+    m = g.m
+    x_set = min_vertex_cover(underlying_graph(g), g.vertex_count)
+    # Per cover root, its n - 1 edge candidates; most-constrained roots first
+    # (ties by root) narrows the union product early.
+    levels = sorted((_candidate_trees(g, x) for x in sorted(x_set)), key=len)
 
     best_size = len(best_kept)
     visited: list[set[int]] = [set() for _ in range(len(levels) + 1)]
-    x_set = set(x_list)
     stop = floor if budget is None else max(floor, budget)
 
-    def evaluate(acc: int) -> None:
+    def evaluate(acc: int) -> bool:
+        """Keep the union ``acc`` plus its extras if smaller than the best;
+        True if it is kept and within ``stop``."""
         nonlocal best_kept, best_size
-        union = _mask_indices(acc)
-        incomplete = _incomplete_vertices(oracle, union, x_set)
-        # Extra edges never coincide across vertices, so each one costs 1.
-        if len(union) + len(incomplete) >= best_size:
-            return
-        fixes = _single_edge_fixes(g, union, incomplete)
-        if fixes is None:
-            return
-        final = acc
-        for idx in fixes.values():
-            final |= 1 << idx
-        size = final.bit_count()
+        removed = bytearray(1 - (acc >> i & 1) for i in range(m))
+        incomplete = [v for v in oracle.failing_sources(removed) if v not in x_set]
+        size = acc.bit_count() + len(incomplete)
         if size >= best_size:
-            return
-        kept = frozenset(_mask_indices(final))
-        if not reach.is_tc(g, STRICT, kept):
-            return
-        best_kept, best_size = kept, size
-        if best_size <= stop:
-            raise _SearchStop
+            return False
+        fixes = _single_edge_fixes(g, removed, incomplete)
+        if fixes is None:
+            return False
+        best_kept = frozenset(i for i in range(m) if not removed[i]).union(fixes)
+        best_size = size
+        return size <= stop
 
-    def rec(i: int, acc: int) -> None:
+    def rec(i: int, acc: int) -> bool:
+        """Extend ``acc`` by one candidate per level from ``i`` on; True once
+        a spanner within ``stop`` is kept."""
         if acc in visited[i]:
-            return
+            return False
         visited[i].add(acc)
         if i == len(levels):
-            evaluate(acc)
-            return
+            return evaluate(acc)
         # Every remaining root still contributes a whole tree; the union must
         # absorb at least the cheapest candidate of each level.
-        for cands in level_cands[i:]:
+        for cands in levels[i:]:
             if not any((acc | c).bit_count() < best_size for c in cands):
-                return
-        # Built from ``cand``, not ``level_cands``: the set's iteration order
-        # depends on insertion order and breaks ties between equal sizes.
-        nxts = sorted({acc | c for c in cand[levels[i]]}, key=int.bit_count)
-        for nxt in nxts:
-            if nxt.bit_count() >= best_size:
-                break
-            rec(i + 1, nxt)
+                return False
+        nxts = sorted({acc | c for c in levels[i]}, key=int.bit_count)
+        return any(rec(i + 1, nxt) for nxt in nxts if nxt.bit_count() < best_size)
 
-    try:
-        rec(0, 0)
-    except _SearchStop:
-        return best_kept, 0
-    return best_kept, best_size
+    stopped = rec(0, 0)
+    return best_kept, 0 if stopped else best_size
 
 
 def min_spanner_xp_vc(g: TemporalGraph, budget: int | None = None) -> SolveResult:
@@ -1066,17 +1028,20 @@ def min_spanner_xp_vc(g: TemporalGraph, budget: int | None = None) -> SolveResul
 
     Steps: minimum vertex cover X of the underlying graph; per root in X,
     enumerate every temporal out-tree spanning the graph, walking the edges
-    in label order; combine one tree per root; add per-vertex extra edges;
-    verify connectivity; keep the smallest union found.  The trees are
-    exactly the paper's template instantiations: a spanning out-tree reaches
-    every cover vertex, and its non-cover vertices are either inner nodes
-    between two cover vertices (placeholders) or leaves under one.
+    in label order; combine one tree per root; give each non-cover vertex
+    that the union leaves short at most one extra edge of its own
+    (:func:`_single_edge_fixes`); keep the smallest spanner found.  The trees
+    are exactly the paper's template instantiations: a spanning out-tree
+    reaches every cover vertex, and its non-cover vertices are either inner
+    nodes between two cover vertices (placeholders) or leaves under one.
 
     The cover and tree search is the fallback of :func:`_settle_then_search`,
     which runs over every edge in index order from the gossip bound 2n - 4
     (see :func:`_gossip_bound`; a happy graph on n >= 4 vertices has no
     smaller spanner).  It starts from the incumbent and ends the moment it
-    finds a spanner at the lower bound, or within the budget.
+    finds a spanner at the lower bound, or within the budget.  The solve's
+    oracle checks the search's answer once, and :class:`SolverFailed` means
+    it failed the requirement.
 
     ``optimal`` is True exactly when the returned spanner is proven
     minimum: it meets a lower bound, or the search ran to the end.
@@ -1086,9 +1051,15 @@ def min_spanner_xp_vc(g: TemporalGraph, budget: int | None = None) -> SolveResul
     if not reach.is_tc(g, STRICT):
         raise NotTemporallyConnected("input graph is not temporally connected")
     oracle = _SubsetOracle(g, STRICT, ALL_PAIRS)
+
+    def search(best: frozenset[int], floor: int) -> tuple[frozenset[int], int]:
+        kept, proven = _xp_search(oracle, budget, floor, best)
+        if not oracle.feasible(reach._drop_flags(g, kept)):
+            raise SolverFailed("XP search produced an infeasible edge set")
+        return kept, proven
+
     kept, lower = _settle_then_search(
-        oracle, list(range(g.m)), _gossip_bound(g, STRICT, ALL_PAIRS), budget,
-        lambda best, floor: _xp_search(oracle, budget, floor, best),
+        oracle, list(range(g.m)), _gossip_bound(g, STRICT, ALL_PAIRS), budget, search
     )
     return _result(g, kept, lower, budget, "xp-vc")
 
@@ -1130,6 +1101,8 @@ def vc_tree_decompose(
     kept = set(spanner.kept)
     if not reach.is_tc(g, STRICT, kept):
         raise NotTemporallyConnected("spanner is not temporally connected")
+    if g.vertex_count == 1:  # the lone vertex needs no tree and no extra
+        return VcTreeDecomposition(trees=(), extras=())
 
     groups: dict[int, list[int]] = {}
     min_edge: dict[int, int] = {}

@@ -200,6 +200,18 @@ def test_decompose_optimal_spanner(capsys, graph_file, tmp_path):
     assert "tree root=" in out
 
 
+def test_decompose_single_vertex(capsys, tmp_path):
+    graph_file, span_file = tmp_path / "one.tg", tmp_path / "one.spanner"
+    graph_file.write_text("1 1\n")
+    span_file.write_text("")
+    code, out, _ = run(capsys, "decompose", "--vc", graph_file, span_file)
+    assert code == 0 and out == "cover=\n"
+    code, out, _ = run(capsys, "decompose", "--vc", "--json", graph_file, span_file)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result == {"cover": [], "decomposable": True, "trees": [], "extras": []}
+
+
 def test_decompose_full_graph_may_fail(capsys, graph_file, tmp_path):
     g = tg.parse(graph_file.read_text())
     span_file = tmp_path / "full.spanner"

@@ -1,8 +1,10 @@
+import inspect
 import random
+import sys
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tempspan import generate, reach, solver
@@ -588,7 +590,7 @@ def test_each_solve_reads_the_requirement_once(monkeypatch, milp_calls):
     counts = {"oracles": 0, "roots": 0, "blocks": 0, "unions": 0}
     real_init = solver._SubsetOracle.__init__
     real_sweep = reach._mask_sweep
-    real_incomplete = solver._incomplete_vertices
+    real_failing = solver._SubsetOracle.failing_sources
     real_blocks = solver._conflict_blocks
 
     def init(self, *args):
@@ -599,9 +601,9 @@ def test_each_solve_reads_the_requirement_once(monkeypatch, milp_calls):
         counts["roots"] += record is not None and not any(removed)
         return real_sweep(g, s, removed, masks, lo, record)
 
-    def incomplete(*args):
+    def failing(self, removed):
         counts["unions"] += 1
-        return real_incomplete(*args)
+        return real_failing(self, removed)
 
     def blocks(*args):
         counts["blocks"] += 1
@@ -609,7 +611,7 @@ def test_each_solve_reads_the_requirement_once(monkeypatch, milp_calls):
 
     monkeypatch.setattr(solver._SubsetOracle, "__init__", init)
     monkeypatch.setattr(reach, "_mask_sweep", sweep)
-    monkeypatch.setattr(solver, "_incomplete_vertices", incomplete)
+    monkeypatch.setattr(solver._SubsetOracle, "failing_sources", failing)
     monkeypatch.setattr(solver, "_conflict_blocks", blocks)
 
     def counted(call):
@@ -634,11 +636,27 @@ def test_each_solve_reads_the_requirement_once(monkeypatch, milp_calls):
     ]:
         assert counted(lambda: solver.min_spanner_exact(g, budget=budget, engine=engine)) == (1, 1)
     # XP: one oracle, whose root the block bound records, however many
-    # candidate unions the search evaluates.
+    # candidate unions the search evaluates; each union asks it once.
     g = generate.random_happy_tc_with_cover(7, 3, 47)
     assert counted(lambda: solver.min_spanner_xp_vc(g)) == (1, 1)
     assert counts["unions"] > 1 and counts["blocks"] == 1
-    assert counted(lambda: solver.select_extra_edges(g, range(g.m), [0, 1, 2])) == (1, 0)
+
+
+def test_search_depth_is_not_bound_by_the_recursion_limit():
+    # Branch and bound goes one call deeper per decided edge, and every one
+    # of this graph's 262 edges is removable, more than the 100 frames left
+    # here.  The search raises the limit for its own run only; the cap then
+    # refuses the MILP.
+    g = generate.random_happy_tc(24, 0, 0.95)
+    old = sys.getrecursionlimit()
+    limit = len(inspect.stack(0)) + 100
+    sys.setrecursionlimit(limit)
+    try:
+        with pytest.raises(solver.InstanceTooLarge):
+            solver.min_spanner_exact(g, engine="flow", cap=0)
+        assert sys.getrecursionlimit() == limit
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def test_restarts_run_only_until_the_goal(monkeypatch):
@@ -849,7 +867,7 @@ def test_candidate_trees_match_subset_enumeration():
                 if reach.verify_out_tree(g, sub, root)
             }
             assert len(mine) == len(brute)
-            assert {frozenset(solver._mask_indices(mask)) for mask in mine} == brute
+            assert {frozenset(i for i in range(g.m) if mask >> i & 1) for mask in mine} == brute
     assert solver._candidate_trees(figure, 0) == [(1 << 16) - 1]
 
 
@@ -858,11 +876,28 @@ def test_candidate_trees_match_subset_enumeration():
 # ---------------------------------------------------------------------------
 
 
+def _extras(g, tree, cover):
+    """The XP search's step for one union ``tree``: per non-cover vertex,
+    None if it reaches every vertex through the union, else the extra edge
+    that :func:`solver._single_edge_fixes` picks for it; None if some vertex
+    has none.  Checks that the rule hands back its drop flags unchanged."""
+    removed = reach._drop_flags(g, tree)
+    flags = bytes(removed)
+    oracle = solver._SubsetOracle(g, STRICT, ALL_PAIRS)
+    short = [v for v in oracle.failing_sources(removed) if v not in cover]
+    fixes = solver._single_edge_fixes(g, removed, short)
+    assert removed == flags
+    if fixes is None:
+        return None
+    extras = dict.fromkeys(v for v in range(g.vertex_count) if v not in cover)
+    extras.update(zip(short, fixes))
+    return extras
+
+
 def test_select_extra_edges_star_needs_none():
     # A happy TC star only exists with a single leaf.
     g = tg.build(2, [(0, 1, 1)])
-    extras = solver.select_extra_edges(g, {0}, [0])
-    assert extras == {1: None}
+    assert _extras(g, {0}, [0]) == {1: None}
 
 
 def test_select_extra_edges_mixed():
@@ -871,28 +906,26 @@ def test_select_extra_edges_mixed():
     g = tg.build(3, [(0, 1, 1), (0, 2, 2), (1, 2, 3)])
     tree = frozenset({0, 1})  # star at 0
     assert reach.verify_out_tree(g, tree, 0)
-    extras = solver.select_extra_edges(g, tree, [0, 1])
-    assert extras == {2: 2}
-    extras = solver.select_extra_edges(g, tree, [0])
-    assert extras == {1: None, 2: 2}
+    assert _extras(g, tree, [0, 1]) == {2: 2}
+    assert _extras(g, tree, [0]) == {1: None, 2: 2}
 
 
 def test_select_extra_edges_infeasible():
     g = tg.build(3, [(0, 1, 3), (0, 2, 1)])
     tree = frozenset({0, 1})
-    assert solver.select_extra_edges(g, tree, [0]) is None
+    assert _extras(g, tree, [0]) is None
 
 
 def test_select_extra_edges_complete_vs_joint_enumeration():
     # If any one-extra-per-vertex assignment restores every vertex's own
-    # reach over the tree union, the per-vertex selection must succeed.
+    # reach over the tree union, the per-vertex rule must succeed.
     for g in small_corpus(12, n_range=(4, 6)):
         cover = sorted(solver.min_vertex_cover(tg.underlying_graph(g), g.vertex_count))
         others = [v for v in range(g.vertex_count) if v not in cover]
         if not others or not cover:
             continue
         tree = reach.foremost_out_tree(g, cover[0], STRICT).tree_edges
-        got = solver.select_extra_edges(g, tree, cover)
+        got = _extras(g, tree, cover)
         choice_sets = [
             [None] + list(g.incident[v]) for v in others
         ]
@@ -1014,6 +1047,28 @@ def test_xp_search_matches_exact():
     assert searched >= 5  # the full search runs, not only the stop at the floor
 
 
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(st.integers(5, 9), st.integers(3, 4), st.integers(0, 10**6))
+def test_xp_search_matches_exact_on_cover_graphs(n, d, seed):
+    # The search runs from the whole edge set, so the combination and
+    # extra-edge stages always run.  With floor 0 and no budget it runs to
+    # the end and proves the optimum; at budget opt it stops on the first
+    # spanner within it, proving nothing, unless no edge can go.  Brute force
+    # checks the exact solver where it can.
+    try:
+        g = generate.random_happy_tc_with_cover(n, d, seed)
+    except generate.GenerationFailed:
+        assume(False)
+    opt = solver.min_spanner_exact(g).size
+    oracle = solver._SubsetOracle(g, STRICT, ALL_PAIRS)
+    if len(oracle.removable) <= 12:
+        assert solver.min_spanner_brute(g).size == opt
+    for budget, want in ((None, opt), (opt, 0 if opt < g.m else opt)):
+        kept, proven = solver._xp_search(oracle, budget, 0, frozenset(range(g.m)))
+        assert len(kept) == opt and proven == want
+        assert solver.requirement_holds(g, STRICT, ALL_PAIRS, kept)
+
+
 @pytest.mark.parametrize("n, d, seed", [(8, 3, 1), (9, 3, 0), (8, 4, 0), (9, 4, 0)])
 def test_xp_matches_exact_on_larger_covers(n, d, seed):
     g = generate.random_happy_tc_with_cover(n, d, seed)
@@ -1053,6 +1108,14 @@ def test_decompose_single_edge_star():
     assert len(decomp.trees) == 1
     assert decomp.trees[0].root == 0
     assert decomp.extras == ()
+
+
+def test_decompose_single_vertex():
+    # The lone vertex reaches itself through the empty spanner.
+    g = tg.build(1, [])
+    for cover in ([], [0]):
+        decomp = solver.vc_tree_decompose(tg.Spanner(g, frozenset()), cover)
+        assert decomp == solver.VcTreeDecomposition(trees=(), extras=())
 
 
 def test_decompose_optimum_corpus():
