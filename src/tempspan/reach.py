@@ -14,11 +14,9 @@ The sweep has two modes, and both skip the edges flagged in a per-edge
 
 * the all-sources bitmask mode carries, per vertex, the set of vertices that
   reach it (:func:`reach_masks`, :func:`is_tc`, and the solver's feasibility
-  oracle).  It is resumable: it can start at any group index from given
-  masks, and can record a copy of the masks after every group.  A query that
-  differs from a recorded one only in edges of later groups resumes from the
-  recorded state before the first such group.  The start masks may also hold
-  only some source bits (the two-source requirement);
+  oracle).  Every call sweeps every group, from every vertex reaching
+  itself or from given start masks, which may hold only some source bits
+  (the two-source requirement);
 * the single-source arrival mode carries earliest arrival labels and the edge
   that set each (:func:`earliest_arrival`, :func:`reaches_all`,
   :func:`foremost_out_tree`).  Groups come in ascending label order, so a
@@ -87,21 +85,15 @@ def _mask_sweep(
     s: Strictness,
     removed: bytearray,
     masks: list[int] | None = None,
-    lo: int = 0,
-    record: list[list[int]] | None = None,
 ) -> list[int]:
     """All-sources mode: bit u of entry v is set iff u reaches v.
 
-    Without ``masks`` the sweep starts from every vertex reaching itself,
-    before the first group.  Otherwise it resumes at group index ``lo`` from
-    a copy of ``masks``, the state before that group.  ``record``, if given,
-    receives a copy of the masks after each group swept.
+    The sweep starts before the first group from a copy of ``masks``, or
+    without them from every vertex reaching itself.
     """
     masks = [1 << v for v in range(g.vertex_count)] if masks is None else masks.copy()
     strict = s is STRICT
-    keep = record.append if record is not None else None
-    groups = g.label_groups[lo:] if lo else g.label_groups
-    for group in groups:
+    for group in g.label_groups:
         if len(group) == 4:
             _, i, u, v = group
             if not removed[i]:
@@ -123,8 +115,6 @@ def _mask_sweep(
                     if x != masks[u] or x != masks[v]:
                         masks[u] = masks[v] = x
                         changed = True
-        if keep:
-            keep(masks.copy())
     return masks
 
 

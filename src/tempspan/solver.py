@@ -108,14 +108,8 @@ class _SubsetOracle:
     ``removed`` arguments are bytearrays of length m; flag 1 drops the edge.
     Both requirements run the all-sources mask sweep, started from the source
     bits only: ``masks[v] = (1 << v) & need``, where ``need`` holds the two
-    sources or every vertex.  The requirement holds iff every final mask
-    equals ``need``.
-
-    Checkpoints are lists ``cps`` of mask states, ``cps[j]`` the state before
-    entry j of ``label_groups``, the group of one label whether it holds one
-    edge or several (``cps[0]`` the start masks, ``cps[-1]`` the final ones).
-    A query whose drop flags match those of ``cps`` in every group before
-    ``lo`` resumes from ``cps[lo]``; :func:`group_rows` gives a group's edges.
+    sources or every vertex.  Each query is one full sweep from these start
+    masks, and the requirement holds iff every final mask equals ``need``.
 
     The oracle is the one place that reads the requirement: it checks the
     two sources' range and keeps ``sources`` sorted and without repeats.
@@ -123,7 +117,6 @@ class _SubsetOracle:
     (graph, path semantics, requirement); each part is computed at most
     once, when first read:
 
-    * ``root``: the checkpoints of the empty removal set;
     * ``forced``: the edges every spanner keeps;
     * ``removable``: the other edges, in index order;
     * ``blocks``: the conflict blocks of the removable edges and their caps
@@ -147,33 +140,23 @@ class _SubsetOracle:
         self.start = [(1 << v) & need for v in range(g.vertex_count)]
 
     @cached_property
-    def root(self) -> list[list[int]]:
-        """The checkpoints of the empty removal set, recorded once; raises
-        :class:`RequirementNotSatisfied` if the whole graph fails."""
-        cps = [self.start]
-        if not self.feasible(bytearray(self.g.m), record=cps):
-            raise RequirementNotSatisfied("graph does not satisfy the requirement")
-        return cps
-
-    @cached_property
     def forced(self) -> frozenset[int]:
-        """Edges whose individual removal violates the requirement.
+        """Edges whose individual removal violates the requirement; raises
+        :class:`RequirementNotSatisfied` if the whole graph fails.
 
         Every spanner contains all of them: a spanner avoiding edge e is a
         subset of the graph minus e, and reachability is monotone under edge
-        addition.  One recorded sweep of the whole graph (``root``) checks
-        the requirement and gives the checkpoints; each edge's query then
-        resumes at its own group.
+        addition.
         """
-        cps = self.root
         removed = bytearray(self.g.m)
+        if not self.feasible(removed):
+            raise RequirementNotSatisfied("graph does not satisfy the requirement")
         forced = []
-        for j, group in enumerate(self.g.label_groups):
-            for i, _, _ in group_rows(group):
-                removed[i] = 1
-                if not self.feasible(removed, cps, j):
-                    forced.append(i)
-                removed[i] = 0
+        for i in range(self.g.m):
+            removed[i] = 1
+            if not self.feasible(removed):
+                forced.append(i)
+            removed[i] = 0
         return frozenset(forced)
 
     @cached_property
@@ -187,29 +170,9 @@ class _SubsetOracle:
         """The conflict blocks of ``removable`` and their caps."""
         return _conflict_blocks(self)
 
-    @cached_property
-    def group_of(self) -> list[int]:
-        """Per edge index, the index of its group in ``label_groups``."""
-        out = [0] * self.g.m
-        for j, group in enumerate(self.g.label_groups):
-            for i, _, _ in group_rows(group):
-                out[i] = j
-        return out
-
-    def feasible(
-        self,
-        removed: bytearray,
-        cps: list[list[int]] | None = None,
-        lo: int = 0,
-        record: list[list[int]] | None = None,
-    ) -> bool:
-        """Whether the requirement holds, sweeping from ``cps[lo]`` if given.
-
-        ``record`` receives the mask state after each group swept, so that
-        ``cps[:lo + 1] + record`` are the checkpoints of ``removed``.
-        """
-        start = self.start if cps is None else cps[lo]
-        masks = reach._mask_sweep(self.g, self.s, removed, start, lo, record)
+    def feasible(self, removed: bytearray) -> bool:
+        """Whether the requirement holds without the edges flagged in ``removed``."""
+        masks = reach._mask_sweep(self.g, self.s, removed, self.start)
         # No mask holds a bit outside ``need``.
         return masks.count(self.need) == len(masks)
 
@@ -316,16 +279,10 @@ def _bnb_max_removal(
     how many edges any feasible removal can take from each block, kept as a
     running sum, updated when one block's counts change.
 
-    Decisions follow ``removable`` in order.  A node first asks whether
-    removing every remaining edge is feasible; if not, it branches on the
-    next edge e, removed first, then kept.  Each node holds the checkpoints of
-    its removal set (see :class:`_SubsetOracle`), so a query re-sweeps only
-    from the earliest group it changes: the "remove e" query from e's group,
-    recording the suffix that makes up the remove-e child's checkpoints, and
-    the "remove the rest" query from the earliest group among the remaining
-    edges.  The keep-e child shares its parent's checkpoints.  No set is asked
-    twice: the remove-e child's "remove the rest" set is its parent's, known
-    infeasible, and with one edge left "remove e" is that same set.
+    Decisions follow ``removable`` in order.  A node branches on the next
+    edge e: removed first, if the requirement still holds without e and the
+    edges already removed (one oracle query), then kept.  The keep-e child
+    makes no query, since its removal set is its parent's.
     """
     k = len(removable)
     if blocks is None:
@@ -337,13 +294,6 @@ def _bnb_max_removal(
     for i in removable:
         und[block_of[i]] += 1
     headroom = sum(min(cap, u) for cap, u in zip(caps, und))
-    group_of = oracle.group_of
-    # rest_lo[pos]: the earliest group among removable[pos:].
-    rest_lo = [0] * k
-    low = len(oracle.g.label_groups)
-    for pos in range(k - 1, -1, -1):
-        low = min(low, group_of[removable[pos]])
-        rest_lo[pos] = low
     removed = bytearray(oracle.g.m)
     # The search ends once the incumbent removes ``stop`` edges.
     stop = min((x for x in (target, stop_at) if x is not None), default=k + 1)
@@ -352,7 +302,7 @@ def _bnb_max_removal(
     hit = stopped = False
     nodes = 0
 
-    def rec(pos: int, cps: list[list[int]], rest_infeasible: bool) -> None:
+    def rec(pos: int) -> None:
         nonlocal best, hit, stopped, nodes, headroom
         if hit:
             return
@@ -365,24 +315,9 @@ def _bnb_max_removal(
             if len(best) >= stop:
                 hit = True
                 return
-        remaining = k - pos
         needed = (target if target is not None else len(best) + 1) - len(cur)
-        if headroom < needed or remaining == 0:
+        if headroom < needed or pos == k:
             return
-        if not rest_infeasible:
-            rest = removable[pos:]
-            for i in rest:
-                removed[i] = 1
-            all_rest_ok = oracle.feasible(removed, cps, rest_lo[pos])
-            for i in rest:
-                removed[i] = 0
-            if all_rest_ok:
-                cand = cur + rest
-                if len(cand) > len(best):
-                    best = cand
-                    if len(best) >= stop:
-                        hit = True
-                return
         e = removable[pos]
         b = block_of[e]
         # Deciding e lowers und[b], and removing it then raises rem[b]; each
@@ -391,21 +326,18 @@ def _bnb_max_removal(
         und[b] = u
         by_decide = u < left
         headroom -= by_decide
-        if remaining > 1:
-            removed[e] = 1
-            lo = group_of[e]
-            suffix: list[list[int]] = []
-            if oracle.feasible(removed, cps, lo, suffix):
-                by_remove = left <= u
-                rem[b] += 1
-                headroom -= by_remove
-                cur.append(e)
-                rec(pos + 1, cps[: lo + 1] + suffix, True)
-                cur.pop()
-                rem[b] -= 1
-                headroom += by_remove
-            removed[e] = 0
-        rec(pos + 1, cps, False)
+        removed[e] = 1
+        if oracle.feasible(removed):
+            by_remove = left <= u
+            rem[b] += 1
+            headroom -= by_remove
+            cur.append(e)
+            rec(pos + 1)
+            cur.pop()
+            rem[b] -= 1
+            headroom += by_remove
+        removed[e] = 0
+        rec(pos + 1)
         und[b] = u + 1
         headroom += by_decide
 
@@ -414,7 +346,7 @@ def _bnb_max_removal(
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + k)
     try:
-        rec(0, oracle.root, False)
+        rec(0)
     finally:
         sys.setrecursionlimit(limit)
     return best, stopped
@@ -557,9 +489,9 @@ def _settle_then_search(
     3. Branch and bound (:func:`_bnb_max_removal`) over the removable edges
        in block order, from the incumbent's removal set, stopping at the
        budget or, when optimising, at ``lower``.  Without a ``fallback`` it
-       runs to the end.  With one it stops after ``_NODE_LIMIT`` nodes: 12
-       of the 14 ``solve-flow`` benchmark ops that reach this step end
-       within it, and the other 2 stop after 9-17 ms on a 2-core VM.
+       runs to the end.  With one it stops after ``_NODE_LIMIT`` nodes: 13
+       of the 15 ``solve-flow`` benchmark ops that reach this step end
+       within it, and the other 2 stop after about 9 ms on a 2-core VM.
     4. After a stopped search only: greedy passes over seeded shuffles of
        ``order`` (:func:`_greedy_restarts`), then ``fallback(incumbent,
        lower)``, which returns a spanner no larger than the incumbent and

@@ -30,6 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
+from operator import index
 from typing import Iterable
 
 
@@ -183,9 +185,11 @@ class TemporalGraph:
 def build(n: int, edges: Iterable[TimeEdge | tuple[int, int, int]]) -> TemporalGraph:
     """Validate and normalize a temporal graph.
 
-    Accepts ``TimeEdge`` instances or plain ``(u, v, t)`` tuples.  Rejects
-    self-loops, out-of-range endpoints, non-positive labels, and duplicate
-    (pair, label) triples.  The lifetime is set to the maximum label present.
+    Accepts ``TimeEdge`` instances or plain ``(u, v, t)`` tuples.  Each
+    field must be an integer (``operator.index``, so numpy ints pass); a
+    field that is not raises at once.  Then rejects self-loops, out-of-range
+    endpoints, non-positive labels, and duplicate (pair, label) triples.  The
+    lifetime is set to the maximum label present.
     """
     if n < 1:
         raise EndpointOutOfRange(f"vertex count must be positive, got {n}")
@@ -194,9 +198,15 @@ def build(n: int, edges: Iterable[TimeEdge | tuple[int, int, int]]) -> TemporalG
     ts: list[int] = []
     for raw in edges:
         u, v, t = (raw.u, raw.v, raw.t) if isinstance(raw, TimeEdge) else raw
-        us.append(u)
-        vs.append(v)
-        ts.append(t)
+        try:
+            us.append(index(u))
+            vs.append(index(v))
+        except TypeError:
+            raise EndpointOutOfRange(f"edge {(u, v, t)} has a non-integer endpoint") from None
+        try:
+            ts.append(index(t))
+        except TypeError:
+            raise BadLabel(f"label must be a positive integer, got {t!r}") from None
     return _from_columns(n, us, vs, ts)
 
 
@@ -204,22 +214,28 @@ def _from_columns(n: int, us: list[int], vs: list[int], ts: list[int]) -> Tempor
     """The one validating constructor behind :func:`build` and :func:`parse`.
 
     Checks each edge in order, raising the first error met: self-loop,
-    endpoint range, label, then a (pair, label) seen before.
+    endpoint range, label, then a (pair, label) seen before.  The error's
+    ``edge`` attribute is the index of the edge that failed.
     """
     # A (pair, label) key (a, b, t) with a < b is encoded as the int
     # (t * n + a) * n + b, one-to-one once both endpoints are in [0, n).
     seen: set[int] = set()
-    for u, v, t in zip(us, vs, ts):
-        if u == v:
-            raise SelfLoop(f"self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise EndpointOutOfRange(f"edge {TimeEdge(u, v, t)} outside vertex range [0, {n})")
-        if t < 1:
-            raise BadLabel(f"label must be a positive integer, got {t}")
-        key = (t * n + u) * n + v if u < v else (t * n + v) * n + u
-        if key in seen:
-            raise DuplicateTimeEdge(f"duplicate time edge {(min(u, v), max(u, v), t)}")
-        seen.add(key)
+    try:
+        for u, v, t in zip(us, vs, ts):
+            if u == v:
+                raise SelfLoop(f"self-loop at vertex {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise EndpointOutOfRange(f"edge {TimeEdge(u, v, t)} outside vertex range [0, {n})")
+            if t < 1:
+                raise BadLabel(f"label must be a positive integer, got {t}")
+            key = (t * n + u) * n + v if u < v else (t * n + v) * n + u
+            if key in seen:
+                raise DuplicateTimeEdge(f"duplicate time edge {(min(u, v), max(u, v), t)}")
+            seen.add(key)
+    except TempGraphError as exc:
+        # Every edge before the failing one added its key.
+        exc.edge = len(seen)
+        raise
     return TemporalGraph(n, max(ts, default=1), tuple(us), tuple(vs), tuple(ts))
 
 
@@ -332,7 +348,15 @@ def parse(text: str) -> TemporalGraph:
     try:
         return _from_columns(n, us, vs, ts)
     except TempGraphError as exc:
-        raise ParseError(0, str(exc))
+        # The failing edge's line is found only here, so that reading a
+        # valid file tracks no line per edge: it is the (edge + 1)-th line
+        # after the header that is neither blank nor a comment.
+        rows = (
+            line_no
+            for line_no, line in enumerate(text.splitlines(), start=1)
+            if (fields := line.split()) and fields[0][0] != "#"
+        )
+        raise ParseError(next(islice(rows, exc.edge + 1, None)), str(exc))
 
 
 def serialize(g: TemporalGraph) -> str:

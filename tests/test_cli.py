@@ -350,6 +350,23 @@ def test_usage_errors_exit_three(capsys, tmp_path):
     assert "invalid choice: 'cuts'" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3 5\n0 1 1\n# c\n1 1 2\n", "line 4: self-loop at vertex 1"),
+        ("3 5\n0 1 1\n\n0 3 2\n", "line 4: edge TimeEdge(u=0, v=3, t=2) outside vertex range [0, 3)"),
+        ("3 5\n0 1 1\n1 2 2\n# c\n1 0 1\n", "line 5: duplicate time edge (0, 1, 1)"),
+    ],
+    ids=["self-loop", "out-of-range", "duplicate"],
+)
+def test_check_names_the_line_of_an_edge_error(capsys, tmp_path, text, message):
+    bad = tmp_path / "bad.tg"
+    bad.write_text(text)
+    code, _, err = run(capsys, "check", bad)
+    assert code == 3
+    assert err == f"tempspan: error: {message}\n"
+
+
 def test_two_source_out_of_range_exits_three(capsys, tmp_path):
     # The solver's own range check raises ValueError, a usage error.
     g = tg.build(3, [(0, 1, 1), (1, 2, 2), (0, 2, 3)])

@@ -303,28 +303,6 @@ def test_two_source_forced_edges_match_single_removals():
     assert checked >= 10
 
 
-def test_resumed_mask_sweep_matches_full_sweep():
-    resumed = 0
-    for seed in range(60):
-        g = _multilabel_graph(seed)
-        rng = random.Random(seed)
-        groups = len(g.label_groups)
-        for s in (STRICT, NONSTRICT):
-            removed = bytearray(rng.random() < 0.3 for _ in range(g.m))
-            start = [1 << v for v in range(g.vertex_count)]
-            cps = [start]
-            full = reach._mask_sweep(g, s, removed, start, 0, cps)
-            assert full == reach._mask_sweep(g, s, removed)
-            assert len(cps) == groups + 1 and cps[-1] == full
-            for lo in range(groups + 1):
-                suffix = []
-                assert reach._mask_sweep(g, s, removed, cps[lo], lo, suffix) == full
-                assert cps[: lo + 1] + suffix == cps
-                resumed += 1
-            assert cps[0] == start  # the sweep copies the masks it starts from
-    assert resumed > 500
-
-
 @pytest.mark.parametrize(
     "call",
     [

@@ -329,6 +329,32 @@ def _multilabel_graph(seed, n_range=(4, 6)):
     return tg.build(n, sorted(keys))
 
 
+@pytest.mark.parametrize("two_source", [False, True], ids=["all-pairs", "two-source"])
+@pytest.mark.parametrize("s", [STRICT, NONSTRICT], ids=["strict", "nonstrict"])
+def test_bnb_removes_as_many_edges_as_brute(s, two_source):
+    # Branch and bound on its own, without the greedy incumbent and the
+    # bounds that the engines' schedule runs first: its removal set is
+    # feasible and as large as brute force's, and a lone removable edge is
+    # tried and removed.
+    graphs = [_multilabel_graph(seed) for seed in range(60)]
+    graphs += [generate.random_happy_tc(n, seed, 0.5) for n in (5, 6) for seed in range(10)]
+    checked = 0
+    for g in graphs:
+        req = TwoSource(0, g.vertex_count - 1) if two_source else ALL_PAIRS
+        oracle = solver._SubsetOracle(g, s, req)
+        if not oracle.feasible(bytearray(g.m)) or len(oracle.removable) > 12:
+            continue
+        best = g.m - solver.min_spanner_brute(g, s, req).size
+        for blocks in (None, oracle.blocks):
+            removal, stopped = solver._bnb_max_removal(oracle, oracle.removable, None, blocks)
+            assert not stopped and len(removal) == best
+            assert oracle.feasible(bytearray(i in removal for i in range(g.m)))
+        for e in oracle.removable:
+            assert solver._bnb_max_removal(oracle, [e], None) == ([e], False)
+        checked += 1
+    assert checked >= 40
+
+
 def _instances(kind, s, two_source, count):
     """``count`` seeded graphs of ``kind`` meeting the requirement, with 2 to
     12 removable edges."""
@@ -581,13 +607,14 @@ def test_bnb_no_answer_is_no_larger_than_the_greedy_spanner():
 
 
 def test_each_solve_reads_the_requirement_once(monkeypatch, milp_calls):
-    # Counts oracle constructions, recordings of the empty set's checkpoints
-    # and conflict-block computations.  Each solve builds one oracle, which
-    # records its root at most once and computes its blocks at most once;
-    # the forced set, the block bound and the searches all read it.  With
-    # no branch-and-bound nodes the MILP and the XP search run here.
+    # Counts oracle constructions, whole-graph sweeps from the oracle's
+    # start masks and conflict-block computations.  Each solve builds one
+    # oracle, which checks the whole graph once, for its forced set, and
+    # computes its blocks at most once; the block bound and the searches all
+    # read it.  With no branch-and-bound nodes the MILP and the XP search
+    # run here.
     monkeypatch.setattr(solver, "_NODE_LIMIT", 0)
-    counts = {"oracles": 0, "roots": 0, "blocks": 0, "unions": 0}
+    counts = {"oracles": 0, "whole": 0, "blocks": 0, "unions": 0}
     real_init = solver._SubsetOracle.__init__
     real_sweep = reach._mask_sweep
     real_failing = solver._SubsetOracle.failing_sources
@@ -597,9 +624,9 @@ def test_each_solve_reads_the_requirement_once(monkeypatch, milp_calls):
         counts["oracles"] += 1
         real_init(self, *args)
 
-    def sweep(g, s, removed, masks=None, lo=0, record=None):
-        counts["roots"] += record is not None and not any(removed)
-        return real_sweep(g, s, removed, masks, lo, record)
+    def sweep(g, s, removed, masks=None):
+        counts["whole"] += masks is not None and not any(removed)
+        return real_sweep(g, s, removed, masks)
 
     def failing(self, removed):
         counts["unions"] += 1
@@ -619,7 +646,7 @@ def test_each_solve_reads_the_requirement_once(monkeypatch, milp_calls):
             counts[key] = 0
         call()
         assert counts["blocks"] <= 1
-        return counts["oracles"], counts["roots"]
+        return counts["oracles"], counts["whole"]
 
     # The MILP beats the incumbent after the block bound; the solve's oracle
     # re-checks its answer.
@@ -629,13 +656,13 @@ def test_each_solve_reads_the_requirement_once(monkeypatch, milp_calls):
     assert counted(lambda: solver.forced_edges(g)) == (1, 1)
     assert counted(lambda: solver.min_spanner_brute(g)) == (1, 1)
     # phi-mixed, optimum 54: the conflict-block searches and the main branch
-    # and bound all start from the one root.
+    # and bound read the one oracle.
     g = red.sat_to_spanner_instance(red.SatInstance(2, ((1, -2, 2), (-1, -1, 2)))).graph
     for engine, budget in [("auto", None), ("bnb", None)] + [
         (engine, budget) for engine in solver.ENGINES for budget in (54, 53)
     ]:
         assert counted(lambda: solver.min_spanner_exact(g, budget=budget, engine=engine)) == (1, 1)
-    # XP: one oracle, whose root the block bound records, however many
+    # XP: one oracle, whose forced set the block bound reads, however many
     # candidate unions the search evaluates; each union asks it once.
     g = generate.random_happy_tc_with_cover(7, 3, 47)
     assert counted(lambda: solver.min_spanner_xp_vc(g)) == (1, 1)
@@ -728,33 +755,6 @@ def test_two_source_feasibility_matches_single_source_reach():
                 assert holds == both
                 checked += holds
     assert checked >= 20  # both answers occur
-
-
-def test_oracle_resumes_from_checkpoints_of_an_earlier_set():
-    for seed in range(40):
-        g = _multilabel_graph(seed)
-        rng = random.Random(seed)
-        for s in (STRICT, NONSTRICT):
-            for req in (ALL_PAIRS, TwoSource(0, g.vertex_count - 1)):
-                oracle = solver._SubsetOracle(g, s, req)
-                removed = bytearray(rng.random() < 0.3 for _ in range(g.m))
-                cps = [oracle.start]
-                oracle.feasible(removed, record=cps)
-                # Flip edges of group lo and later only: the prefix stays valid.
-                e = rng.randrange(g.m)
-                lo = oracle.group_of[e]
-                changed = removed.copy()
-                for i in range(g.m):
-                    if oracle.group_of[i] >= lo and rng.random() < 0.5:
-                        changed[i] ^= 1
-                fresh = [oracle.start]
-                want = oracle.feasible(changed, record=fresh)
-                assert want == solver.requirement_holds(
-                    g, s, req, kept=[i for i in range(g.m) if not changed[i]]
-                )
-                suffix = []
-                assert oracle.feasible(changed, cps, lo, suffix) == want
-                assert cps[: lo + 1] + suffix == fresh
 
 
 @pytest.mark.parametrize(

@@ -188,17 +188,20 @@ PARSE_ERRORS = [
     ("2 1\n0 1 1.0\n", 2, "non-integer edge field in '0 1 1.0'"),
     ("2 1\n0 1 0\n", 2, "label 0 outside [1, 1]"),
     ("2 1\n0 1 2\n", 2, "label 2 outside [1, 1]"),
-    # build errors, reported at line 0 once every line has been read
-    ("2 2\n1 1 1\n", 0, "self-loop at vertex 1"),
-    ("2 1\n0 2 1\n", 0, "edge TimeEdge(u=0, v=2, t=1) outside vertex range [0, 2)"),
-    ("2 1\n-1 0 1\n", 0, "edge TimeEdge(u=-1, v=0, t=1) outside vertex range [0, 2)"),
-    ("2 3\n0 1 3\n0 1 3\n", 0, "duplicate time edge (0, 1, 3)"),
-    ("2 3\n0 1 3\n1 0 3\n", 0, "duplicate time edge (0, 1, 3)"),
-    ("2 3\n1 0 3\n0 1 3\n", 0, "duplicate time edge (0, 1, 3)"),
+    # build errors, raised once every line has been read, name the line of
+    # the failing edge; a duplicate's is its second occurrence
+    ("2 2\n1 1 1\n", 2, "self-loop at vertex 1"),
+    ("2 1\n0 2 1\n", 2, "edge TimeEdge(u=0, v=2, t=1) outside vertex range [0, 2)"),
+    ("2 1\n-1 0 1\n", 2, "edge TimeEdge(u=-1, v=0, t=1) outside vertex range [0, 2)"),
+    ("2 3\n0 1 3\n0 1 3\n", 3, "duplicate time edge (0, 1, 3)"),
+    ("2 3\n0 1 3\n1 0 3\n", 3, "duplicate time edge (0, 1, 3)"),
+    ("2 3\n1 0 3\n0 1 3\n", 3, "duplicate time edge (0, 1, 3)"),
+    ("3 5\n0 1 1\n# c\n1 1 2\n", 4, "self-loop at vertex 1"),
+    ("# h\n3 5\n\n0 1 1\n  # c\n1 2 2\n \t\n1 0 1\n", 8, "duplicate time edge (0, 1, 1)"),
     # a bad line beats an earlier build error; build errors come in edge order
     ("3 2\n1 1 1\n0 1 5\n", 3, "label 5 outside [1, 2]"),
-    ("3 2\n0 1 1\n0 1 1\n2 2 1\n", 0, "duplicate time edge (0, 1, 1)"),
-    ("3 2\n2 2 1\n0 1 1\n0 1 1\n", 0, "self-loop at vertex 2"),
+    ("3 2\n0 1 1\n0 1 1\n2 2 1\n", 3, "duplicate time edge (0, 1, 1)"),
+    ("3 2\n2 2 1\n0 1 1\n0 1 1\n", 2, "self-loop at vertex 2"),
     # blank, whitespace-only and indented comment lines still count
     ("\n   \n\t\n  # note\n2 1\n\n0 1 2\n", 7, "label 2 outside [1, 1]"),
     ("# c\r\n\r\n   \r\n  # x\r\n2 1\r\n\t\r\n0 1 2\r\n", 7, "label 2 outside [1, 1]"),
@@ -228,7 +231,21 @@ BUILD_ERRORS = [
     (2, [tg.TimeEdge(1, 0, 3), (0, 1, 3)], tg.DuplicateTimeEdge, "duplicate time edge (0, 1, 3)"),
     (3, [(0, 1, 1), (0, 1, 1), (0, 3, 1)], tg.DuplicateTimeEdge, "duplicate time edge (0, 1, 1)"),
     (3, [(0, 3, 1), (0, 1, 1), (0, 1, 1)], tg.EndpointOutOfRange, "edge TimeEdge(u=0, v=3, t=1) outside vertex range [0, 3)"),
+    # fields pass through operator.index: a float label or endpoint would
+    # serialize to text that parse rejects, or break the sweeps' indexing
+    (3, [(0, 1, 1.5), (1, 2, 2)], tg.BadLabel, "label must be a positive integer, got 1.5"),
+    (3, [(0.0, 1, 1), (1, 2, 2)], tg.EndpointOutOfRange, "edge (0.0, 1, 1) has a non-integer endpoint"),
+    (3, [(0, 1, 1), tg.TimeEdge(1, 2.0, 2)], tg.EndpointOutOfRange, "edge (1, 2.0, 2) has a non-integer endpoint"),
+    (3, [(0, 1, "2")], tg.BadLabel, "label must be a positive integer, got '2'"),
 ]
+
+
+def test_build_takes_numpy_ints_as_python_ints():
+    np = pytest.importorskip("numpy")
+    g = tg.build(3, [(np.int64(0), np.int32(1), np.int64(1)), (1, 2, np.uint8(2))])
+    assert g.us == (0, 1) and g.vs == (1, 2) and g.ts == (1, 2)
+    assert all(type(x) is int for x in g.us + g.vs + g.ts)
+    assert tg.parse(tg.serialize(g)).edges == g.edges
 
 
 @pytest.mark.parametrize("n, edges, exc, message", BUILD_ERRORS)
