@@ -9,6 +9,8 @@ Contents:
   two engines: branch-and-bound over removable edges and one time-expanded
   multicommodity-flow MILP,
 * the two-source requirement variant,
+* one oracle per solve (:class:`_SubsetOracle`), the one reader of the
+  requirement: it owns the whole-graph check and the all-pairs test,
 * the gossip lower bound (:func:`_gossip_bound`; Baker and Shostak 1972,
   Bumby 1981): every temporally connected graph on n >= 4 vertices keeps at
   least 2n - 4 time edges, in the strict setting and in the non-strict one
@@ -18,7 +20,7 @@ Contents:
   greedy incumbent and the conflict-block bound of the solve's oracle
   settle the answer where they can, then branch and bound seeded with the
   incumbent, and only if a node limit stops it, greedy restarts and the
-  engine's own search (the flow MILP or the XP search),
+  engine's own search (flow MILP or XP search), checked by the oracle,
 * an XP algorithm for happy graphs parameterized by the vertex cover number
   of the underlying graph: per cover root, enumerate every temporal out-tree
   directly in label order, combine one per root, and give each non-cover
@@ -36,7 +38,7 @@ from __future__ import annotations
 import random
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterable, Sequence
 
 from . import reach
@@ -112,11 +114,12 @@ class _SubsetOracle:
     masks, and the requirement holds iff every final mask equals ``need``.
 
     The oracle is the one place that reads the requirement: it checks the
-    two sources' range and keeps ``sources`` sorted and without repeats.
-    Each solve builds one oracle, which owns what follows from its instance
-    (graph, path semantics, requirement); each part is computed at most
-    once, when first read:
+    two sources' range and keeps ``sources`` sorted and without repeats;
+    all pairs means every vertex is a source.  Each solve builds one oracle,
+    which owns what follows from its instance (graph, path semantics,
+    requirement); each part is computed at most once, when first read:
 
+    * ``satisfied``: whether the whole graph meets the requirement;
     * ``forced``: the edges every spanner keeps;
     * ``removable``: the other edges, in index order;
     * ``blocks``: the conflict blocks of the removable edges and their caps
@@ -140,6 +143,11 @@ class _SubsetOracle:
         self.start = [(1 << v) & need for v in range(g.vertex_count)]
 
     @cached_property
+    def satisfied(self) -> bool:
+        """Whether the requirement holds with every edge kept."""
+        return self.feasible(bytearray(self.g.m))
+
+    @cached_property
     def forced(self) -> frozenset[int]:
         """Edges whose individual removal violates the requirement; raises
         :class:`RequirementNotSatisfied` if the whole graph fails.
@@ -148,9 +156,9 @@ class _SubsetOracle:
         subset of the graph minus e, and reachability is monotone under edge
         addition.
         """
-        removed = bytearray(self.g.m)
-        if not self.feasible(removed):
+        if not self.satisfied:
             raise RequirementNotSatisfied("graph does not satisfy the requirement")
+        removed = bytearray(self.g.m)
         forced = []
         for i in range(self.g.m):
             removed[i] = 1
@@ -195,14 +203,7 @@ def forced_edges(
     return _SubsetOracle(g, s, requirement).forced
 
 
-# ---------------------------------------------------------------------------
-# Exact oracle
-# ---------------------------------------------------------------------------
-
-
-def _gossip_bound(
-    g: TemporalGraph, s: Strictness, requirement: AllPairs | TwoSource
-) -> int:
+def _gossip_bound(oracle: _SubsetOracle) -> int:
     """A lower bound on the size of every spanner: 2n - 4, or 0 if unknown.
 
     A temporally connected graph is a complete gossip schedule when its time
@@ -212,15 +213,16 @@ def _gossip_bound(
     graph does.  A complete schedule on n >= 4 people has at least 2n - 4
     calls (Baker and Shostak, "Gossips and telephones", Discrete Math.
     1972; Bumby, "A problem with telephones", SIAM J. Algebraic Discrete
-    Methods 1981).  The bound is 0 for ``TwoSource``, for n < 4, and for
+    Methods 1981).  The bound is 0 for n < 4, for two sources, and for
     non-strict paths on graphs that are not proper, where one label can
     carry information along a whole path: the star with three edges at one
     label is temporally connected with 3 < 2n - 4 edges.
     """
+    g = oracle.g
     n = g.vertex_count
-    if n < 4 or not isinstance(requirement, AllPairs):
+    if n < 4 or len(oracle.sources) < n:
         return 0
-    if s is STRICT or classify(g).proper:
+    if oracle.s is STRICT or classify(g).proper:
         return 2 * n - 4
     return 0
 
@@ -256,6 +258,11 @@ def _result(
     size = len(kept)
     within = None if budget is None else size <= budget
     return SolveResult(Spanner(g, kept), size, size <= bound, within, method, bound)
+
+
+# ---------------------------------------------------------------------------
+# Exact engines
+# ---------------------------------------------------------------------------
 
 
 def _bnb_max_removal(
@@ -362,10 +369,12 @@ def _conflict_blocks(oracle: _SubsetOracle) -> tuple[dict[int, int], list[int]]:
 
     Blocks are connected components of the shares-an-endpoint graph on the
     removable edges, after iteratively hiding the busiest vertex of any
-    component of more than ``_MAX_BLOCK`` edges.  A block's cap is the
-    largest feasible removal taken from the block alone (everything else
-    kept); any feasible removal meets the block in at most that many edges,
-    because subsets of feasible removals stay feasible.
+    component of more than ``_MAX_BLOCK`` edges.  Its edges are joined at
+    endpoints not yet hidden, so one is always left to hide, and each block
+    ends at most ``_MAX_BLOCK`` edges (at worst, one edge).  A block's cap
+    is the largest feasible removal taken from the block alone (everything
+    else kept); any feasible removal meets the block in at most that many
+    edges, because subsets of feasible removals stay feasible.
     """
     us, vs = oracle.g.us, oracle.g.vs
     removable = oracle.removable
@@ -404,8 +413,6 @@ def _conflict_blocks(oracle: _SubsetOracle) -> tuple[dict[int, int], list[int]]:
             for x in (us[i], vs[i]):
                 if x not in hubs:
                     degree[x] = degree.get(x, 0) + 1
-        if not degree:
-            break  # every endpoint already hidden; accept the oversized block
         hubs.add(max(degree, key=lambda x: (degree[x], -x)))
 
     block_of: dict[int, int] = {}
@@ -495,7 +502,8 @@ def _settle_then_search(
     4. After a stopped search only: greedy passes over seeded shuffles of
        ``order`` (:func:`_greedy_restarts`), then ``fallback(incumbent,
        lower)``, which returns a spanner no larger than the incumbent and
-       the lower bound it proved.
+       the lower bound it proved.  The oracle checks that spanner once;
+       :class:`SolverFailed` means it failed.  Earlier steps need no check.
     """
     m = oracle.g.m
     goal = lower if budget is None else max(lower, budget)
@@ -520,6 +528,8 @@ def _settle_then_search(
     kept = _greedy_restarts(oracle, order, goal, kept)
     if len(kept) > goal:
         kept, proven = fallback(kept, lower)
+        if not oracle.feasible(reach._drop_flags(oracle.g, kept)):
+            raise SolverFailed("the engine's search produced an infeasible edge set")
         lower = max(lower, proven)
     return kept, lower
 
@@ -541,7 +551,7 @@ def _exact_by_flow(oracle: _SubsetOracle, budget: int) -> frozenset[int] | None:
     whatever the edge variables are: its commodity would change neither the
     optimum nor the LP bound, and it gets no columns and no rows.  If no
     pair is left, the forced set is the minimum spanner by construction: it
-    is returned if it fits the budget, with no model built and no re-check.
+    is returned if it fits the budget, with no model built.
 
     Commodity (a, b) gets a column only for an arc whose tail is reachable
     from ``start(a)`` and whose head reaches ``end(b)`` over the model's
@@ -557,8 +567,7 @@ def _exact_by_flow(oracle: _SubsetOracle, budget: int) -> frozenset[int] | None:
     (``f <= x_i``).  Forced edges are constants: no variable, and their arcs
     keep only the column bound ``f <= 1``.  The objective counts the x_i and
     the row ``sum x_i <= budget - |forced|`` caps them; a proof that the
-    model is infeasible gives None.  A MILP answer is re-checked by the
-    oracle.
+    model is infeasible gives None; :func:`_settle_then_search` checks answers.
     """
     import numpy as np
     from bisect import bisect_left, bisect_right
@@ -570,7 +579,7 @@ def _exact_by_flow(oracle: _SubsetOracle, budget: int) -> frozenset[int] | None:
     m = g.m
     n = g.vertex_count
     strict = s is STRICT
-    over_forced = reach.reach_masks(g, s, kept=forced)
+    over_forced = reach._mask_sweep(g, s, reach._drop_flags(g, forced), oracle.start)
     pairs = [
         (a, b) for a in oracle.sources for b in range(n) if b != a and not (over_forced[b] >> a) & 1
     ]
@@ -694,10 +703,7 @@ def _exact_by_flow(oracle: _SubsetOracle, budget: int) -> frozenset[int] | None:
         return None
     if res.status != 0:
         raise SolverFailed(f"MILP solve failed: {res.message}")
-    kept = forced | {i for col, i in enumerate(free) if res.x[col] > 0.5}
-    if not oracle.feasible(reach._drop_flags(g, kept)):
-        raise SolverFailed("flow MILP produced an infeasible edge set")
-    return kept
+    return forced | {i for col, i in enumerate(free) if res.x[col] > 0.5}
 
 
 def min_spanner_brute(
@@ -760,7 +766,7 @@ def min_spanner_exact(
     removable = oracle.removable
     if engine == "auto":
         engine = "bnb" if len(removable) <= DEFAULT_CAP else "flow"
-    lower = max(len(oracle.forced), _gossip_bound(g, s, requirement))
+    lower = max(len(oracle.forced), _gossip_bound(oracle))
 
     def search(best: frozenset[int], lower: int) -> tuple[frozenset[int], int]:
         if len(removable) > cap:
@@ -888,7 +894,7 @@ def _single_edge_fixes(
 
 
 def _xp_search(
-    oracle: _SubsetOracle, budget: int | None, floor: int, best_kept: frozenset[int]
+    oracle: _SubsetOracle, budget: int | None, best_kept: frozenset[int], floor: int
 ) -> tuple[frozenset[int], int]:
     """The cover, candidate-tree and combination stages of
     :func:`min_spanner_xp_vc`, improving on the spanner ``best_kept``;
@@ -970,28 +976,21 @@ def min_spanner_xp_vc(g: TemporalGraph, budget: int | None = None) -> SolveResul
     The cover and tree search is the fallback of :func:`_settle_then_search`,
     which runs over every edge in index order from the gossip bound 2n - 4
     (see :func:`_gossip_bound`; a happy graph on n >= 4 vertices has no
-    smaller spanner).  It starts from the incumbent and ends the moment it
-    finds a spanner at the lower bound, or within the budget.  The solve's
-    oracle checks the search's answer once, and :class:`SolverFailed` means
-    it failed the requirement.
+    smaller spanner) and checks the search's answer once.  The search
+    starts from the incumbent and ends the moment it finds a spanner at the
+    lower bound, or within the budget.  The oracle's whole-graph check
+    decides :class:`NotTemporallyConnected`.
 
     ``optimal`` is True exactly when the returned spanner is proven
     minimum: it meets a lower bound, or the search ran to the end.
     """
     if not classify(g).happy:
         raise NotHappy("the vertex-cover algorithm requires a happy graph")
-    if not reach.is_tc(g, STRICT):
-        raise NotTemporallyConnected("input graph is not temporally connected")
     oracle = _SubsetOracle(g, STRICT, ALL_PAIRS)
-
-    def search(best: frozenset[int], floor: int) -> tuple[frozenset[int], int]:
-        kept, proven = _xp_search(oracle, budget, floor, best)
-        if not oracle.feasible(reach._drop_flags(g, kept)):
-            raise SolverFailed("XP search produced an infeasible edge set")
-        return kept, proven
-
+    if not oracle.satisfied:
+        raise NotTemporallyConnected("input graph is not temporally connected")
     kept, lower = _settle_then_search(
-        oracle, list(range(g.m)), _gossip_bound(g, STRICT, ALL_PAIRS), budget, search
+        oracle, list(range(g.m)), _gossip_bound(oracle), budget, partial(_xp_search, oracle, budget)
     )
     return _result(g, kept, lower, budget, "xp-vc")
 
@@ -1038,10 +1037,11 @@ def vc_tree_decompose(
 
     groups: dict[int, list[int]] = {}
     min_edge: dict[int, int] = {}
+    tree_of: dict[int, TemporalOutTree] = {}
     for v in range(g.vertex_count):
         if v in x_set:
             continue
-        tree = reach.foremost_out_tree(g, v, STRICT, kept=kept)
+        tree = tree_of[v] = reach.foremost_out_tree(g, v, STRICT, kept=kept)
         e = min(tree.tree_edges, key=g.ts.__getitem__)
         assert v in (g.us[e], g.vs[e]), "minimum tree edge must touch its root"
         x = g.vs[e] if g.us[e] == v else g.us[e]
@@ -1054,8 +1054,7 @@ def vc_tree_decompose(
         members = groups.get(x)
         if members:
             anchor = max(members, key=lambda v: g.ts[min_edge[v]])
-            tree = reach.foremost_out_tree(g, anchor, STRICT, kept=kept)
-            trees.append(TemporalOutTree(root=x, tree_edges=tree.tree_edges))
+            trees.append(TemporalOutTree(root=x, tree_edges=tree_of[anchor].tree_edges))
             extras.extend((v, min_edge[v]) for v in members if v != anchor)
         else:
             tree = reach.foremost_out_tree(g, x, STRICT, kept=kept)

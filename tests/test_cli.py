@@ -222,6 +222,16 @@ def test_decompose_full_graph_may_fail(capsys, graph_file, tmp_path):
         assert "NOT-DECOMPOSABLE" in out
 
 
+def test_decompose_reports_a_spanner_that_is_not_minimum(capsys, tmp_path):
+    # The whole graph keeps 17 edges where the optimum keeps 12.
+    g = random_happy_tc_with_cover(8, 3, 1)
+    graph_file, span_file = tmp_path / "g.tg", tmp_path / "full.spanner"
+    graph_file.write_text(tg.serialize(g))
+    span_file.write_text("".join(f"{i}\n" for i in range(g.m)))
+    code, out, _ = run(capsys, "decompose", "--vc", graph_file, span_file)
+    assert code == 1 and out == "NOT-DECOMPOSABLE\n"
+
+
 def test_gen_random_deterministic(capsys, tmp_path):
     a, b = tmp_path / "a.tg", tmp_path / "b.tg"
     assert run(capsys, "gen-random", "--n", 7, "--seed", 5, "--out", a)[0] == 0
@@ -341,13 +351,13 @@ def test_usage_errors_exit_three(capsys, tmp_path):
     assert code == 3
     code, _, err = run(capsys, "check", tmp_path / "missing.tg")
     assert code == 3
-    code, _, _ = run(capsys, "solve", "--method", "xp-vc", "--two-source", 0, 1, bad)
-    assert code == 3
     good = tmp_path / "good.tg"
     good.write_text("1 1\n")
     code, _, err = run(capsys, "solve", "--engine", "cuts", good)
     assert code == 3
     assert "invalid choice: 'cuts'" in err
+    code, _, err = run(capsys, "solve", "--method", "xp-vc", "--two-source", 0, 1, good)
+    assert code == 3 and "xp-vc supports the all-pairs requirement only" in err
 
 
 @pytest.mark.parametrize(

@@ -46,6 +46,11 @@ def test_reach_masks_trivial():
     assert reach.reach_masks(g, STRICT) == [0b011, 0b111, 0b111]
 
 
+def test_earliest_arrival_rejects_a_negative_start():
+    with pytest.raises(ValueError, match="start must be non-negative"):
+        reach.earliest_arrival(tg.build(2, [(0, 1, 1)]), 0, start=-1)
+
+
 def test_is_tc_edge_cases():
     assert not reach.is_tc(tg.build(2, []), STRICT)
     assert reach.is_tc(tg.build(1, []), STRICT)

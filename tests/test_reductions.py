@@ -167,7 +167,7 @@ def test_flow_model_has_columns_only_for_usable_arcs(monkeypatch):
     assert reach.is_tc(g, STRICT, kept=res.spanner.kept)
     # The best greedy restart keeps 28 edges, above the gossip bound 2n - 4 = 24
     # and the block bound 27: one MILP proves that no spanner keeps 27.
-    assert solver._gossip_bound(g, STRICT, solver.ALL_PAIRS) == 24
+    assert solver._gossip_bound(solver._SubsetOracle(g, STRICT, solver.ALL_PAIRS)) == 24
     ((model, status),) = models
     assert status == 2
     forced = solver.forced_edges(g)

@@ -35,6 +35,11 @@ def small_corpus(count=25, n_range=(4, 7)):
 # ---------------------------------------------------------------------------
 
 
+def _gossip(g, s, req):
+    """The gossip bound of a fresh oracle for the instance."""
+    return solver._gossip_bound(solver._SubsetOracle(g, s, req))
+
+
 def test_forced_edges_chain_all_forced():
     g = tg.build(4, [(0, 1, 1), (1, 2, 2), (2, 3, 3)])
     assert not reach.is_tc(g, STRICT)  # a chain is only one-way connected
@@ -100,6 +105,33 @@ def test_instance_too_large_guard():
         solver.min_spanner_exact(g, cap=47, engine="bnb")
 
 
+def test_conflict_blocks_end_within_the_size_limit():
+    # Hiding hubs always finds an unhidden endpoint in an oversized block.
+    # Every edge of the dense graph is removable, and every edge ends a
+    # block of its own.
+    g = generate.random_happy_tc(24, 0, 0.95)
+    oracle = solver._SubsetOracle(g, STRICT, ALL_PAIRS)
+    block_of, caps = oracle.blocks
+    assert len(oracle.removable) == g.m == 262
+    assert caps == [1] * 262 and sorted(block_of.values()) == list(range(262))
+    g = generate.random_happy_tc(18, 0, 0.4)
+    block_of, caps = solver._SubsetOracle(g, STRICT, ALL_PAIRS).blocks
+    sizes = [list(block_of.values()).count(b) for b in range(len(caps))]
+    assert max(sizes) == 11 <= solver._MAX_BLOCK
+
+
+def test_the_schedule_checks_the_fallback_answer(monkeypatch):
+    # With no branch-and-bound nodes both graphs reach the engine's own
+    # search, here replaced by one that returns the empty edge set.
+    monkeypatch.setattr(solver, "_NODE_LIMIT", 0)
+    monkeypatch.setattr(solver, "_exact_by_flow", lambda oracle, budget: frozenset())
+    monkeypatch.setattr(solver, "_xp_search", lambda oracle, budget, best, floor: (frozenset(), 0))
+    with pytest.raises(solver.SolverFailed, match="infeasible edge set"):
+        solver.min_spanner_exact(_multilabel_graph(174, (5, 7)), engine="flow")
+    with pytest.raises(solver.SolverFailed, match="infeasible edge set"):
+        solver.min_spanner_xp_vc(generate.random_happy_tc_with_cover(7, 3, 47))
+
+
 def test_cap_does_not_refuse_an_answer_that_needs_no_search():
     # 9 removable edges exceed cap 0, but the index greedy spanner keeps
     # 2n - 4 = 8 edges, the optimum: every budget is answered with it, and
@@ -121,7 +153,7 @@ def test_budget_below_the_gossip_bound_needs_no_search():
     # gossip bound 2n - 4 = 24 alone exceeds budget 23.
     g = generate.random_happy_tc(14, 0, 0.6)
     assert len(solver.forced_edges(g, STRICT)) == 2
-    assert solver._gossip_bound(g, STRICT, ALL_PAIRS) == 24
+    assert _gossip(g, STRICT, ALL_PAIRS) == 24
     res = solver.min_spanner_exact(g, budget=23, cap=0)
     assert res.within_budget is False and not res.optimal
 
@@ -138,7 +170,7 @@ def test_bnb_stops_at_the_gossip_bound():
 def test_bnb_searches_on_when_the_gossip_bound_is_not_met():
     # The bound is 24 here and the optimum 28: the stop must not prune.
     g = red.sat_to_spanner_instance(red.SatInstance(1, ((1, 1, 1),))).graph
-    assert solver._gossip_bound(g, STRICT, ALL_PAIRS) == 24
+    assert _gossip(g, STRICT, ALL_PAIRS) == 24
     res = solver.min_spanner_exact(g, engine="bnb")
     assert res.size == 28 and res.optimal
     assert solver.requirement_holds(g, STRICT, ALL_PAIRS, res.spanner.kept)
@@ -170,7 +202,7 @@ def _hub_graphs(draw):
 @settings(derandomize=True, deadline=None, max_examples=100, database=None)
 @given(_hub_graphs(), st.sampled_from([STRICT, NONSTRICT]))
 def test_gossip_bound_never_exceeds_the_optimum(g, s):
-    bound = solver._gossip_bound(g, s, ALL_PAIRS)
+    bound = _gossip(g, s, ALL_PAIRS)
     applies = s is STRICT or tg.classify(g).proper
     assert bound == (2 * g.vertex_count - 4 if applies else 0)
     assert bound <= solver.min_spanner_brute(g, s).size
@@ -191,7 +223,7 @@ def test_bounds_enclose_the_optimum_on_hub_graphs(g, s, data):
     oracle = solver._SubsetOracle(g, s, req)
     opt = solver.min_spanner_brute(g, s, req).size
     assert len(oracle.forced) <= opt
-    assert solver._gossip_bound(g, s, req) <= opt
+    assert solver._gossip_bound(oracle) <= opt
     assert solver._block_bound(oracle) <= opt
     # Goal 0 is never met, so every restart runs.
     best = solver._greedy_restarts(
@@ -214,7 +246,7 @@ def _search_refuses(engine, g, s, req, budget):
     if engine == "flow":
         return solver._exact_by_flow(oracle, budget) is None
     if engine == "xp":
-        return solver._xp_search(oracle, budget, 0, frozenset(range(g.m)))[1] > budget
+        return solver._xp_search(oracle, budget, frozenset(range(g.m)), 0)[1] > budget
     blocks = oracle.blocks
     order = sorted(oracle.removable, key=lambda i: (blocks[0][i], i))
     target = g.m - budget
@@ -267,16 +299,16 @@ def test_engines_agree_with_brute_on_hub_graphs(engine, g, s, data):
 
 def test_gossip_bound_is_zero_where_it_does_not_apply():
     g = generate.random_happy_tc(6, 0, 0.6)
-    assert solver._gossip_bound(g, STRICT, ALL_PAIRS) == 8
-    assert solver._gossip_bound(g, STRICT, TwoSource(0, 5)) == 0
+    assert _gossip(g, STRICT, ALL_PAIRS) == 8
+    assert _gossip(g, STRICT, TwoSource(0, 5)) == 0
     # n < 4: a TC triangle keeps 3 edges, more than 2n - 4 = 2.
     triangle = tg.build(3, [(0, 1, 1), (1, 2, 2), (0, 2, 3), (0, 1, 4)])
-    assert solver._gossip_bound(triangle, STRICT, ALL_PAIRS) == 0
+    assert _gossip(triangle, STRICT, ALL_PAIRS) == 0
     # The non-strict star at one label is temporally connected with 3 edges.
     star = tg.build(4, [(0, 1, 1), (0, 2, 1), (0, 3, 1)])
-    assert solver._gossip_bound(star, NONSTRICT, ALL_PAIRS) == 0
+    assert _gossip(star, NONSTRICT, ALL_PAIRS) == 0
     assert solver.min_spanner_brute(star, NONSTRICT).size == 3 < 2 * 4 - 4
-    assert solver._gossip_bound(star, STRICT, ALL_PAIRS) == 4
+    assert _gossip(star, STRICT, ALL_PAIRS) == 4
 
 
 def test_requirement_not_satisfied():
@@ -454,7 +486,7 @@ def test_flow_takes_each_path_around_the_greedy_incumbent(monkeypatch, milp_call
     for g, req in instances:
         oracle = solver._SubsetOracle(g, s, req)
         removable = oracle.removable
-        lower = max(len(oracle.forced), solver._gossip_bound(g, s, req))
+        lower = max(len(oracle.forced), solver._gossip_bound(oracle))
         bound = max(lower, solver._block_bound(oracle))
         index = solver._greedy_local_min(oracle, removable)
         best = solver._greedy_restarts(oracle, removable, bound, index)
@@ -607,12 +639,12 @@ def test_bnb_no_answer_is_no_larger_than_the_greedy_spanner():
 
 
 def test_each_solve_reads_the_requirement_once(monkeypatch, milp_calls):
-    # Counts oracle constructions, whole-graph sweeps from the oracle's
-    # start masks and conflict-block computations.  Each solve builds one
-    # oracle, which checks the whole graph once, for its forced set, and
-    # computes its blocks at most once; the block bound and the searches all
-    # read it.  With no branch-and-bound nodes the MILP and the XP search
-    # run here.
+    # Counts oracle constructions, sweeps with no edge dropped (from any
+    # start masks) and conflict-block computations.  Each solve builds one
+    # oracle, which checks the whole graph once, for its forced set and, in
+    # XP, for connectivity, and computes its blocks at most once; the block
+    # bound and the searches all read it.  With no branch-and-bound nodes
+    # the MILP and the XP search run here.
     monkeypatch.setattr(solver, "_NODE_LIMIT", 0)
     counts = {"oracles": 0, "whole": 0, "blocks": 0, "unions": 0}
     real_init = solver._SubsetOracle.__init__
@@ -625,7 +657,7 @@ def test_each_solve_reads_the_requirement_once(monkeypatch, milp_calls):
         real_init(self, *args)
 
     def sweep(g, s, removed, masks=None):
-        counts["whole"] += masks is not None and not any(removed)
+        counts["whole"] += not any(removed)
         return real_sweep(g, s, removed, masks)
 
     def failing(self, removed):
@@ -731,7 +763,7 @@ def test_exact_result_fields_follow_from_kept(engine):
     # The index greedy spanner meets the gossip bound 2n - 4 = opt, so it
     # answers every budget, proven optimal, with no search: the "no" at
     # the last budget, below the forced count, too.
-    assert solver._gossip_bound(g, STRICT, ALL_PAIRS) == opt == len(greedy)
+    assert solver._gossip_bound(oracle) == opt == len(greedy)
     for budget in (None, opt, opt - 1, len(forced) - 1):
         res = solver.min_spanner_exact(g, budget=budget, engine=engine)
         assert res.spanner.kept == greedy and res.optimal and res.lower_bound == opt
@@ -1031,11 +1063,11 @@ def test_xp_search_matches_exact():
     searched = 0
     for g in graphs:
         opt = solver.min_spanner_exact(g).size
-        floor = solver._gossip_bound(g, STRICT, ALL_PAIRS)
         oracle = solver._SubsetOracle(g, STRICT, ALL_PAIRS)
+        floor = solver._gossip_bound(oracle)
         everything = frozenset(range(g.m))
         for budget in (None, opt, opt - 1):
-            kept, proven = solver._xp_search(oracle, budget, floor, everything)
+            kept, proven = solver._xp_search(oracle, budget, everything, floor)
             assert len(kept) == opt
             assert reach.is_tc(g, STRICT, kept)
             # It ends early, proving nothing, exactly on a spanner smaller
@@ -1064,7 +1096,7 @@ def test_xp_search_matches_exact_on_cover_graphs(n, d, seed):
     if len(oracle.removable) <= 12:
         assert solver.min_spanner_brute(g).size == opt
     for budget, want in ((None, opt), (opt, 0 if opt < g.m else opt)):
-        kept, proven = solver._xp_search(oracle, budget, 0, frozenset(range(g.m)))
+        kept, proven = solver._xp_search(oracle, budget, frozenset(range(g.m)), 0)
         assert len(kept) == opt and proven == want
         assert solver.requirement_holds(g, STRICT, ALL_PAIRS, kept)
 
@@ -1135,6 +1167,14 @@ def test_decompose_optimum_corpus():
             assert v in (g.edges[e].u, g.edges[e].v)
             union.add(e)
         assert union == set(spanner.kept)
+
+
+def test_decompose_rejects_a_spanner_that_is_not_minimum():
+    # The whole graph keeps 17 edges where the optimum keeps 12.
+    g = generate.random_happy_tc_with_cover(8, 3, 1)
+    cover = sorted(solver.min_vertex_cover(tg.underlying_graph(g), g.vertex_count))
+    assert solver.min_spanner_exact(g).size == 12 < g.m == 17
+    assert solver.vc_tree_decompose(tg.Spanner(g, frozenset(range(g.m))), cover) is None
 
 
 def test_decompose_rejects_disconnected_spanner():

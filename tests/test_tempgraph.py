@@ -340,7 +340,7 @@ def test_edges_built_only_when_read():
     res = solver.min_spanner_xp_vc(g)
     oracle = solver._SubsetOracle(g, reach.STRICT, solver.ALL_PAIRS)
     solver._exact_by_flow(oracle, res.size)
-    solver._xp_search(oracle, None, 0, frozenset(range(g.m)))
+    solver._xp_search(oracle, None, frozenset(range(g.m)), 0)
     cover = solver.min_vertex_cover(tg.underlying_graph(g), g.vertex_count)
     for tree in solver.vc_tree_decompose(res.spanner, cover).trees:
         assert reach.verify_out_tree(g, tree.tree_edges, tree.root)
@@ -358,6 +358,11 @@ def test_spanner_formats():
         tg.parse_spanner("99\n", g)
     with pytest.raises(tg.ParseError):
         tg.parse_spanner("0 1 7\n", g)
+    with pytest.raises(tg.ParseError, match=r"line 2: non-integer field in '0 x 1'"):
+        tg.parse_spanner("0\n0 x 1\n", g)
+    with pytest.raises(tg.ParseError, match=r"line 1: expected index or 'u v t', got '0 1'"):
+        tg.parse_spanner("0 1\n", g)
+    assert s.edges() == [tg.TimeEdge(0, 1, 1), tg.TimeEdge(0, 2, 3)]
 
 
 def test_spanner_rejects_bad_index():
