@@ -9,14 +9,22 @@ iterated to a fixpoint.  A label of one edge needs neither: both reduce to one
 relaxation judged on the values before it, read straight from the label's flat
 table entry.
 
-The sweep has two modes, and both skip the edges flagged in a per-edge
-``removed`` bytearray:
+The sweep has three modes.  The bitmask and arrival modes skip the edges
+flagged in a per-edge ``removed`` drop table: a bytearray of 0/1 flags, or a
+list of 0 (kept) and -1 (dropped).  The lane mode reads per-lane drops.
 
 * the all-sources bitmask mode carries, per vertex, the set of vertices that
   reach it (:func:`reach_masks`, :func:`is_tc`, and the solver's feasibility
   oracle).  Every call sweeps every group, from every vertex reaching
   itself or from given start masks, which may hold only some source bits
   (the two-source requirement);
+* the lane mode (:func:`_lane_sweep`) runs up to 64 bitmask sweeps, each
+  over its own edge subset, in one pass: lane j of a vertex mask is its bits
+  ``[j*n, (j+1)*n)``, and an edge's entry in the drop table holds the lane
+  segments that drop it (-1 drops it in every lane).  This is the
+  bit-parallel multi-source traversal of Then et al., "The More the Merrier:
+  Efficient Multi-Source Graph Traversal" (VLDB 2014), applied to edge
+  subsets instead of sources;
 * the single-source arrival mode carries earliest arrival labels and the edge
   that set each (:func:`earliest_arrival`, :func:`reaches_all`,
   :func:`foremost_out_tree`).  Groups come in ascending label order, so a
@@ -114,6 +122,56 @@ def _mask_sweep(
                     x = masks[u] | masks[v]
                     if x != masks[u] or x != masks[v]:
                         masks[u] = masks[v] = x
+                        changed = True
+    return masks
+
+
+def _lane_sweep(g: TemporalGraph, s: Strictness, drop: list[int], masks: list[int]) -> list[int]:
+    """Lane mode: :func:`_mask_sweep` in every lane at once.
+
+    Lane j holds bits ``[j*n, (j+1)*n)`` of each mask, and ``masks`` the
+    start masks of every lane.  ``drop[i]`` is 0 when edge i is kept in every
+    lane, -1 when it is dropped in every lane, and otherwise the lane
+    segments that drop it: an edge passes only the lanes outside ``drop[i]``.
+    """
+    masks = masks.copy()
+    strict = s is STRICT
+    for group in g.label_groups:
+        if len(group) == 4:
+            _, i, u, v = group
+            d = drop[i]
+            if not d:
+                masks[u] = masks[v] = masks[u] | masks[v]
+            elif d != -1:
+                # (x | d) ^ d is x outside the lanes that drop the edge.
+                mu, mv = masks[u], masks[v]
+                masks[u] = mu | ((mv | d) ^ d)
+                masks[v] = mv | ((mu | d) ^ d)
+        elif strict:
+            before = [(u, v, masks[u], masks[v], drop[i]) for i, u, v in group[1] if drop[i] != -1]
+            for u, v, mu, mv, d in before:
+                if d:
+                    masks[v] |= (mu | d) ^ d
+                    masks[u] |= (mv | d) ^ d
+                else:
+                    masks[v] |= mu
+                    masks[u] |= mv
+        else:
+            alive = [(u, v, drop[i]) for i, u, v in group[1] if drop[i] != -1]
+            changed = True
+            while changed:
+                changed = False
+                for u, v, d in alive:
+                    mu, mv = masks[u], masks[v]
+                    if not d:
+                        x = mu | mv
+                        if x != mu or x != mv:
+                            masks[u] = masks[v] = x
+                            changed = True
+                        continue
+                    x, y = mu | ((mv | d) ^ d), mv | ((mu | d) ^ d)
+                    if x != mu or y != mv:
+                        masks[u], masks[v] = x, y
                         changed = True
     return masks
 

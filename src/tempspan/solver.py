@@ -38,7 +38,9 @@ from __future__ import annotations
 import random
 import sys
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
+from itertools import compress
+from operator import and_
 from typing import Callable, Iterable, Sequence
 
 from . import reach
@@ -105,13 +107,16 @@ def requirement_holds(
 
 
 class _SubsetOracle:
-    """The requirement check on edge subsets given as drop flags.
+    """The requirement check on edge subsets given as drop tables.
 
-    ``removed`` arguments are bytearrays of length m; flag 1 drops the edge.
+    ``removed`` arguments are drop tables of length m: a bytearray, where
+    flag 1 drops the edge, or a list holding 0 (kept) and -1 (dropped).
     Both requirements run the all-sources mask sweep, started from the source
     bits only: ``masks[v] = (1 << v) & need``, where ``need`` holds the two
     sources or every vertex.  Each query is one full sweep from these start
     masks, and the requirement holds iff every final mask equals ``need``.
+    :meth:`feasible_each` answers up to 64 queries that each drop one more
+    edge in one lane sweep (:func:`reach._lane_sweep`).
 
     The oracle is the one place that reads the requirement: it checks the
     two sources' range and keeps ``sources`` sorted and without repeats;
@@ -141,6 +146,9 @@ class _SubsetOracle:
             need |= 1 << x
         self.need = need
         self.start = [(1 << v) & need for v in range(g.vertex_count)]
+        # Per lane count of :meth:`feasible_each`: the bits of each lane,
+        # the start masks and ``need`` in every lane.
+        self._lanes: dict[int, tuple[list[int], list[int], int]] = {}
 
     @cached_property
     def satisfied(self) -> bool:
@@ -158,14 +166,9 @@ class _SubsetOracle:
         """
         if not self.satisfied:
             raise RequirementNotSatisfied("graph does not satisfy the requirement")
-        removed = bytearray(self.g.m)
-        forced = []
-        for i in range(self.g.m):
-            removed[i] = 1
-            if not self.feasible(removed):
-                forced.append(i)
-            removed[i] = 0
-        return frozenset(forced)
+        m = self.g.m
+        answers = self.feasible_each([0] * m, range(m))
+        return frozenset(i for i, ok in enumerate(answers) if not ok)
 
     @cached_property
     def removable(self) -> list[int]:
@@ -178,11 +181,50 @@ class _SubsetOracle:
         """The conflict blocks of ``removable`` and their caps."""
         return _conflict_blocks(self)
 
-    def feasible(self, removed: bytearray) -> bool:
-        """Whether the requirement holds without the edges flagged in ``removed``."""
+    def feasible(self, removed: bytearray | list[int]) -> bool:
+        """Whether the requirement holds without the edges dropped in the
+        drop table ``removed`` (a bytearray, or a list of 0 and -1)."""
         masks = reach._mask_sweep(self.g, self.s, removed, self.start)
         # No mask holds a bit outside ``need``.
         return masks.count(self.need) == len(masks)
+
+    def feasible_each(self, removed: list[int], edges: Sequence[int]) -> list[bool]:
+        """For each edge e of ``edges``, whether the requirement holds without
+        e and the edges dropped in ``removed``, a list of 0 and -1; equal to
+        one :meth:`feasible` query per edge.
+
+        Edges go 64 at a time into the lanes of one :func:`reach._lane_sweep`:
+        lane j drops the j-th edge of its chunk.  A lane's answer is read from
+        the AND of the final masks, which holds ``need`` in every lane that
+        meets the requirement.  One edge takes a plain :meth:`feasible` query.
+        """
+        if len(edges) == 1:
+            drop = removed.copy()
+            drop[edges[0]] = -1
+            return [self.feasible(drop)]
+        n = self.g.vertex_count
+        out: list[bool] = []
+        for c in range(0, len(edges), 64):
+            chunk = edges[c : c + 64]
+            lanes = self._lanes.get(len(chunk))
+            if lanes is None:
+                segments = [((1 << n) - 1) << (j * n) for j in range(len(chunk))]
+                spread = sum(1 << (j * n) for j in range(len(chunk)))
+                lanes = segments, [x * spread for x in self.start], self.need * spread
+                self._lanes[len(chunk)] = lanes
+            segments, start, need = lanes
+            drop = removed.copy()
+            for e, segment in zip(chunk, segments):
+                drop[e] |= segment
+            # The bits of ``need`` that some final mask lacks, lane by lane.
+            miss = need & ~reduce(and_, reach._lane_sweep(self.g, self.s, drop, start))
+            ok = [True] * len(chunk)
+            while miss:
+                j = (miss.bit_length() - 1) // n
+                ok[j] = False
+                miss &= (1 << (j * n)) - 1
+            out += ok
+        return out
 
     def failing_sources(self, removed: bytearray) -> list[int]:
         """Sources that cannot reach every vertex under the requirement."""
@@ -288,8 +330,25 @@ def _bnb_max_removal(
 
     Decisions follow ``removable`` in order.  A node branches on the next
     edge e: removed first, if the requirement still holds without e and the
-    edges already removed (one oracle query), then kept.  The keep-e child
-    makes no query, since its removal set is its parent's.
+    edges already removed, then kept.  The keep-e child has its parent's
+    removal set, so the nodes of one removal set form one keep chain, and
+    the search asks the oracle once per removal set, at the first node of
+    the chain that needs an answer: one :meth:`_SubsetOracle.feasible_each`
+    call answers "remove e too" for the next 64 candidates, and every node
+    of the chain reads its answer there.  A chain that walks past those 64
+    asks for the next 64.  The candidates of a removal set are the edges
+    after its last removed one that its parent's answers did not rule out:
+    reachability is monotone, so an edge that is infeasible with fewer
+    edges removed stays infeasible with more.
+
+    Every removal in a node's subtree is its removal set plus candidates
+    from e on that no answer ruled out.  A node with at most ``len(best) -
+    len(cur)`` of them cannot beat the incumbent, and is cut.  The cut
+    compares with the incumbent, not with ``target``, so no subtree that
+    could raise the incumbent is cut: the incumbents follow one another as
+    with one query per node, and a search that runs to the end returns the
+    same removal set.  Only the node count, and so where ``node_limit``
+    stops a search, changes.
     """
     k = len(removable)
     if blocks is None:
@@ -301,7 +360,7 @@ def _bnb_max_removal(
     for i in removable:
         und[block_of[i]] += 1
     headroom = sum(min(cap, u) for cap, u in zip(caps, und))
-    removed = bytearray(oracle.g.m)
+    removed = [0] * oracle.g.m
     # The search ends once the incumbent removes ``stop`` edges.
     stop = min((x for x in (target, stop_at) if x is not None), default=k + 1)
     best = incumbent or []
@@ -309,51 +368,73 @@ def _bnb_max_removal(
     hit = stopped = False
     nodes = 0
 
-    def rec(pos: int) -> None:
+    def chain(pos: int, cands: list[int]) -> None:
+        """The nodes of removal set ``cur`` from position ``pos`` on;
+        ``cands`` holds its candidates, in ``removable`` order."""
         nonlocal best, hit, stopped, nodes, headroom
-        if hit:
-            return
-        if nodes == node_limit:
-            hit = stopped = True
-            return
-        nodes += 1
-        if len(cur) > len(best):
-            best = cur.copy()
-            if len(best) >= stop:
-                hit = True
-                return
-        needed = (target if target is not None else len(best) + 1) - len(cur)
-        if headroom < needed or pos == k:
-            return
-        e = removable[pos]
-        b = block_of[e]
-        # Deciding e lowers und[b], and removing it then raises rem[b]; each
-        # lowers the block's term min(caps[b] - rem[b], und[b]) by at most one.
-        left, u = caps[b] - rem[b], und[b] - 1
-        und[b] = u
-        by_decide = u < left
-        headroom -= by_decide
-        removed[e] = 1
-        if oracle.feasible(removed):
-            by_remove = left <= u
-            rem[b] += 1
-            headroom -= by_remove
-            cur.append(e)
-            rec(pos + 1)
-            cur.pop()
-            rem[b] -= 1
-            headroom += by_remove
-        removed[e] = 0
-        rec(pos + 1)
-        und[b] = u + 1
-        headroom += by_decide
+        depth = len(cur)
+        ok: list[bool] = []  # the answers for cands[:len(ok)]
+        live = len(cands)  # candidates from ``pos`` on not ruled out
+        j = 0  # cands[j] is the first candidate at ``pos`` or later
+        decided = []
+        while True:
+            if nodes == node_limit:
+                hit = stopped = True
+                break
+            nodes += 1
+            if depth > len(best):
+                best = cur.copy()
+                if depth >= stop:
+                    hit = True
+                    break
+            slack = len(best) - depth
+            needed = slack + 1 if target is None else target - depth
+            if headroom < needed or pos == k or live <= slack:
+                break
+            e = removable[pos]
+            is_cand = j < len(cands) and cands[j] == e
+            if is_cand and j == len(ok):
+                answers = oracle.feasible_each(removed, cands[j : j + 64])
+                ok += answers
+                live -= answers.count(False)
+                if live <= slack:
+                    break
+            b = block_of[e]
+            # Deciding e lowers und[b], and removing it then raises rem[b]; each
+            # lowers the block's term min(caps[b] - rem[b], und[b]) by at most one.
+            left, u = caps[b] - rem[b], und[b] - 1
+            und[b] = u
+            by_decide = u < left
+            headroom -= by_decide
+            decided.append((b, by_decide))
+            if is_cand:
+                if ok[j]:
+                    live -= 1
+                    by_remove = left <= u
+                    rem[b] += 1
+                    headroom -= by_remove
+                    removed[e] = -1
+                    cur.append(e)
+                    later = list(compress(cands[j + 1 : len(ok)], ok[j + 1 :]))
+                    chain(pos + 1, later + cands[len(ok) :])
+                    cur.pop()
+                    removed[e] = 0
+                    rem[b] -= 1
+                    headroom += by_remove
+                    if hit:
+                        break
+                j += 1
+            pos += 1
+        for b, by_decide in decided:
+            und[b] += 1
+            headroom += by_decide
 
-    # ``rec`` goes one level deeper per decided edge, so a dive over
+    # ``chain`` goes one level deeper per removed edge, so a dive over
     # thousands of removable edges would pass the default recursion limit.
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + k)
     try:
-        rec(0)
+        chain(0, list(removable))
     finally:
         sys.setrecursionlimit(limit)
     return best, stopped
@@ -498,7 +579,8 @@ def _settle_then_search(
        budget or, when optimising, at ``lower``.  Without a ``fallback`` it
        runs to the end.  With one it stops after ``_NODE_LIMIT`` nodes: 13
        of the 15 ``solve-flow`` benchmark ops that reach this step end
-       within it, and the other 2 stop after about 9 ms on a 2-core VM.
+       within it, and the other 2 stop after 7 to 12 ms on a shared
+       2-core VM.
     4. After a stopped search only: greedy passes over seeded shuffles of
        ``order`` (:func:`_greedy_restarts`), then ``fallback(incumbent,
        lower)``, which returns a spanner no larger than the incumbent and

@@ -286,6 +286,34 @@ def test_arrival_sweep_edge_cases(monkeypatch):
             assert list(reach.earliest_arrival(h, 3, start, s).arrival) == want
 
 
+def test_lane_sweep_runs_one_mask_sweep_per_lane():
+    # Each lane drops its own random edge subset; an edge dropped in every
+    # lane is written -1, as the solver's drop tables write it.  Lane j of
+    # every final mask is the plain sweep's mask over lane j's subset.
+    full_drops = 0
+    for seed in range(60):
+        g = _multilabel_graph(seed)
+        n = g.vertex_count
+        rng = random.Random(seed)
+        count = rng.randint(1, 6)
+        lanes = [bytearray(rng.random() < 0.3 for _ in range(g.m)) for _ in range(count)]
+        drop = []
+        for i in range(g.m):
+            d = 0
+            for j, removed in enumerate(lanes):
+                d |= removed[i] * ((1 << n) - 1) << (j * n)
+            drop.append(-1 if all(removed[i] for removed in lanes) else d)
+        full_drops += -1 in drop
+        start = [sum(1 << (v + j * n) for j in range(count)) for v in range(n)]
+        for s in (STRICT, NONSTRICT):
+            masks = reach._lane_sweep(g, s, drop, start)
+            for j, removed in enumerate(lanes):
+                assert [(x >> (j * n)) & ((1 << n) - 1) for x in masks] == reach._mask_sweep(
+                    g, s, removed
+                )
+    assert full_drops >= 10
+
+
 def test_two_source_forced_edges_match_single_removals():
     checked = 0
     for seed in range(80):

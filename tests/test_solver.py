@@ -387,6 +387,100 @@ def test_bnb_removes_as_many_edges_as_brute(s, two_source):
     assert checked >= 40
 
 
+def _one_query_each(oracle, removed, edges):
+    """What ``feasible_each`` answers, asked one plain query per edge."""
+    out = []
+    for e in edges:
+        flags = bytearray(f != 0 for f in removed)
+        flags[e] = 1
+        out.append(oracle.feasible(flags))
+    return out
+
+
+def test_feasible_each_matches_one_query_per_edge():
+    # Multi-label graphs bring strict snapshot groups and non-strict fixpoint
+    # groups; the m = 115 graph needs two 64-lane chunks.  The base drop
+    # tables drop no edge, or a random fifth of them.
+    graphs = [_multilabel_graph(seed, (5, 7)) for seed in range(30)]
+    graphs += [generate.random_happy_tc(8, 3, 0.6), generate.random_happy_tc(16, 0, 0.95)]
+    rng = random.Random(0)
+    chunks = checked = 0
+    for g in graphs:
+        for s in (STRICT, NONSTRICT):
+            for req in (ALL_PAIRS, TwoSource(0, g.vertex_count - 1)):
+                oracle = solver._SubsetOracle(g, s, req)
+                if not oracle.satisfied:
+                    continue
+                everything = range(g.m)
+                answers = _one_query_each(oracle, [0] * g.m, everything)
+                assert oracle.forced == {e for e in everything if not answers[e]}
+                for removed in ([0] * g.m, [-(rng.random() < 0.2) for _ in range(g.m)]):
+                    edges = rng.sample(everything, rng.randint(1, g.m))
+                    want = _one_query_each(oracle, removed, edges)
+                    assert oracle.feasible_each(removed, edges) == want
+                    assert oracle.feasible_each(removed, everything) == _one_query_each(
+                        oracle, removed, everything
+                    )
+                chunks += g.m > 64
+                checked += 1
+    assert checked >= 60 and chunks == 4
+
+
+@pytest.mark.parametrize("s", [STRICT, NONSTRICT], ids=["strict", "nonstrict"])
+def test_bnb_cut_compares_with_the_incumbent(s):
+    # Branch and bound cuts a node whose surviving candidates cannot beat the
+    # incumbent.  Compared with the target (m - 7 removals) instead, it would
+    # also cut the subtree that raises the incumbent to 8 kept edges, and
+    # answer with 9 kept edges and optimal=False.
+    g = generate.random_happy_tc(8, 6, 0.5)
+    res = solver.min_spanner_exact(g, s, budget=7, requirement=TwoSource(0, 7), engine="bnb")
+    assert (res.size, res.optimal, res.within_budget, res.lower_bound) == (8, True, False, 8)
+
+
+def test_node_limited_bnb_over_more_than_64_removable_edges():
+    # Every one of the 115 edges is removable, so the first probe of a
+    # removal set covers only 64 candidates.  A node-limited search keeps a
+    # feasible removal at least as large as the incumbent it started from.
+    g = generate.random_happy_tc(16, 0, 0.95)
+    oracle = solver._SubsetOracle(g, STRICT, ALL_PAIRS)
+    assert len(oracle.removable) == g.m == 115
+    kept = solver._greedy_local_min(oracle, oracle.removable)
+    incumbent = [i for i in oracle.removable if i not in kept]
+    for limit in (1, 50, 500):
+        removal, stopped = solver._bnb_max_removal(
+            oracle, oracle.removable, None, oracle.blocks, None, incumbent, limit
+        )
+        assert stopped and len(removal) >= len(incumbent)
+        assert oracle.feasible(bytearray(i in removal for i in range(g.m)))
+
+
+def test_bnb_probes_the_next_64_candidates_past_its_window(monkeypatch):
+    # A path 0-1-...-79 with rising labels and vertex 0 as the one source:
+    # every path edge is forced.  Six late edges from 0 are removable; the
+    # search takes three of them first and three after 70 path edges.  The
+    # root's first probe covers the first 64 candidates; it probes the next
+    # ones when its keep chain walks past them.  The subtree that removes
+    # the first late edge inherits the unprobed candidates, so it finds all
+    # six.
+    path = [(v, v + 1, v + 1) for v in range(79)]
+    late = [(0, v, 200 + v) for v in (10, 20, 30, 40, 50, 60)]
+    g = tg.build(80, path + late)
+    oracle = solver._SubsetOracle(g, STRICT, TwoSource(0, 0))
+    forced, free = sorted(oracle.forced), oracle.removable
+    assert len(forced) == 79 and len(free) == 6
+    order = free[:3] + forced[:70] + free[3:] + forced[70:]
+    probes = []
+    real = solver._SubsetOracle.feasible_each
+    monkeypatch.setattr(
+        solver._SubsetOracle,
+        "feasible_each",
+        lambda self, removed, edges: probes.append(list(edges)) or real(self, removed, edges),
+    )
+    removal, stopped = solver._bnb_max_removal(oracle, order, None)
+    assert sorted(removal) == free and not stopped
+    assert probes[0] == order[:64] and order[64:] in probes
+
+
 def _instances(kind, s, two_source, count):
     """``count`` seeded graphs of ``kind`` meeting the requirement, with 2 to
     12 removable edges."""
@@ -561,6 +655,33 @@ def test_flow_no_answer_after_the_greedy_carries_the_incumbent(monkeypatch, milp
     assert milp_calls == [] and res.size == 38 and res.optimal and res.within_budget is False
 
 
+def test_flow_search_keeps_a_forced_set_that_is_a_spanner(monkeypatch, milp_calls):
+    # When the forced edges alone meet the requirement, no pair needs a
+    # commodity, and the flow search answers with the forced set, or proves
+    # that no spanner fits a smaller budget, without building a model.
+    # With no removable edge the model would have no column at all.
+    monkeypatch.setattr(solver, "_NODE_LIMIT", 0)
+    path = [(v, v + 1, v + 1) for v in range(79)]
+    cases = [(tg.build(80, path + late), STRICT, TwoSource(0, 0)) for late in ([], [(0, 40, 300)])]
+    for seed in range(140):
+        g = _multilabel_graph(seed)
+        for s in (STRICT, NONSTRICT):
+            for req in (ALL_PAIRS, TwoSource(0, g.vertex_count - 1)):
+                oracle = solver._SubsetOracle(g, s, req)
+                if oracle.satisfied and oracle.feasible(reach._drop_flags(g, oracle.forced)):
+                    cases.append((g, s, req))
+    with_free = sum(len(solver.forced_edges(g, s, req)) < g.m for g, s, req in cases)
+    assert with_free >= 10 and len(cases) > with_free
+    for g, s, req in cases:
+        oracle = solver._SubsetOracle(g, s, req)
+        forced = oracle.forced
+        assert solver._exact_by_flow(oracle, len(forced)) == forced
+        assert solver._exact_by_flow(oracle, len(forced) - 1) is None
+        if len(oracle.removable) <= 12:
+            _agrees_with_brute("flow", g, s, req)
+    assert milp_calls == []
+
+
 def test_flow_engine_settles_a_graph_with_no_model(milp_calls):
     # The index greedy keeps 23 edges, the optimum, but the gossip and
     # block bounds are 20: branch and bound, seeded with that spanner,
@@ -702,10 +823,10 @@ def test_each_solve_reads_the_requirement_once(monkeypatch, milp_calls):
 
 
 def test_search_depth_is_not_bound_by_the_recursion_limit():
-    # Branch and bound goes one call deeper per decided edge, and every one
-    # of this graph's 262 edges is removable, more than the 100 frames left
-    # here.  The search raises the limit for its own run only; the cap then
-    # refuses the MILP.
+    # Branch and bound goes one call deeper per removed edge, and its first
+    # dive removes most of this graph's 262 edges, all removable: more than
+    # the 100 frames left here.  The search raises the limit for its own
+    # run only; the cap then refuses the MILP.
     g = generate.random_happy_tc(24, 0, 0.95)
     old = sys.getrecursionlimit()
     limit = len(inspect.stack(0)) + 100
