@@ -9,9 +9,10 @@ iterated to a fixpoint.  A label of one edge needs neither: both reduce to one
 relaxation judged on the values before it, read straight from the label's flat
 table entry.
 
-The sweep has three modes.  The bitmask and arrival modes skip the edges
-flagged in a per-edge ``removed`` drop table: a bytearray of 0/1 flags, or a
-list of 0 (kept) and -1 (dropped).  The lane mode reads per-lane drops.
+Every mode reads one kind of per-edge drop table: entry i is 0 when edge i
+is kept, -1 when it is dropped, and otherwise the lane bits that drop it.
+The bitmask and arrival modes skip every edge whose entry is not 0; only the
+lane mode reads lane bits.
 
 * the all-sources bitmask mode carries, per vertex, the set of vertices that
   reach it (:func:`reach_masks`, :func:`is_tc`, and the solver's feasibility
@@ -33,14 +34,14 @@ list of 0 (kept) and -1 (dropped).  The lane mode reads per-lane drops.
   it reads every group only when some vertex stays unreachable.
 
 The public functions take an optional ``kept`` edge subset and turn it into
-drop flags once per call.  ``None`` is the unreachable sentinel throughout.
+a drop table once per call.  ``None`` is the unreachable sentinel throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .tempgraph import TemporalGraph
 
@@ -75,12 +76,14 @@ class TemporalOutTree:
     tree_edges: frozenset[int]
 
 
-def _drop_flags(g: TemporalGraph, kept: Iterable[int] | None) -> bytearray:
-    """Per-edge drop flags for the sweeps: 1 marks an edge outside ``kept``."""
+def _drop_flags(g: TemporalGraph, kept: Iterable[int] | None) -> Sequence[int]:
+    """The drop table of ``kept``: -1 drops every edge outside it.  Without
+    ``kept`` every entry is 0; that table only reaches the plain sweeps, so
+    it is a bytearray, the cheapest to build."""
     if kept is None:
         return bytearray(g.m)
     m = g.m
-    removed = bytearray(b"\x01") * m
+    removed = [-1] * m
     for i in kept:
         if not 0 <= i < m:
             raise ValueError(f"edge index {i} out of range [0, {m})")
@@ -91,7 +94,7 @@ def _drop_flags(g: TemporalGraph, kept: Iterable[int] | None) -> bytearray:
 def _mask_sweep(
     g: TemporalGraph,
     s: Strictness,
-    removed: bytearray,
+    removed: Sequence[int],
     masks: list[int] | None = None,
 ) -> list[int]:
     """All-sources mode: bit u of entry v is set iff u reaches v.
@@ -177,7 +180,7 @@ def _lane_sweep(g: TemporalGraph, s: Strictness, drop: list[int], masks: list[in
 
 
 def _arrival_sweep(
-    g: TemporalGraph, source: int, start: int, s: Strictness, removed: bytearray
+    g: TemporalGraph, source: int, start: int, s: Strictness, removed: Sequence[int]
 ) -> tuple[list[int | None], list[int | None]]:
     """Single-source mode: (arrival, via-edge-index) per vertex.
 
@@ -328,33 +331,14 @@ def foremost_out_tree(
 def verify_out_tree(g: TemporalGraph, candidate_edges: Iterable[int], root: int) -> bool:
     """Check a candidate edge set is a temporal out-tree rooted at ``root``.
 
-    Requires exactly ``n - 1`` edges whose underlying edges form a spanning
-    tree with strictly increasing labels along every root-to-leaf path (the
-    happy-setting convention).  Raises ``ValueError`` for a root outside
-    ``[0, n)`` or an edge index outside ``[0, m)``.
+    Requires exactly ``n - 1`` distinct edges over which the strict arrival
+    sweep from ``root`` reaches every vertex.  Such edges form a spanning
+    tree, and a strict path cannot turn back along an edge, so the one tree
+    path to each vertex has strictly increasing labels (the happy-setting
+    convention).  Raises ``ValueError`` for a root outside ``[0, n)`` or an
+    edge index outside ``[0, m)``.
     """
     idxs = set(candidate_edges)
-    n, m = g.vertex_count, g.m
-    if not 0 <= root < n:
-        raise ValueError(f"source {root} out of range")
-    if idxs:
-        for i in (min(idxs), max(idxs)):
-            if not 0 <= i < m:
-                raise ValueError(f"edge index {i} out of range [0, {m})")
-    if len(idxs) != n - 1:
-        return False
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(n)}
-    us, vs, ts = g.us, g.vs, g.ts
-    for i in idxs:
-        adj[us[i]].append((vs[i], ts[i]))
-        adj[vs[i]].append((us[i], ts[i]))
-    seen = {root}
-    stack = [(root, 0)]
-    while stack:
-        v, in_label = stack.pop()
-        for w, t in adj[v]:
-            if w in seen or t <= in_label:
-                continue
-            seen.add(w)
-            stack.append((w, t))
-    return len(seen) == n
+    # Sorted, so that an error names the smallest index out of range.
+    arrival, _ = _arrival_sweep(g, root, 0, STRICT, _drop_flags(g, sorted(idxs)))
+    return len(idxs) == g.vertex_count - 1 and None not in arrival

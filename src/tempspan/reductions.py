@@ -468,9 +468,17 @@ def mcc_to_spanner_instance(inst: MccInstance) -> MccReductionOutput:
     vertices per (color, gadget pair) are shared, which is what makes the
     crossing timing-tight.  The hub/star side of the connector only appears
     for four distinct colors, so only when the color count is at least four.
+    Raises :class:`InvariantViolated` below three colors: a validator needs
+    two colors besides its own, so two colors get neither validators nor a
+    hub, and the graph would not be temporally connected.
     """
     validate_mcc(inst)
     k, n = inst.color_count, inst.class_size
+    if k < 3:
+        raise InvariantViolated(
+            f"need at least three colors, got {k}: with two there is no validator"
+            " and no hub, so the instance would not be temporally connected"
+        )
     by_pair = {pair: list(lst) for pair, lst in inst.by_pair.items()}
     m = max(len(lst) for lst in by_pair.values())
     if m % 2 != 0:

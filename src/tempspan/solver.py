@@ -109,8 +109,8 @@ def requirement_holds(
 class _SubsetOracle:
     """The requirement check on edge subsets given as drop tables.
 
-    ``removed`` arguments are drop tables of length m: a bytearray, where
-    flag 1 drops the edge, or a list holding 0 (kept) and -1 (dropped).
+    ``removed`` arguments are drop tables of length m, in the one encoding
+    of :mod:`reach`: 0 keeps an edge and -1 drops it.
     Both requirements run the all-sources mask sweep, started from the source
     bits only: ``masks[v] = (1 << v) & need``, where ``need`` holds the two
     sources or every vertex.  Each query is one full sweep from these start
@@ -153,7 +153,7 @@ class _SubsetOracle:
     @cached_property
     def satisfied(self) -> bool:
         """Whether the requirement holds with every edge kept."""
-        return self.feasible(bytearray(self.g.m))
+        return self.feasible([0] * self.g.m)
 
     @cached_property
     def forced(self) -> frozenset[int]:
@@ -181,17 +181,17 @@ class _SubsetOracle:
         """The conflict blocks of ``removable`` and their caps."""
         return _conflict_blocks(self)
 
-    def feasible(self, removed: bytearray | list[int]) -> bool:
+    def feasible(self, removed: Sequence[int]) -> bool:
         """Whether the requirement holds without the edges dropped in the
-        drop table ``removed`` (a bytearray, or a list of 0 and -1)."""
+        drop table ``removed``."""
         masks = reach._mask_sweep(self.g, self.s, removed, self.start)
         # No mask holds a bit outside ``need``.
         return masks.count(self.need) == len(masks)
 
     def feasible_each(self, removed: list[int], edges: Sequence[int]) -> list[bool]:
         """For each edge e of ``edges``, whether the requirement holds without
-        e and the edges dropped in ``removed``, a list of 0 and -1; equal to
-        one :meth:`feasible` query per edge.
+        e and the edges dropped in the drop table ``removed``; equal to one
+        :meth:`feasible` query per edge.
 
         Edges go 64 at a time into the lanes of one :func:`reach._lane_sweep`:
         lane j drops the j-th edge of its chunk.  A lane's answer is read from
@@ -226,7 +226,7 @@ class _SubsetOracle:
             out += ok
         return out
 
-    def failing_sources(self, removed: bytearray) -> list[int]:
+    def failing_sources(self, removed: Sequence[int]) -> list[int]:
         """Sources that cannot reach every vertex under the requirement."""
         good = self.need
         for mask in reach._mask_sweep(self.g, self.s, removed, self.start):
@@ -331,11 +331,12 @@ def _bnb_max_removal(
     Decisions follow ``removable`` in order.  A node branches on the next
     edge e: removed first, if the requirement still holds without e and the
     edges already removed, then kept.  The keep-e child has its parent's
-    removal set, so the nodes of one removal set form one keep chain, and
-    the search asks the oracle once per removal set, at the first node of
-    the chain that needs an answer: one :meth:`_SubsetOracle.feasible_each`
-    call answers "remove e too" for the next 64 candidates, and every node
-    of the chain reads its answer there.  A chain that walks past those 64
+    removal set, so the nodes of one removal set form one keep chain.  The
+    root removes nothing, so its answers are "e is not forced"; every other
+    removal set asks the oracle once, at the first node of its chain that
+    needs an answer: one :meth:`_SubsetOracle.feasible_each` call answers
+    "remove e too" for the next 64 candidates, and every node of the chain
+    reads its answer there.  A chain that walks past those 64
     asks for the next 64.  The candidates of a removal set are the edges
     after its last removed one that its parent's answers did not rule out:
     reachability is monotone, so an edge that is infeasible with fewer
@@ -368,13 +369,13 @@ def _bnb_max_removal(
     hit = stopped = False
     nodes = 0
 
-    def chain(pos: int, cands: list[int]) -> None:
+    def chain(pos: int, cands: list[int], ok: list[bool]) -> None:
         """The nodes of removal set ``cur`` from position ``pos`` on;
-        ``cands`` holds its candidates, in ``removable`` order."""
+        ``cands`` holds its candidates, in ``removable`` order, and ``ok``
+        the answers for ``cands[:len(ok)]``."""
         nonlocal best, hit, stopped, nodes, headroom
         depth = len(cur)
-        ok: list[bool] = []  # the answers for cands[:len(ok)]
-        live = len(cands)  # candidates from ``pos`` on not ruled out
+        live = len(cands) - ok.count(False)  # candidates from ``pos`` on not ruled out
         j = 0  # cands[j] is the first candidate at ``pos`` or later
         decided = []
         while True:
@@ -416,7 +417,7 @@ def _bnb_max_removal(
                     removed[e] = -1
                     cur.append(e)
                     later = list(compress(cands[j + 1 : len(ok)], ok[j + 1 :]))
-                    chain(pos + 1, later + cands[len(ok) :])
+                    chain(pos + 1, later + cands[len(ok) :], [])
                     cur.pop()
                     removed[e] = 0
                     rem[b] -= 1
@@ -434,7 +435,8 @@ def _bnb_max_removal(
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + k)
     try:
-        chain(0, list(removable))
+        # Nothing is removed at the root: "remove e" holds iff e is not forced.
+        chain(0, list(removable), [e not in oracle.forced for e in removable])
     finally:
         sys.setrecursionlimit(limit)
     return best, stopped
@@ -513,9 +515,9 @@ def _greedy_local_min(oracle: _SubsetOracle, order: Iterable[int]) -> frozenset[
     holds; returns the kept edge set, a spanner from which no edge of
     ``order`` can be dropped alone."""
     m = oracle.g.m
-    removed = bytearray(m)
+    removed = [0] * m
     for i in order:
-        removed[i] = 1
+        removed[i] = -1
         if not oracle.feasible(removed):
             removed[i] = 0
     return frozenset(i for i in range(m) if not removed[i])
@@ -800,7 +802,7 @@ def min_spanner_brute(
     r = len(removable)
     if r > cap:
         raise InstanceTooLarge(f"{r} removable edges exceed enumeration cap {cap}")
-    removed = bytearray(g.m)
+    removed = [0] * g.m
     best_mask = 0
     best_count = 0
     for mask in range(1 << r):
@@ -808,7 +810,7 @@ def min_spanner_brute(
         if count <= best_count:
             continue
         for j in range(r):
-            removed[removable[j]] = (mask >> j) & 1
+            removed[removable[j]] = -(mask >> j & 1)
         if oracle.feasible(removed):
             best_mask = mask
             best_count = count
@@ -952,10 +954,10 @@ def _candidate_trees(g: TemporalGraph, root: int) -> list[int]:
 
 
 def _single_edge_fixes(
-    g: TemporalGraph, removed: bytearray, vertices: Iterable[int]
+    g: TemporalGraph, removed: list[int], vertices: Iterable[int]
 ) -> list[int] | None:
     """The XP algorithm's per-vertex extra-edge rule against the edges kept by
-    the drop flags ``removed``: for each of ``vertices`` alone, the
+    the drop table ``removed``: for each of ``vertices`` alone, the
     smallest-index dropped incident edge whose addition lets it reach every
     vertex.  Returns those edges in order, or None if some vertex has none;
     ``removed`` comes back unchanged."""
@@ -966,7 +968,7 @@ def _single_edge_fixes(
                 continue
             removed[idx] = 0
             fixed = None not in reach._arrival_sweep(g, v, 0, STRICT, removed)[0]
-            removed[idx] = 1
+            removed[idx] = -1
             if fixed:
                 fixes.append(idx)
                 break
@@ -1011,7 +1013,7 @@ def _xp_search(
         """Keep the union ``acc`` plus its extras if smaller than the best;
         True if it is kept and within ``stop``."""
         nonlocal best_kept, best_size
-        removed = bytearray(1 - (acc >> i & 1) for i in range(m))
+        removed = [(acc >> i & 1) - 1 for i in range(m)]
         incomplete = [v for v in oracle.failing_sources(removed) if v not in x_set]
         size = acc.bit_count() + len(incomplete)
         if size >= best_size:

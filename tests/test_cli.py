@@ -314,7 +314,7 @@ def test_reduce_files_are_what_the_library_objects_serialize_to(capsys, tmp_path
     cnf = tmp_path / "f.cnf"
     cnf.write_text("p cnf 2 2\n1 -2 2 0\n-1 -1 2 0\n")
     mcc = tmp_path / "g.mcc"
-    mcc.write_text("2 1\n1 1 2 1\n")
+    mcc.write_text("3 1\n1 1 2 1\n1 1 3 1\n2 1 3 1\n")
     sat = reductions.sat_to_spanner_instance(reductions.parse_dimacs(cnf.read_text()))
     variant = reductions.sat_two_source_variant(sat)
     assert variant.sources == (0, 1)
@@ -342,6 +342,15 @@ def test_reduce_files_are_what_the_library_objects_serialize_to(capsys, tmp_path
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == {
             f"x.{suffix}": text.encode() for suffix, text in want.items()
         }
+
+
+def test_reduce_mcc_rejects_two_colors(capsys, tmp_path):
+    mcc = tmp_path / "g.mcc"
+    mcc.write_text("2 1\n1 1 2 1\n1 1 2 1\n")
+    code, out, err = run(capsys, "reduce-mcc", mcc, "--out-prefix", tmp_path / "x")
+    assert code == 3 and out == ""
+    assert "need at least three colors, got 2" in err
+    assert not list(tmp_path.glob("x.*"))
 
 
 def test_usage_errors_exit_three(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -160,11 +161,71 @@ def test_verify_out_tree_rejects_out_of_range_root():
         reach.verify_out_tree(g, [0, 1], 5)
 
 
+def _dfs_out_tree(g, candidate_edges, root):
+    """The out-tree definition walked directly: exactly n - 1 distinct edges,
+    and a root DFS that enters each vertex over a label above the one it
+    arrived by reaches every vertex."""
+    idxs = set(candidate_edges)
+    n = g.vertex_count
+    if len(idxs) != n - 1:
+        return False
+    adj = {v: [] for v in range(n)}
+    for i in idxs:
+        adj[g.us[i]].append((g.vs[i], g.ts[i]))
+        adj[g.vs[i]].append((g.us[i], g.ts[i]))
+    seen = {root}
+    stack = [(root, 0)]
+    while stack:
+        v, in_label = stack.pop()
+        for w, t in adj[v]:
+            if w not in seen and t > in_label:
+                seen.add(w)
+                stack.append((w, t))
+    return len(seen) == n
+
+
+def test_verify_out_tree_matches_a_root_dfs():
+    # Candidate sets per graph and root: random (n-1)-subsets, the foremost
+    # tree with one edge swapped for another, and that tree one edge short
+    # or one edge over.  Multi-label graphs bring adjacent edges with equal
+    # labels and parallel pairs.
+    graphs = [generate.random_happy_tc(n, seed, 0.6) for n in (4, 5, 6, 7) for seed in range(8)]
+    graphs += [_multilabel_graph(seed) for seed in range(60)]
+    rng = random.Random(0)
+    seen = {"sets": 0, "trees": 0, "equal": 0, "parallel": 0, "size": 0}
+    for g in graphs:
+        n = g.vertex_count
+        for root in range(n):
+            cands = [rng.sample(range(g.m), min(n - 1, g.m)) for _ in range(4)]
+            if reach.reaches_all(g, root):
+                tree = sorted(reach.foremost_out_tree(g, root).tree_edges)
+                outside = [i for i in range(g.m) if i not in tree]
+                cands += [tree, tree[1:], tree + outside[:1]]
+                for _ in range(4):
+                    if outside:
+                        swapped = tree.copy()
+                        swapped[rng.randrange(n - 1)] = rng.choice(outside)
+                        cands.append(swapped)
+            for cand in cands:
+                want = _dfs_out_tree(g, cand, root)
+                assert reach.verify_out_tree(g, cand, root) == want
+                ends = [(g.us[i], g.vs[i], g.ts[i]) for i in set(cand)]
+                seen["sets"] += 1
+                seen["trees"] += want
+                seen["size"] += len(set(cand)) != n - 1
+                seen["parallel"] += len({frozenset((u, v)) for u, v, _ in ends}) < len(ends)
+                seen["equal"] += any(
+                    a[2] == b[2] and {a[0], a[1]} & {b[0], b[1]}
+                    for a, b in combinations(ends, 2)
+                )
+    assert seen["sets"] >= 2000 and min(seen.values()) >= 100, seen
+
+
 def _counted_arrival(monkeypatch, g, source, start, s, kept=None):
-    """``earliest_arrival``'s vector and the drop-flag reads of its sweep, in order."""
+    """``earliest_arrival``'s vector and the drop-table reads of its sweep, in order."""
     reads = []
 
-    class CountingFlags(bytearray):
+    class CountingFlags(list):
         def __getitem__(self, i):
             reads.append(i)
             return super().__getitem__(i)
@@ -177,7 +238,7 @@ def _counted_arrival(monkeypatch, g, source, start, s, kept=None):
 
 
 def test_single_pass_relaxation_count(monkeypatch):
-    # The sweep reads each edge's drop flag once, in scan order, and stops
+    # The sweep reads each edge's drop entry once, in scan order, and stops
     # after the group where the last vertex is first reached.
     g = generate.random_happy_tc(7, 3)
     assert tg.classify(g).happy

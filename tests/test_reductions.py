@@ -343,7 +343,16 @@ def test_mcc_construction_shape():
         assert len(info.cycle_vertices) % 3 == 0
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
+def test_mcc_rejects_fewer_than_three_colors():
+    # Two colors are a valid instance, but the construction has neither
+    # validators nor a hub for them: the graph would not be connected.
+    inst = complete_mcc(2)
+    red.validate_mcc(inst)
+    with pytest.raises(red.InvariantViolated, match="at least three colors"):
+        red.mcc_to_spanner_instance(inst)
+
+
+@pytest.mark.parametrize("k", [3, 4])
 def test_mcc_gadgets_are_the_standalone_gadget(k):
     # Each selection gadget is edge_selection_gadget with its vertex v
     # renamed to cycle_vertices[v]: same edges in the same order, same roles.

@@ -426,6 +426,28 @@ def test_feasible_each_matches_one_query_per_edge():
     assert checked >= 60 and chunks == 4
 
 
+def test_feasible_each_reads_the_drop_table_of_a_kept_set():
+    # ``reach._drop_flags(g, kept)`` builds the table every sweep reads, so
+    # a lane probe takes it as it is and leaves it unchanged: its answers,
+    # for one edge or for every edge in one or two chunks, equal one
+    # ``feasible`` query per edge.
+    graphs = [_multilabel_graph(seed, (5, 7)) for seed in range(30)]
+    graphs.append(generate.random_happy_tc(16, 0, 0.95))
+    rng = random.Random(1)
+    mixed = 0
+    for g in graphs:
+        for s in (STRICT, NONSTRICT):
+            oracle = solver._SubsetOracle(g, s, ALL_PAIRS)
+            kept = [i for i in range(g.m) if rng.random() < 0.9]
+            removed = reach._drop_flags(g, kept)
+            want = [oracle.feasible(reach._drop_flags(g, set(kept) - {e})) for e in range(g.m)]
+            assert oracle.feasible_each(removed, range(g.m)) == want
+            assert oracle.feasible_each(removed, kept[:1]) == [want[kept[0]]]
+            assert removed == reach._drop_flags(g, kept)
+            mixed += True in want and False in want
+    assert mixed >= 20
+
+
 @pytest.mark.parametrize("s", [STRICT, NONSTRICT], ids=["strict", "nonstrict"])
 def test_bnb_cut_compares_with_the_incumbent(s):
     # Branch and bound cuts a node whose surviving candidates cannot beat the
@@ -455,30 +477,43 @@ def test_node_limited_bnb_over_more_than_64_removable_edges():
 
 
 def test_bnb_probes_the_next_64_candidates_past_its_window(monkeypatch):
-    # A path 0-1-...-79 with rising labels and vertex 0 as the one source:
-    # every path edge is forced.  Six late edges from 0 are removable; the
-    # search takes three of them first and three after 70 path edges.  The
-    # root's first probe covers the first 64 candidates; it probes the next
-    # ones when its keep chain walks past them.  The subtree that removes
-    # the first late edge inherits the unprobed candidates, so it finds all
-    # six.
-    path = [(v, v + 1, v + 1) for v in range(79)]
-    late = [(0, v, 200 + v) for v in (10, 20, 30, 40, 50, 60)]
-    g = tg.build(80, path + late)
+    # Vertex 0 is the one source.  It reaches h = 1 by e0 at label 1 or by f
+    # at label 200, the path h-2-...-80 at labels 2..80, each path vertex
+    # also by its own edge from 0 (the B edges), and z = 81 by one edge or by
+    # six late ones (the D edges).  Every edge is removable alone, so the
+    # root reads its answers from the forced set and probes nothing.  Once
+    # e0 is removed, h is reached too late for the path, and every B edge is
+    # needed: that removal set's first probe covers 3 D edges and 61 B
+    # edges, and its keep chain walks past them into a second probe.  The
+    # subtree that removes the first D edge inherits the unprobed
+    # candidates, so its first probe reaches past its parent's window.
+    path = [(v, v + 1, v + 1) for v in range(1, 80)]
+    b_edges = [(0, v, 100 + v) for v in range(2, 81)]
+    d_edges = [(0, 81, 300 + i) for i in range(6)]
+    edges = [(0, 1, 1), (0, 1, 200), (0, 81, 1)] + path + b_edges + d_edges
+    g = tg.build(82, edges)
+    index = {key: i for i, key in enumerate(edges)}
+    e0, free_b, free_d = 0, [index[e] for e in b_edges], [index[e] for e in d_edges]
     oracle = solver._SubsetOracle(g, STRICT, TwoSource(0, 0))
-    forced, free = sorted(oracle.forced), oracle.removable
-    assert len(forced) == 79 and len(free) == 6
-    order = free[:3] + forced[:70] + free[3:] + forced[70:]
+    assert not oracle.forced
+    order = [e0] + free_d[:3] + free_b[:70] + free_d[3:] + free_b[70:]
     probes = []
     real = solver._SubsetOracle.feasible_each
-    monkeypatch.setattr(
-        solver._SubsetOracle,
-        "feasible_each",
-        lambda self, removed, edges: probes.append(list(edges)) or real(self, removed, edges),
-    )
+
+    def probe(self, removed, edges):
+        probes.append((frozenset(i for i, d in enumerate(removed) if d), list(edges)))
+        return real(self, removed, edges)
+
+    monkeypatch.setattr(solver._SubsetOracle, "feasible_each", probe)
     removal, stopped = solver._bnb_max_removal(oracle, order, None)
-    assert sorted(removal) == free and not stopped
-    assert probes[0] == order[:64] and order[64:] in probes
+    # Keeping e0 lets every B and D edge go; removing it keeps every B edge.
+    assert sorted(removal) == sorted(free_b + free_d) and not stopped
+    assert all(removed for removed, _ in probes)
+    after_e0 = order[1:]
+    assert (frozenset({e0}), after_e0[:64]) in probes
+    assert (frozenset({e0}), after_e0[64:]) in probes
+    first_child = next(edges for removed, edges in probes if removed == {e0, free_d[0]})
+    assert first_child == free_d[1:3] + after_e0[64:]
 
 
 def _instances(kind, s, two_source, count):
@@ -1033,9 +1068,9 @@ def _extras(g, tree, cover):
     """The XP search's step for one union ``tree``: per non-cover vertex,
     None if it reaches every vertex through the union, else the extra edge
     that :func:`solver._single_edge_fixes` picks for it; None if some vertex
-    has none.  Checks that the rule hands back its drop flags unchanged."""
+    has none.  Checks that the rule hands back its drop table unchanged."""
     removed = reach._drop_flags(g, tree)
-    flags = bytes(removed)
+    flags = removed.copy()
     oracle = solver._SubsetOracle(g, STRICT, ALL_PAIRS)
     short = [v for v in oracle.failing_sources(removed) if v not in cover]
     fixes = solver._single_edge_fixes(g, removed, short)
