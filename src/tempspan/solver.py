@@ -39,6 +39,7 @@ import random
 import sys
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
+from heapq import heappop, heappush
 from itertools import compress
 from operator import and_
 from typing import Callable, Iterable, Sequence
@@ -349,7 +350,10 @@ def _bnb_max_removal(
     could raise the incumbent is cut: the incumbents follow one another as
     with one query per node, and a search that runs to the end returns the
     same removal set.  Only the node count, and so where ``node_limit``
-    stops a search, changes.
+    stops a search, changes.  The block bound cuts the same way: a node
+    whose blocks can take at most ``len(best) - len(cur)`` more edges is
+    cut, whatever ``target`` is, so a decision search that cannot reach its
+    target still returns the largest removal it can find.
     """
     k = len(removable)
     if blocks is None:
@@ -389,8 +393,7 @@ def _bnb_max_removal(
                     hit = True
                     break
             slack = len(best) - depth
-            needed = slack + 1 if target is None else target - depth
-            if headroom < needed or pos == k or live <= slack:
+            if headroom <= slack or pos == k or live <= slack:
                 break
             e = removable[pos]
             is_cand = j < len(cands) and cands[j] == e
@@ -446,18 +449,43 @@ def _bnb_max_removal(
 _MAX_BLOCK = 12
 
 
+def _find(parent: list[int] | dict[int, int], i: int) -> int:
+    """The root of ``i`` in the union-find forest ``parent``, halving the
+    path on the way."""
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
+
+
 def _conflict_blocks(oracle: _SubsetOracle) -> tuple[dict[int, int], list[int]]:
     """Partition the oracle's removable edges into local blocks and cap each
     block; read it as :attr:`_SubsetOracle.blocks`, computed once per oracle.
 
-    Blocks are connected components of the shares-an-endpoint graph on the
-    removable edges, after iteratively hiding the busiest vertex of any
+    The pieces are connected components of the shares-an-endpoint graph on
+    the removable edges, after iteratively hiding the busiest vertex of any
     component of more than ``_MAX_BLOCK`` edges.  Its edges are joined at
-    endpoints not yet hidden, so one is always left to hide, and each block
-    ends at most ``_MAX_BLOCK`` edges (at worst, one edge).  A block's cap
-    is the largest feasible removal taken from the block alone (everything
-    else kept); any feasible removal meets the block in at most that many
-    edges, because subsets of feasible removals stay feasible.
+    endpoints not yet hidden, so one is always left to hide, and each piece
+    ends at most ``_MAX_BLOCK`` edges (at worst, one edge).
+
+    A one-edge piece (an edge left alone at hidden hubs) would get cap 1,
+    which bounds nothing, so these are packed, smallest first: the smallest
+    block joins its smallest neighbour (a block of one-edge pieces sharing
+    an endpoint with it, hidden hubs included) with which it keeps at most
+    ``_MAX_BLOCK`` edges.  Ties go to the neighbour met at the endpoint with
+    the fewest removable edges: a vertex with few removable edges is where
+    removals conflict, since it cannot lose them all.  A block that no
+    neighbour fits is final, because its neighbours only grow.  Pieces of
+    several edges stay as they are: their caps already see their own
+    conflicts, and merging them makes the cap searches longer than the
+    stronger bound saves on the benchmark corpus.
+
+    A block's cap is the largest feasible removal taken from the block alone
+    (everything else kept); any feasible removal meets the block in at most
+    that many edges, because subsets of feasible removals stay feasible.
+    For the same reason a merge never weakens the bound m - sum of caps
+    (:func:`_block_bound`): a feasible removal from B1 and B2 restricted to
+    either part stays feasible, so cap(B1 + B2) <= cap(B1) + cap(B2).
     """
     us, vs = oracle.g.us, oracle.g.vs
     removable = oracle.removable
@@ -465,25 +493,18 @@ def _conflict_blocks(oracle: _SubsetOracle) -> tuple[dict[int, int], list[int]]:
 
     def components() -> list[list[int]]:
         parent = {i: i for i in removable}
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
         anchor: dict[int, int] = {}
         for i in removable:
             for x in (us[i], vs[i]):
                 if x in hubs:
                     continue
                 if x in anchor:
-                    parent[find(i)] = find(anchor[x])
+                    parent[_find(parent, i)] = _find(parent, anchor[x])
                 else:
                     anchor[x] = i
         comps: dict[int, list[int]] = {}
         for i in removable:
-            comps.setdefault(find(i), []).append(i)
+            comps.setdefault(_find(parent, i), []).append(i)
         return [sorted(c) for c in sorted(comps.values())]
 
     while True:
@@ -497,6 +518,37 @@ def _conflict_blocks(oracle: _SubsetOracle) -> tuple[dict[int, int], list[int]]:
                 if x not in hubs:
                     degree[x] = degree.get(x, 0) + 1
         hubs.add(max(degree, key=lambda x: (degree[x], -x)))
+
+    load: dict[int, int] = {}  # removable edges per vertex
+    for i in removable:
+        for x in (us[i], vs[i]):
+            load[x] = load.get(x, 0) + 1
+    packs = [list(c) for c in comps if len(c) == 1]
+    ends = [{us[i], vs[i]} for (i,) in packs]
+    at: dict[int, list[int]] = {}  # the one-edge pieces at each vertex
+    for b, xs in enumerate(ends):
+        for x in xs:
+            at.setdefault(x, []).append(b)
+    root = list(range(len(packs)))
+    heap = [(1, b) for b in range(len(packs))]
+    while heap:
+        size, b = heappop(heap)
+        if root[b] != b or len(packs[b]) != size:
+            continue  # merged away, or grown since it was pushed
+        fits = {
+            c for c in (_find(root, c) for x in ends[b] for c in at[x])
+            if c != b and size + len(packs[c]) <= _MAX_BLOCK
+        }
+        if not fits:
+            continue
+        c = min(fits, key=lambda c: (len(packs[c]), min(load[x] for x in ends[b] & ends[c]), c))
+        root[c] = b
+        packs[b] += packs[c]
+        ends[b] |= ends[c]
+        heappush(heap, (len(packs[b]), b))
+    comps = sorted(
+        [c for c in comps if len(c) > 1] + [sorted(packs[b]) for b in range(len(packs)) if root[b] == b]
+    )
 
     block_of: dict[int, int] = {}
     caps: list[int] = []
@@ -579,10 +631,9 @@ def _settle_then_search(
     3. Branch and bound (:func:`_bnb_max_removal`) over the removable edges
        in block order, from the incumbent's removal set, stopping at the
        budget or, when optimising, at ``lower``.  Without a ``fallback`` it
-       runs to the end.  With one it stops after ``_NODE_LIMIT`` nodes: 13
-       of the 15 ``solve-flow`` benchmark ops that reach this step end
-       within it, and the other 2 stop after 7 to 12 ms on a shared
-       2-core VM.
+       runs to the end.  With one it stops after ``_NODE_LIMIT`` nodes:
+       all 15 ``solve-flow`` benchmark ops that reach this step end within
+       it, the longest after about 11 ms on a shared 2-core VM.
     4. After a stopped search only: greedy passes over seeded shuffles of
        ``order`` (:func:`_greedy_restarts`), then ``fallback(incumbent,
        lower)``, which returns a spanner no larger than the incumbent and

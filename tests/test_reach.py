@@ -357,12 +357,13 @@ def test_lane_sweep_runs_one_mask_sweep_per_lane():
         n = g.vertex_count
         rng = random.Random(seed)
         count = rng.randint(1, 6)
-        lanes = [bytearray(rng.random() < 0.3 for _ in range(g.m)) for _ in range(count)]
+        lanes = [[-(rng.random() < 0.3) for _ in range(g.m)] for _ in range(count)]
         drop = []
         for i in range(g.m):
             d = 0
             for j, removed in enumerate(lanes):
-                d |= removed[i] * ((1 << n) - 1) << (j * n)
+                if removed[i]:
+                    d |= ((1 << n) - 1) << (j * n)
             drop.append(-1 if all(removed[i] for removed in lanes) else d)
         full_drops += -1 in drop
         start = [sum(1 << (v + j * n) for j in range(count)) for v in range(n)]

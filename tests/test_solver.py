@@ -105,19 +105,102 @@ def test_instance_too_large_guard():
         solver.min_spanner_exact(g, cap=47, engine="bnb")
 
 
+def _block_sizes(blocks):
+    block_of, caps = blocks
+    return [list(block_of.values()).count(b) for b in range(len(caps))]
+
+
 def test_conflict_blocks_end_within_the_size_limit():
     # Hiding hubs always finds an unhidden endpoint in an oversized block.
-    # Every edge of the dense graph is removable, and every edge ends a
-    # block of its own.
+    # Every edge of the dense graph is removable, and hiding ends with every
+    # edge a piece of its own; packing pairs them up to blocks of 8 edges
+    # (two blocks of 8 would pass the limit), which all drop every edge.
+    # On the two sparser graphs the pieces of several edges stay as they
+    # are, and the one-edge pieces pack to blocks of up to 8 edges; on the
+    # last one a 13-edge block would form if the size limit let it.
     g = generate.random_happy_tc(24, 0, 0.95)
     oracle = solver._SubsetOracle(g, STRICT, ALL_PAIRS)
-    block_of, caps = oracle.blocks
+    _, caps = oracle.blocks
+    sizes = _block_sizes(oracle.blocks)
     assert len(oracle.removable) == g.m == 262
-    assert caps == [1] * 262 and sorted(block_of.values()) == list(range(262))
+    assert sorted(sizes) == [6] + [8] * 32 and caps == sizes
     g = generate.random_happy_tc(18, 0, 0.4)
-    block_of, caps = solver._SubsetOracle(g, STRICT, ALL_PAIRS).blocks
-    sizes = [list(block_of.values()).count(b) for b in range(len(caps))]
-    assert max(sizes) == 11 <= solver._MAX_BLOCK
+    oracle = solver._SubsetOracle(g, STRICT, ALL_PAIRS)
+    sizes = _block_sizes(oracle.blocks)
+    assert sizes == [11, 8, 8, 3, 4, 8, 7, 9] and max(sizes) <= solver._MAX_BLOCK
+    assert oracle.blocks[1] == [9, 7, 7, 2, 3, 8, 6, 7]
+    g = generate.random_happy_tc(16, 0, 0.6)
+    oracle = solver._SubsetOracle(g, STRICT, ALL_PAIRS)
+    assert len(oracle.removable) == 60 and _block_sizes(oracle.blocks) == [8, 8, 8, 11, 4, 5, 8, 8]
+
+
+def _hub_pieces(oracle):
+    """The conflict blocks before packing: the components left once hub
+    hiding ends, each capped by brute force."""
+    g = oracle.g
+    removable, hubs = oracle.removable, set()
+    while True:
+        comp = {i: {i} for i in removable}
+        for i, j in combinations(removable, 2):
+            if ({g.us[i], g.vs[i]} & {g.us[j], g.vs[j]}) - hubs and comp[i] is not comp[j]:
+                comp[i] |= comp[j]
+                for k in comp[j]:
+                    comp[k] = comp[i]
+        pieces = {min(c): sorted(c) for c in comp.values()}
+        big = [c for _, c in sorted(pieces.items()) if len(c) > solver._MAX_BLOCK]
+        if not big:
+            return [(c, _brute_cap(oracle, c)) for c in pieces.values()]
+        degree = {}
+        for i in big[0]:
+            for x in {g.us[i], g.vs[i]} - hubs:
+                degree[x] = degree.get(x, 0) + 1
+        hubs.add(max(degree, key=lambda x: (degree[x], -x)))
+
+
+def _brute_cap(oracle, block):
+    """The largest feasible removal within ``block``, every subset tried."""
+    for size in range(len(block), 0, -1):
+        for removal in combinations(block, size):
+            if oracle.feasible(reach._drop_flags(oracle.g, set(range(oracle.g.m)) - set(removal))):
+                return size
+    return 0
+
+
+@pytest.mark.parametrize("two_source", [False, True], ids=["all-pairs", "two-source"])
+@pytest.mark.parametrize("s", [STRICT, NONSTRICT], ids=["strict", "nonstrict"])
+def test_packed_blocks_partition_and_bound(s, two_source):
+    # The packed blocks partition the removable edges within the size limit,
+    # each cap is the brute-force largest removal within its block, and the
+    # block bound lies between the bound of the unpacked pieces and the
+    # optimum.  Some graphs gain from packing.
+    graphs = [_multilabel_graph(seed, (5, 7)) for seed in range(120)]
+    graphs += [generate.random_happy_tc(n, seed, 0.5) for n in (6, 7, 8) for seed in range(10)]
+    checked = gained = 0
+    for g in graphs:
+        req = TwoSource(0, g.vertex_count - 1) if two_source else ALL_PAIRS
+        oracle = solver._SubsetOracle(g, s, req)
+        if not oracle.satisfied or len(oracle.removable) > 16:
+            continue
+        block_of, caps = oracle.blocks
+        assert sorted(block_of) == oracle.removable and len(caps) == len(set(block_of.values()))
+        for b, cap in enumerate(caps):
+            block = [i for i in oracle.removable if block_of[i] == b]
+            assert 0 < len(block) <= solver._MAX_BLOCK
+            assert cap == _brute_cap(oracle, block)
+        bound = solver._block_bound(oracle)
+        unpacked = g.m - sum(cap for _, cap in _hub_pieces(oracle))
+        assert unpacked <= bound <= solver.min_spanner_brute(g, s, req).size
+        gained += unpacked < bound
+        checked += 1
+    assert checked >= 70 and gained >= 2
+
+
+def test_packing_raises_the_block_bound():
+    # Two graphs of the engine table: without packing their bounds were 7
+    # and 6.
+    for n, seed, p, bound in ((10, 1, 0.6, 10), (14, 0, 0.6, 7)):
+        oracle = solver._SubsetOracle(generate.random_happy_tc(n, seed, p), STRICT, ALL_PAIRS)
+        assert solver._block_bound(oracle) == bound
 
 
 def test_the_schedule_checks_the_fallback_answer(monkeypatch):
@@ -380,7 +463,7 @@ def test_bnb_removes_as_many_edges_as_brute(s, two_source):
         for blocks in (None, oracle.blocks):
             removal, stopped = solver._bnb_max_removal(oracle, oracle.removable, None, blocks)
             assert not stopped and len(removal) == best
-            assert oracle.feasible(bytearray(i in removal for i in range(g.m)))
+            assert oracle.feasible(reach._drop_flags(g, set(range(g.m)) - set(removal)))
         for e in oracle.removable:
             assert solver._bnb_max_removal(oracle, [e], None) == ([e], False)
         checked += 1
@@ -391,8 +474,8 @@ def _one_query_each(oracle, removed, edges):
     """What ``feasible_each`` answers, asked one plain query per edge."""
     out = []
     for e in edges:
-        flags = bytearray(f != 0 for f in removed)
-        flags[e] = 1
+        flags = [-(f != 0) for f in removed]
+        flags[e] = -1
         out.append(oracle.feasible(flags))
     return out
 
@@ -473,7 +556,7 @@ def test_node_limited_bnb_over_more_than_64_removable_edges():
             oracle, oracle.removable, None, oracle.blocks, None, incumbent, limit
         )
         assert stopped and len(removal) >= len(incumbent)
-        assert oracle.feasible(bytearray(i in removal for i in range(g.m)))
+        assert oracle.feasible(reach._drop_flags(g, set(range(g.m)) - set(removal)))
 
 
 def test_bnb_probes_the_next_64_candidates_past_its_window(monkeypatch):
@@ -774,16 +857,19 @@ def test_restarts_and_fallback_run_only_after_a_stopped_search(monkeypatch, milp
 
 def test_bnb_no_answer_is_no_larger_than_the_greedy_spanner():
     # The two-source PHI_UNSAT variant at its budget 21: the exhausted
-    # decision search of branch and bound keeps every one of the 35 edges,
-    # while the index-order greedy spanner keeps 22, the optimum.  Seeded
-    # with the greedy's removal set the search returns that set.
+    # decision search of branch and bound cannot reach the budget, and
+    # returns a largest removal, 13 edges, keeping 22, the optimum; so does
+    # the index-order greedy spanner.  Seeded with the greedy's removal set
+    # the search returns that set.
     var = red.sat_two_source_variant(red.sat_to_spanner_instance(red.SatInstance(1, ((1, 1, 1), (-1, -1, -1)))))
     g, req = var.graph, TwoSource(*var.sources)
     assert var.budget == 21 and g.m == 35
     oracle = solver._SubsetOracle(g, STRICT, req)
     blocks = oracle.blocks
     order = sorted(oracle.removable, key=lambda i: (blocks[0][i], i))
-    assert solver._bnb_max_removal(oracle, order, g.m - 21, blocks) == ([], False)
+    removal, stopped = solver._bnb_max_removal(oracle, order, g.m - 21, blocks)
+    assert len(removal) == 13 and not stopped
+    assert oracle.feasible(reach._drop_flags(g, set(range(g.m)) - set(removal)))
     greedy = solver._greedy_local_min(oracle, oracle.removable)
     assert len(greedy) == 22
     seed = [i for i in order if i not in greedy]
