@@ -16,11 +16,13 @@ Contents:
   least 2n - 4 time edges, in the strict setting and in the non-strict one
   on proper graphs.  It is not used for the two-source requirement or for
   non-strict paths on graphs that are not proper, where it fails,
-* one schedule for every exact engine (:func:`_settle_then_search`): a
-  greedy incumbent and the conflict-block bound of the solve's oracle
+* one schedule for every exact engine (:func:`_settle_then_search`), which
+  owns its edge order (the oracle's removable edges), its bounds and its
+  goal: a greedy incumbent and the forced, gossip and conflict-block bounds
   settle the answer where they can, then branch and bound seeded with the
-  incumbent, and only if a node limit stops it, greedy restarts and the
-  engine's own search (flow MILP or XP search), checked by the oracle,
+  incumbent runs until it meets the goal, and only if a node limit stops
+  it, greedy restarts and the engine's own search (flow MILP or XP search)
+  called with the incumbent and the goal, its answer checked by the oracle,
 * an XP algorithm for happy graphs parameterized by the vertex cover number
   of the underlying graph: per cover root, enumerate every temporal out-tree
   directly in label order, combine one per root, and give each non-cover
@@ -311,9 +313,8 @@ def _result(
 def _bnb_max_removal(
     oracle: _SubsetOracle,
     removable: list[int],
-    target: int | None,
+    stop: int,
     blocks: tuple[dict[int, int], list[int]] | None = None,
-    stop_at: int | None = None,
     incumbent: list[int] | None = None,
     node_limit: int | None = None,
 ) -> tuple[list[int], bool]:
@@ -321,13 +322,12 @@ def _bnb_max_removal(
 
     Returns the best removal set found, the feasible ``incumbent`` unless a
     larger one turns up, and whether the search stopped after
-    ``node_limit`` nodes, proving nothing.  With ``target`` set, it stops on
-    a feasible removal of that size; an exhausted search then proves none
-    exists.  ``stop_at`` is an upper bound on every feasible removal: the
-    search returns once its best reaches it.  Unlike ``target`` it does not
-    prune.  ``blocks`` supplies the decomposition bound: per-block caps on
-    how many edges any feasible removal can take from each block, kept as a
-    running sum, updated when one block's counts change.
+    ``node_limit`` nodes, proving nothing.  It also returns once its best
+    removes ``stop`` edges.  A search that ends neither way ran to the end:
+    its answer is a largest feasible removal, so none removes ``stop``.
+    ``blocks`` supplies the decomposition bound: per-block caps on how many
+    edges any feasible removal can take from each block, kept as a running
+    sum, updated when one block's counts change.
 
     Decisions follow ``removable`` in order.  A node branches on the next
     edge e: removed first, if the requirement still holds without e and the
@@ -345,15 +345,13 @@ def _bnb_max_removal(
 
     Every removal in a node's subtree is its removal set plus candidates
     from e on that no answer ruled out.  A node with at most ``len(best) -
-    len(cur)`` of them cannot beat the incumbent, and is cut.  The cut
-    compares with the incumbent, not with ``target``, so no subtree that
-    could raise the incumbent is cut: the incumbents follow one another as
-    with one query per node, and a search that runs to the end returns the
-    same removal set.  Only the node count, and so where ``node_limit``
-    stops a search, changes.  The block bound cuts the same way: a node
-    whose blocks can take at most ``len(best) - len(cur)`` more edges is
-    cut, whatever ``target`` is, so a decision search that cannot reach its
-    target still returns the largest removal it can find.
+    len(cur)`` of them cannot beat the incumbent, and is cut; so is a node
+    whose blocks can take at most that many more edges.  Both cuts compare
+    with the incumbent, never with ``stop``, so no subtree that could raise
+    the incumbent is cut: the incumbents follow one another as with one
+    query per node, and a search that runs to the end returns the same
+    removal set.  Only the node count, and so where ``node_limit`` stops a
+    search, changes.
     """
     k = len(removable)
     if blocks is None:
@@ -366,8 +364,6 @@ def _bnb_max_removal(
         und[block_of[i]] += 1
     headroom = sum(min(cap, u) for cap, u in zip(caps, und))
     removed = [0] * oracle.g.m
-    # The search ends once the incumbent removes ``stop`` edges.
-    stop = min((x for x in (target, stop_at) if x is not None), default=k + 1)
     best = incumbent or []
     cur: list[int] = []
     hit = stopped = False
@@ -481,8 +477,10 @@ def _conflict_blocks(oracle: _SubsetOracle) -> tuple[dict[int, int], list[int]]:
     stronger bound saves on the benchmark corpus.
 
     A block's cap is the largest feasible removal taken from the block alone
-    (everything else kept); any feasible removal meets the block in at most
-    that many edges, because subsets of feasible removals stay feasible.
+    (everything else kept), found by one branch and bound over the block; a
+    one-edge block reads its answer from the forced set and sweeps nothing.
+    Any feasible removal meets the block in at most that many edges,
+    because subsets of feasible removals stay feasible.
     For the same reason a merge never weakens the bound m - sum of caps
     (:func:`_block_bound`): a feasible removal from B1 and B2 restricted to
     either part stays feasible, so cap(B1 + B2) <= cap(B1) + cap(B2).
@@ -550,16 +548,8 @@ def _conflict_blocks(oracle: _SubsetOracle) -> tuple[dict[int, int], list[int]]:
         [c for c in comps if len(c) > 1] + [sorted(packs[b]) for b in range(len(packs)) if root[b] == b]
     )
 
-    block_of: dict[int, int] = {}
-    caps: list[int] = []
-    for j, comp in enumerate(comps):
-        for i in comp:
-            block_of[i] = j
-        if len(comp) == 1:
-            caps.append(1)  # each removable edge is individually droppable
-        else:
-            caps.append(len(_bnb_max_removal(oracle, comp, None)[0]))
-    return block_of, caps
+    block_of = {i: j for j, comp in enumerate(comps) for i in comp}
+    return block_of, [len(_bnb_max_removal(oracle, comp, len(comp))[0]) for comp in comps]
 
 
 def _greedy_local_min(oracle: _SubsetOracle, order: Iterable[int]) -> frozenset[int]:
@@ -610,37 +600,44 @@ _NODE_LIMIT = 2000
 
 
 def _settle_then_search(
-    oracle: _SubsetOracle, order: list[int], lower: int, budget: int | None,
+    oracle: _SubsetOracle,
+    budget: int | None,
     fallback: Callable[[frozenset[int], int], tuple[frozenset[int], int]] | None = None,
 ) -> tuple[frozenset[int], int]:
     """The one schedule of every exact engine: bound the answer on both
     sides, then search only while it is still open.
 
     Returns the kept edge set and the lower bound proven on every spanner;
-    the set is minimum iff it keeps at most that many edges.  Every spanner
-    keeps at least ``lower`` edges.  The goal is ``lower`` when optimising,
-    else the budget or ``lower`` if larger.  Each step runs only if the ones
-    before leave the answer open:
+    the set is minimum iff it keeps at most that many edges.  The schedule
+    owns its inputs: it searches the oracle's removable edges, and every
+    spanner keeps at least ``lower``, the forced edges or the gossip bound
+    (:func:`_gossip_bound`) if larger.  The goal is ``lower`` when
+    optimising, else the budget or ``lower`` if larger.  Each step runs only
+    if the ones before leave the answer open:
 
-    1. Greedy: drop the edges of ``order`` in turn while the requirement
-       holds (:func:`_greedy_local_min`).  A spanner within the goal is the
-       answer.
-    2. Block bound: raise ``lower`` to the conflict-block bound
-       (:func:`_block_bound`).  An incumbent at it is optimal; a budget
-       below it is answered "no" with the incumbent.
+    1. Greedy: drop the removable edges in index order while the
+       requirement holds (:func:`_greedy_local_min`).  A spanner within the
+       goal is the answer.
+    2. Block bound: raise ``lower``, and with it the goal, to the
+       conflict-block bound (:func:`_block_bound`).  An incumbent at the
+       goal is the answer; a budget below ``lower`` is answered "no" with
+       the incumbent.
     3. Branch and bound (:func:`_bnb_max_removal`) over the removable edges
-       in block order, from the incumbent's removal set, stopping at the
-       budget or, when optimising, at ``lower``.  Without a ``fallback`` it
-       runs to the end.  With one it stops after ``_NODE_LIMIT`` nodes:
-       all 15 ``solve-flow`` benchmark ops that reach this step end within
-       it, the longest after about 11 ms on a shared 2-core VM.
+       in block order, from the incumbent's removal set, stopping once it
+       keeps at most the goal.  Without a ``fallback`` it runs to the end.
+       With one it stops after ``_NODE_LIMIT`` nodes: all 15 ``solve-flow``
+       benchmark ops that reach this step end within it, the longest after
+       about 11 ms on a shared 2-core VM.
     4. After a stopped search only: greedy passes over seeded shuffles of
-       ``order`` (:func:`_greedy_restarts`), then ``fallback(incumbent,
-       lower)``, which returns a spanner no larger than the incumbent and
-       the lower bound it proved.  The oracle checks that spanner once;
-       :class:`SolverFailed` means it failed.  Earlier steps need no check.
+       the removable edges (:func:`_greedy_restarts`), then
+       ``fallback(incumbent, goal)``, which returns a spanner no larger than
+       the incumbent and the lower bound it proved.  The oracle checks that
+       spanner once; :class:`SolverFailed` means it failed.  Earlier steps
+       need no check.
     """
     m = oracle.g.m
+    order = oracle.removable
+    lower = max(len(oracle.forced), _gossip_bound(oracle))
     goal = lower if budget is None else max(lower, budget)
     kept = _greedy_local_min(oracle, order)
     if len(kept) <= goal:
@@ -650,9 +647,9 @@ def _settle_then_search(
     if len(kept) <= goal or (budget is not None and budget < lower):
         return kept, lower
     block_of = oracle.blocks[0]
-    removable = sorted(oracle.removable, key=lambda i: (block_of[i], i))
+    removable = sorted(order, key=lambda i: (block_of[i], i))
     removal, stopped = _bnb_max_removal(
-        oracle, removable, None if budget is None else m - budget, oracle.blocks, m - lower,
+        oracle, removable, m - goal, oracle.blocks,
         [i for i in removable if i not in kept], None if fallback is None else _NODE_LIMIT,
     )
     kept = frozenset(range(m)).difference(removal)
@@ -662,7 +659,7 @@ def _settle_then_search(
         return kept, lower if len(kept) <= budget else budget + 1
     kept = _greedy_restarts(oracle, order, goal, kept)
     if len(kept) > goal:
-        kept, proven = fallback(kept, lower)
+        kept, proven = fallback(kept, goal)
         if not oracle.feasible(reach._drop_flags(oracle.g, kept)):
             raise SolverFailed("the engine's search produced an infeasible edge set")
         lower = max(lower, proven)
@@ -882,18 +879,17 @@ def min_spanner_exact(
     With a ``budget``, runs in decision mode: the answer is a spanner within
     the budget or a proof that none exists (``within_budget`` says which).
     ``optimal`` is True exactly when the spanner is proven minimum, in
-    either mode.  Every engine runs :func:`_settle_then_search` over the
-    removable edges from the forced and gossip bounds; ``engine`` (one of
-    :data:`ENGINES`; ``auto`` is ``bnb`` up to :data:`DEFAULT_CAP` removable
-    edges, else ``flow``) picks only its fallback.  For ``flow`` it is one
-    MILP (:func:`_exact_by_flow`) at the budget, or at one edge below the
-    incumbent when optimising; its infeasibility proves that cutoff + 1, and
-    :class:`SolverFailed` means the MILP solver gave no answer.  ``bnb`` has
-    none, so its branch and bound runs to the end.  ``cap`` guards only
-    those unbounded searches: beyond ``cap`` removable edges either engine
-    gets the fallback that raises :class:`InstanceTooLarge`, once the
-    bounds, a node-limited branch and bound and the restarts leave the
-    answer open.
+    either mode.  Every engine runs :func:`_settle_then_search`; ``engine``
+    (one of :data:`ENGINES`; ``auto`` is ``bnb`` up to :data:`DEFAULT_CAP`
+    removable edges, else ``flow``) picks only its fallback.  For ``flow``
+    it is one MILP (:func:`_exact_by_flow`) at the schedule's goal, or at
+    one edge below the incumbent when optimising; its infeasibility proves
+    that cutoff + 1, and :class:`SolverFailed` means the MILP solver gave no
+    answer.  ``bnb`` has none, so its branch and bound runs to the end.
+    ``cap`` guards only those unbounded searches: beyond ``cap`` removable
+    edges either engine gets the fallback that raises
+    :class:`InstanceTooLarge`, once the bounds, a node-limited branch and
+    bound and the restarts leave the answer open.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
@@ -901,20 +897,20 @@ def min_spanner_exact(
     removable = oracle.removable
     if engine == "auto":
         engine = "bnb" if len(removable) <= DEFAULT_CAP else "flow"
-    lower = max(len(oracle.forced), _gossip_bound(oracle))
 
-    def search(best: frozenset[int], lower: int) -> tuple[frozenset[int], int]:
+    def search(best: frozenset[int], goal: int) -> tuple[frozenset[int], int]:
         if len(removable) > cap:
             raise InstanceTooLarge(f"{len(removable)} removable edges exceed cap {cap}")
-        # Only flow gets here, with any budget below the incumbent's size.
-        cutoff = len(best) - 1 if budget is None else budget
+        # Flow gets here, and so does bnb over more than ``cap`` removable
+        # edges, which the guard above refuses.
+        cutoff = len(best) - 1 if budget is None else goal
         found = _exact_by_flow(oracle, cutoff)
         if found is None:  # no spanner keeps at most ``cutoff`` edges
             return best, cutoff + 1
         return found, len(found)
 
     fallback = None if engine == "bnb" and len(removable) <= cap else search
-    kept, lower = _settle_then_search(oracle, removable, lower, budget, fallback)
+    kept, lower = _settle_then_search(oracle, budget, fallback)
     return _result(g, kept, lower, budget, f"exact-{engine}")
 
 
@@ -1029,7 +1025,7 @@ def _single_edge_fixes(
 
 
 def _xp_search(
-    oracle: _SubsetOracle, budget: int | None, best_kept: frozenset[int], floor: int
+    oracle: _SubsetOracle, best_kept: frozenset[int], goal: int
 ) -> tuple[frozenset[int], int]:
     """The cover, candidate-tree and combination stages of
     :func:`min_spanner_xp_vc`, improving on the spanner ``best_kept``;
@@ -1037,10 +1033,10 @@ def _xp_search(
 
     Returns the smallest spanner found and the lower bound the search
     proved: that spanner's size if the search ran to the end, else 0.  It
-    ends early on a spanner of at most ``floor`` edges, or of at most
-    ``budget``.  The combination search takes one candidate tree per cover
-    root and visits each union at most once per level: the bound only
-    falls, so a repeated visit could not find a smaller spanner.
+    ends early on a spanner of at most ``goal`` edges.  The combination
+    search takes one candidate tree per cover root and visits each union at
+    most once per level: the bound only falls, so a repeated visit could
+    not find a smaller spanner.
 
     Each full union's failing sources outside the cover get one extra edge
     each (:func:`_single_edge_fixes`), distinct as each joins its vertex to
@@ -1058,11 +1054,10 @@ def _xp_search(
 
     best_size = len(best_kept)
     visited: list[set[int]] = [set() for _ in range(len(levels) + 1)]
-    stop = floor if budget is None else max(floor, budget)
 
     def evaluate(acc: int) -> bool:
         """Keep the union ``acc`` plus its extras if smaller than the best;
-        True if it is kept and within ``stop``."""
+        True if it is kept and within ``goal``."""
         nonlocal best_kept, best_size
         removed = [(acc >> i & 1) - 1 for i in range(m)]
         incomplete = [v for v in oracle.failing_sources(removed) if v not in x_set]
@@ -1074,11 +1069,11 @@ def _xp_search(
             return False
         best_kept = frozenset(i for i in range(m) if not removed[i]).union(fixes)
         best_size = size
-        return size <= stop
+        return size <= goal
 
     def rec(i: int, acc: int) -> bool:
         """Extend ``acc`` by one candidate per level from ``i`` on; True once
-        a spanner within ``stop`` is kept."""
+        a spanner within ``goal`` is kept."""
         if acc in visited[i]:
             return False
         visited[i].add(acc)
@@ -1109,12 +1104,13 @@ def min_spanner_xp_vc(g: TemporalGraph, budget: int | None = None) -> SolveResul
     nodes between two cover vertices (placeholders) or leaves under one.
 
     The cover and tree search is the fallback of :func:`_settle_then_search`,
-    which runs over every edge in index order from the gossip bound 2n - 4
-    (see :func:`_gossip_bound`; a happy graph on n >= 4 vertices has no
-    smaller spanner) and checks the search's answer once.  The search
-    starts from the incumbent and ends the moment it finds a spanner at the
-    lower bound, or within the budget.  The oracle's whole-graph check
-    decides :class:`NotTemporallyConnected`.
+    which greedily drops the removable edges, bounds the answer from below
+    (the gossip bound 2n - 4 of :func:`_gossip_bound` holds on every happy
+    graph on n >= 4 vertices), and checks the search's answer once.  The
+    search starts from the incumbent and ends the moment it finds a
+    spanner within the schedule's goal: the lower bound, or the budget if
+    larger.  The oracle's whole-graph check decides
+    :class:`NotTemporallyConnected`.
 
     ``optimal`` is True exactly when the returned spanner is proven
     minimum: it meets a lower bound, or the search ran to the end.
@@ -1124,9 +1120,7 @@ def min_spanner_xp_vc(g: TemporalGraph, budget: int | None = None) -> SolveResul
     oracle = _SubsetOracle(g, STRICT, ALL_PAIRS)
     if not oracle.satisfied:
         raise NotTemporallyConnected("input graph is not temporally connected")
-    kept, lower = _settle_then_search(
-        oracle, list(range(g.m)), _gossip_bound(oracle), budget, partial(_xp_search, oracle, budget)
-    )
+    kept, lower = _settle_then_search(oracle, budget, partial(_xp_search, oracle))
     return _result(g, kept, lower, budget, "xp-vc")
 
 

@@ -208,7 +208,7 @@ def test_the_schedule_checks_the_fallback_answer(monkeypatch):
     # search, here replaced by one that returns the empty edge set.
     monkeypatch.setattr(solver, "_NODE_LIMIT", 0)
     monkeypatch.setattr(solver, "_exact_by_flow", lambda oracle, budget: frozenset())
-    monkeypatch.setattr(solver, "_xp_search", lambda oracle, budget, best, floor: (frozenset(), 0))
+    monkeypatch.setattr(solver, "_xp_search", lambda oracle, best, goal: (frozenset(), 0))
     with pytest.raises(solver.SolverFailed, match="infeasible edge set"):
         solver.min_spanner_exact(_multilabel_graph(174, (5, 7)), engine="flow")
     with pytest.raises(solver.SolverFailed, match="infeasible edge set"):
@@ -329,7 +329,7 @@ def _search_refuses(engine, g, s, req, budget):
     if engine == "flow":
         return solver._exact_by_flow(oracle, budget) is None
     if engine == "xp":
-        return solver._xp_search(oracle, budget, frozenset(range(g.m)), 0)[1] > budget
+        return solver._xp_search(oracle, frozenset(range(g.m)), budget)[1] > budget
     blocks = oracle.blocks
     order = sorted(oracle.removable, key=lambda i: (blocks[0][i], i))
     target = g.m - budget
@@ -461,11 +461,11 @@ def test_bnb_removes_as_many_edges_as_brute(s, two_source):
             continue
         best = g.m - solver.min_spanner_brute(g, s, req).size
         for blocks in (None, oracle.blocks):
-            removal, stopped = solver._bnb_max_removal(oracle, oracle.removable, None, blocks)
+            removal, stopped = solver._bnb_max_removal(oracle, oracle.removable, len(oracle.removable), blocks)
             assert not stopped and len(removal) == best
             assert oracle.feasible(reach._drop_flags(g, set(range(g.m)) - set(removal)))
         for e in oracle.removable:
-            assert solver._bnb_max_removal(oracle, [e], None) == ([e], False)
+            assert solver._bnb_max_removal(oracle, [e], 1) == ([e], False)
         checked += 1
     assert checked >= 40
 
@@ -553,7 +553,7 @@ def test_node_limited_bnb_over_more_than_64_removable_edges():
     incumbent = [i for i in oracle.removable if i not in kept]
     for limit in (1, 50, 500):
         removal, stopped = solver._bnb_max_removal(
-            oracle, oracle.removable, None, oracle.blocks, None, incumbent, limit
+            oracle, oracle.removable, len(oracle.removable), oracle.blocks, incumbent, limit
         )
         assert stopped and len(removal) >= len(incumbent)
         assert oracle.feasible(reach._drop_flags(g, set(range(g.m)) - set(removal)))
@@ -588,7 +588,7 @@ def test_bnb_probes_the_next_64_candidates_past_its_window(monkeypatch):
         return real(self, removed, edges)
 
     monkeypatch.setattr(solver._SubsetOracle, "feasible_each", probe)
-    removal, stopped = solver._bnb_max_removal(oracle, order, None)
+    removal, stopped = solver._bnb_max_removal(oracle, order, len(order))
     # Keeping e0 lets every B and D edge go; removing it keeps every B edge.
     assert sorted(removal) == sorted(free_b + free_d) and not stopped
     assert all(removed for removed, _ in probes)
@@ -823,9 +823,9 @@ def test_restarts_and_fallback_run_only_after_a_stopped_search(monkeypatch, milp
     log = []
     real_bnb, real_restarts = solver._bnb_max_removal, solver._greedy_restarts
 
-    def bnb(*args):
-        removal, stopped = real_bnb(*args)
-        if len(args) > 5:
+    def bnb(oracle, removable, stop, blocks=None, incumbent=None, node_limit=None):
+        removal, stopped = real_bnb(oracle, removable, stop, blocks, incumbent, node_limit)
+        if incumbent is not None:
             log.append("stopped" if stopped else "searched")
         return removal, stopped
 
@@ -1261,6 +1261,48 @@ def _strict_greedy(g):
     return solver._greedy_local_min(solver._SubsetOracle(g, STRICT, ALL_PAIRS), range(g.m))
 
 
+def test_xp_queries_keep_every_forced_edge(monkeypatch):
+    # The forced set comes from one lane query that drops each edge alone
+    # from the whole graph.  Every other query of an XP solve, greedy
+    # passes and branch and bound included, keeps every forced edge.
+    queries = []
+    real, real_each = solver._SubsetOracle.feasible, solver._SubsetOracle.feasible_each
+
+    def feasible(self, removed):
+        queries.append({i for i, d in enumerate(removed) if d})
+        return real(self, removed)
+
+    def feasible_each(self, removed, edges):
+        dropped = {i for i, d in enumerate(removed) if d}
+        if dropped or list(edges) != list(range(self.g.m)):
+            queries.extend(dropped | {e} for e in edges)
+        return real_each(self, removed, edges)
+
+    monkeypatch.setattr(solver._SubsetOracle, "feasible", feasible)
+    monkeypatch.setattr(solver._SubsetOracle, "feasible_each", feasible_each)
+    graphs = [generate.random_happy_tc_with_cover(8, 3, 1)] + small_corpus(10, (5, 7))
+    checked = 0
+    for g in graphs:
+        forced = solver.forced_edges(g)
+        for budget in (None, 2 * g.vertex_count - 4):
+            queries.clear()
+            solver.min_spanner_xp_vc(g, budget)
+            assert all(not forced & dropped for dropped in queries)
+            checked += bool(forced) and len(queries) > 1
+    assert checked >= 10
+
+
+def test_xp_answer_at_the_forced_bound_is_optimal():
+    # Every one of the 7 edges is forced, one more than 2n - 4 = 6: the
+    # forced edges bound every answer, decisions met by the first greedy
+    # pass included.
+    g = generate.random_happy_tc_with_cover(5, 3, 3)
+    assert len(solver.forced_edges(g)) == g.m == 7
+    for budget, within in ((None, None), (7, True), (6, False)):
+        res = solver.min_spanner_xp_vc(g, budget=budget)
+        assert res.size == res.lower_bound == 7 and res.optimal and res.within_budget is within
+
+
 def test_xp_spanner_at_the_gossip_bound_is_optimal():
     # The greedy spanner keeps 2n - 4 = 8 edges, so no search runs.
     g = generate.random_happy_tc(6, 0, 0.6)
@@ -1309,14 +1351,14 @@ def test_xp_search_matches_exact():
         floor = solver._gossip_bound(oracle)
         everything = frozenset(range(g.m))
         for budget in (None, opt, opt - 1):
-            kept, proven = solver._xp_search(oracle, budget, everything, floor)
+            goal = floor if budget is None else max(floor, budget)
+            kept, proven = solver._xp_search(oracle, everything, goal)
             assert len(kept) == opt
             assert reach.is_tc(g, STRICT, kept)
             # It ends early, proving nothing, exactly on a spanner smaller
-            # than the one it started from and within max(floor, budget);
-            # run to the end it proves the optimum.
-            stop = floor if budget is None else max(floor, budget)
-            assert proven == (0 if opt < g.m and opt <= stop else opt)
+            # than the one it started from and within the goal; run to the
+            # end it proves the optimum.
+            assert proven == (0 if opt < g.m and opt <= goal else opt)
         searched += opt > floor
     assert searched >= 5  # the full search runs, not only the stop at the floor
 
@@ -1325,10 +1367,10 @@ def test_xp_search_matches_exact():
 @given(st.integers(5, 9), st.integers(3, 4), st.integers(0, 10**6))
 def test_xp_search_matches_exact_on_cover_graphs(n, d, seed):
     # The search runs from the whole edge set, so the combination and
-    # extra-edge stages always run.  With floor 0 and no budget it runs to
-    # the end and proves the optimum; at budget opt it stops on the first
-    # spanner within it, proving nothing, unless no edge can go.  Brute force
-    # checks the exact solver where it can.
+    # extra-edge stages always run.  With goal 0 it runs to the end and
+    # proves the optimum; at goal opt it stops on the first spanner within
+    # it, proving nothing, unless no edge can go.  Brute force checks the
+    # exact solver where it can.
     try:
         g = generate.random_happy_tc_with_cover(n, d, seed)
     except generate.GenerationFailed:
@@ -1337,8 +1379,8 @@ def test_xp_search_matches_exact_on_cover_graphs(n, d, seed):
     oracle = solver._SubsetOracle(g, STRICT, ALL_PAIRS)
     if len(oracle.removable) <= 12:
         assert solver.min_spanner_brute(g).size == opt
-    for budget, want in ((None, opt), (opt, 0 if opt < g.m else opt)):
-        kept, proven = solver._xp_search(oracle, budget, frozenset(range(g.m)), 0)
+    for goal, want in ((0, opt), (opt, 0 if opt < g.m else opt)):
+        kept, proven = solver._xp_search(oracle, frozenset(range(g.m)), goal)
         assert len(kept) == opt and proven == want
         assert solver.requirement_holds(g, STRICT, ALL_PAIRS, kept)
 

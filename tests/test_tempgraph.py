@@ -340,7 +340,7 @@ def test_edges_built_only_when_read():
     res = solver.min_spanner_xp_vc(g)
     oracle = solver._SubsetOracle(g, reach.STRICT, solver.ALL_PAIRS)
     solver._exact_by_flow(oracle, res.size)
-    solver._xp_search(oracle, None, frozenset(range(g.m)), 0)
+    solver._xp_search(oracle, frozenset(range(g.m)), 0)
     cover = solver.min_vertex_cover(tg.underlying_graph(g), g.vertex_count)
     for tree in solver.vc_tree_decompose(res.spanner, cover).trees:
         assert reach.verify_out_tree(g, tree.tree_edges, tree.root)
