@@ -304,14 +304,16 @@ def _build_parser() -> _Parser:
         "--cap",
         type=int,
         default=solver.DEFAULT_CAP,
-        help="removable-edge guard: it guards the MILP or a bnb run to the end, never the bounds",
+        help="removable-edge guard (--method exact only): it guards the MILP or a bnb run to the"
+        " end, never the bounds",
     )
     p.add_argument(
         "--engine",
         choices=solver.ENGINES,
         default="auto",
-        help="search once the bounds and a node-limited bnb leave the answer open: bnb runs on,"
-        f" flow asks the MILP (auto: bnb up to {solver.DEFAULT_CAP} removable edges, else flow)",
+        help="search (--method exact only) once the bounds and a node-limited bnb leave the answer"
+        f" open: bnb runs on, flow asks the MILP (auto: bnb up to {solver.DEFAULT_CAP} removable"
+        " edges, else flow)",
     )
     p.add_argument("--out", default="-", help="spanner output path ('-' = stdout)")
     p.add_argument("--triples", action="store_true", help="write 'u v t' lines instead of indices")

@@ -42,7 +42,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 from heapq import heappop, heappush
-from itertools import compress
+from itertools import accumulate, compress
 from operator import and_
 from typing import Callable, Iterable, Sequence
 
@@ -130,8 +130,8 @@ class _SubsetOracle:
     * ``satisfied``: whether the whole graph meets the requirement;
     * ``forced``: the edges every spanner keeps;
     * ``removable``: the other edges, in index order;
-    * ``blocks``: the conflict blocks of the removable edges and their caps
-      (:func:`_conflict_blocks`).
+    * ``blocks``: the conflict blocks of the removable edges, as a list of
+      edge lists, and their caps (:func:`_conflict_blocks`).
     """
 
     def __init__(self, g: TemporalGraph, s: Strictness, requirement: AllPairs | TwoSource):
@@ -180,8 +180,9 @@ class _SubsetOracle:
         return [i for i in range(self.g.m) if i not in forced]
 
     @cached_property
-    def blocks(self) -> tuple[dict[int, int], list[int]]:
-        """The conflict blocks of ``removable`` and their caps."""
+    def blocks(self) -> tuple[list[list[int]], list[int]]:
+        """The conflict blocks of ``removable``, ordered by smallest edge
+        index with their edges ascending, and their caps."""
         return _conflict_blocks(self)
 
     def feasible(self, removed: Sequence[int]) -> bool:
@@ -312,24 +313,23 @@ def _result(
 
 def _bnb_max_removal(
     oracle: _SubsetOracle,
-    removable: list[int],
+    blocks: list[list[int]],
+    caps: list[int],
     stop: int,
-    blocks: tuple[dict[int, int], list[int]] | None = None,
     incumbent: list[int] | None = None,
     node_limit: int | None = None,
 ) -> tuple[list[int], bool]:
-    """Depth-first maximization of the removed-edge count.
+    """Depth-first maximization of the removed-edge count over removable
+    edges partitioned into ``blocks``: no feasible removal takes more than
+    ``caps[b]`` edges of block b, and ``caps[b] <= len(blocks[b])``.
 
     Returns the best removal set found, the feasible ``incumbent`` unless a
     larger one turns up, and whether the search stopped after
     ``node_limit`` nodes, proving nothing.  It also returns once its best
     removes ``stop`` edges.  A search that ends neither way ran to the end:
     its answer is a largest feasible removal, so none removes ``stop``.
-    ``blocks`` supplies the decomposition bound: per-block caps on how many
-    edges any feasible removal can take from each block, kept as a running
-    sum, updated when one block's counts change.
 
-    Decisions follow ``removable`` in order.  A node branches on the next
+    Decisions walk the blocks in turn.  A node branches on the next
     edge e: removed first, if the requirement still holds without e and the
     edges already removed, then kept.  The keep-e child has its parent's
     removal set, so the nodes of one removal set form one keep chain.  The
@@ -343,26 +343,31 @@ def _bnb_max_removal(
     reachability is monotone, so an edge that is infeasible with fewer
     edges removed stays infeasible with more.
 
-    Every removal in a node's subtree is its removal set plus candidates
-    from e on that no answer ruled out.  A node with at most ``len(best) -
-    len(cur)`` of them cannot beat the incumbent, and is cut; so is a node
-    whose blocks can take at most that many more edges.  Both cuts compare
-    with the incumbent, never with ``stop``, so no subtree that could raise
-    the incumbent is cut: the incumbents follow one another as with one
-    query per node, and a search that runs to the end returns the same
-    removal set.  Only the node count, and so where ``node_limit`` stops a
-    search, changes.
+    Every removal in a node's subtree is its removal set ``cur`` plus
+    candidates from e on that no answer ruled out.  A node with at most
+    ``len(best) - len(cur)`` of them cannot beat the incumbent, and is cut;
+    so is a node whose blocks can take at most that many more edges: the
+    sum over blocks b of min(caps[b] - rem_b, und_b), with rem_b edges of b
+    in ``cur`` and und_b undecided.  With e at position ``pos`` of block c,
+    which ends at end_c, that sum is the caps of the blocks after c plus
+    min(caps[c] - rem_c, end_c - pos), read in O(1).  An earlier block b
+    adds 0, since ``cur`` is feasible, hence so is its part in b, and
+    rem_b <= caps[b]; a later one adds caps[b] <= len(blocks[b]) = und_b.
+
+    Both cuts compare with the incumbent, never with ``stop``, so no subtree
+    that could raise the incumbent is cut: the incumbents follow one another
+    as with one query per node, and a search that runs to the end returns
+    the same removal set.  Only the node count, and so where ``node_limit``
+    stops a search, changes.
     """
+    removable = [i for block in blocks for i in block]
     k = len(removable)
-    if blocks is None:
-        # One block capped at its size: the bound is the undecided count.
-        blocks = (dict.fromkeys(removable, 0), [k])
-    block_of, caps = blocks
+    # The block at each position; per block, its end and the caps after it.
+    block_at = [b for b, block in enumerate(blocks) for _ in block]
+    ends = list(accumulate(map(len, blocks)))
+    total = sum(caps)
+    ahead = [total - c for c in accumulate(caps)]
     rem = [0] * len(caps)
-    und = [0] * len(caps)
-    for i in removable:
-        und[block_of[i]] += 1
-    headroom = sum(min(cap, u) for cap, u in zip(caps, und))
     removed = [0] * oracle.g.m
     best = incumbent or []
     cur: list[int] = []
@@ -373,11 +378,10 @@ def _bnb_max_removal(
         """The nodes of removal set ``cur`` from position ``pos`` on;
         ``cands`` holds its candidates, in ``removable`` order, and ``ok``
         the answers for ``cands[:len(ok)]``."""
-        nonlocal best, hit, stopped, nodes, headroom
+        nonlocal best, hit, stopped, nodes
         depth = len(cur)
         live = len(cands) - ok.count(False)  # candidates from ``pos`` on not ruled out
         j = 0  # cands[j] is the first candidate at ``pos`` or later
-        decided = []
         while True:
             if nodes == node_limit:
                 hit = stopped = True
@@ -389,7 +393,10 @@ def _bnb_max_removal(
                     hit = True
                     break
             slack = len(best) - depth
-            if headroom <= slack or pos == k or live <= slack:
+            if pos == k or live <= slack:
+                break
+            b = block_at[pos]
+            if ahead[b] + min(caps[b] - rem[b], ends[b] - pos) <= slack:
                 break
             e = removable[pos]
             is_cand = j < len(cands) and cands[j] == e
@@ -399,20 +406,10 @@ def _bnb_max_removal(
                 live -= answers.count(False)
                 if live <= slack:
                     break
-            b = block_of[e]
-            # Deciding e lowers und[b], and removing it then raises rem[b]; each
-            # lowers the block's term min(caps[b] - rem[b], und[b]) by at most one.
-            left, u = caps[b] - rem[b], und[b] - 1
-            und[b] = u
-            by_decide = u < left
-            headroom -= by_decide
-            decided.append((b, by_decide))
             if is_cand:
                 if ok[j]:
                     live -= 1
-                    by_remove = left <= u
                     rem[b] += 1
-                    headroom -= by_remove
                     removed[e] = -1
                     cur.append(e)
                     later = list(compress(cands[j + 1 : len(ok)], ok[j + 1 :]))
@@ -420,14 +417,10 @@ def _bnb_max_removal(
                     cur.pop()
                     removed[e] = 0
                     rem[b] -= 1
-                    headroom += by_remove
                     if hit:
                         break
                 j += 1
             pos += 1
-        for b, by_decide in decided:
-            und[b] += 1
-            headroom += by_decide
 
     # ``chain`` goes one level deeper per removed edge, so a dive over
     # thousands of removable edges would pass the default recursion limit.
@@ -454,15 +447,19 @@ def _find(parent: list[int] | dict[int, int], i: int) -> int:
     return i
 
 
-def _conflict_blocks(oracle: _SubsetOracle) -> tuple[dict[int, int], list[int]]:
+def _conflict_blocks(oracle: _SubsetOracle) -> tuple[list[list[int]], list[int]]:
     """Partition the oracle's removable edges into local blocks and cap each
     block; read it as :attr:`_SubsetOracle.blocks`, computed once per oracle.
+    The blocks come ordered by smallest edge index, edges ascending.
 
-    The pieces are connected components of the shares-an-endpoint graph on
-    the removable edges, after iteratively hiding the busiest vertex of any
-    component of more than ``_MAX_BLOCK`` edges.  Its edges are joined at
-    endpoints not yet hidden, so one is always left to hide, and each piece
-    ends at most ``_MAX_BLOCK`` edges (at worst, one edge).
+    The pieces start as the connected components of the shares-an-endpoint
+    graph on the removable edges.  A piece of more than ``_MAX_BLOCK`` edges
+    hides its busiest endpoint not yet hidden (ties to the lowest id) and
+    splits again at the endpoints not hidden.  Its edges are joined at such
+    endpoints, so one is always left to hide, and each piece ends at most
+    ``_MAX_BLOCK`` edges (at worst, one).  Every edge at an unhidden vertex
+    lies in one piece, so a hub hidden in one piece touches no other
+    piece's edges, and the order of the splits does not change the pieces.
 
     A one-edge piece (an edge left alone at hidden hubs) would get cap 1,
     which bounds nothing, so these are packed, smallest first: the smallest
@@ -486,13 +483,13 @@ def _conflict_blocks(oracle: _SubsetOracle) -> tuple[dict[int, int], list[int]]:
     either part stays feasible, so cap(B1 + B2) <= cap(B1) + cap(B2).
     """
     us, vs = oracle.g.us, oracle.g.vs
-    removable = oracle.removable
     hubs: set[int] = set()
 
-    def components() -> list[list[int]]:
-        parent = {i: i for i in removable}
+    def split(edges: list[int]) -> list[list[int]]:
+        """The components of ``edges`` joined at endpoints not in ``hubs``."""
+        parent = {i: i for i in edges}
         anchor: dict[int, int] = {}
-        for i in removable:
+        for i in edges:
             for x in (us[i], vs[i]):
                 if x in hubs:
                     continue
@@ -501,27 +498,30 @@ def _conflict_blocks(oracle: _SubsetOracle) -> tuple[dict[int, int], list[int]]:
                 else:
                     anchor[x] = i
         comps: dict[int, list[int]] = {}
-        for i in removable:
+        for i in edges:
             comps.setdefault(_find(parent, i), []).append(i)
-        return [sorted(c) for c in sorted(comps.values())]
+        return list(comps.values())
 
-    while True:
-        comps = components()
-        big = [c for c in comps if len(c) > _MAX_BLOCK]
-        if not big:
-            break
+    pieces: list[list[int]] = []
+    work = split(oracle.removable)
+    while work:
+        piece = work.pop()
+        if len(piece) <= _MAX_BLOCK:
+            pieces.append(piece)
+            continue
         degree: dict[int, int] = {}
-        for i in big[0]:
+        for i in piece:
             for x in (us[i], vs[i]):
                 if x not in hubs:
                     degree[x] = degree.get(x, 0) + 1
         hubs.add(max(degree, key=lambda x: (degree[x], -x)))
+        work += split(piece)
 
     load: dict[int, int] = {}  # removable edges per vertex
-    for i in removable:
+    for i in oracle.removable:
         for x in (us[i], vs[i]):
             load[x] = load.get(x, 0) + 1
-    packs = [list(c) for c in comps if len(c) == 1]
+    packs = [[i] for i in sorted(c[0] for c in pieces if len(c) == 1)]
     ends = [{us[i], vs[i]} for (i,) in packs]
     at: dict[int, list[int]] = {}  # the one-edge pieces at each vertex
     for b, xs in enumerate(ends):
@@ -544,12 +544,10 @@ def _conflict_blocks(oracle: _SubsetOracle) -> tuple[dict[int, int], list[int]]:
         packs[b] += packs[c]
         ends[b] |= ends[c]
         heappush(heap, (len(packs[b]), b))
-    comps = sorted(
-        [c for c in comps if len(c) > 1] + [sorted(packs[b]) for b in range(len(packs)) if root[b] == b]
+    blocks = sorted(
+        [c for c in pieces if len(c) > 1] + [sorted(packs[b]) for b in range(len(packs)) if root[b] == b]
     )
-
-    block_of = {i: j for j, comp in enumerate(comps) for i in comp}
-    return block_of, [len(_bnb_max_removal(oracle, comp, len(comp))[0]) for comp in comps]
+    return blocks, [len(_bnb_max_removal(oracle, [b], [len(b)], len(b))[0]) for b in blocks]
 
 
 def _greedy_local_min(oracle: _SubsetOracle, order: Iterable[int]) -> frozenset[int]:
@@ -622,12 +620,13 @@ def _settle_then_search(
        conflict-block bound (:func:`_block_bound`).  An incumbent at the
        goal is the answer; a budget below ``lower`` is answered "no" with
        the incumbent.
-    3. Branch and bound (:func:`_bnb_max_removal`) over the removable edges
-       in block order, from the incumbent's removal set, stopping once it
-       keeps at most the goal.  Without a ``fallback`` it runs to the end.
-       With one it stops after ``_NODE_LIMIT`` nodes: all 15 ``solve-flow``
-       benchmark ops that reach this step end within it, the longest after
-       about 11 ms on a shared 2-core VM.
+    3. Branch and bound (:func:`_bnb_max_removal`) walking the conflict
+       blocks (:attr:`_SubsetOracle.blocks`) in turn, as they come, from the
+       incumbent's removal set, stopping once it keeps at most the goal.
+       Without a ``fallback`` it runs to the end.  With one it stops after
+       ``_NODE_LIMIT`` nodes: all 15 ``solve-flow`` benchmark ops that reach
+       this step end within it, the longest after about 11 ms on a shared
+       2-core VM.
     4. After a stopped search only: greedy passes over seeded shuffles of
        the removable edges (:func:`_greedy_restarts`), then
        ``fallback(incumbent, goal)``, which returns a spanner no larger than
@@ -646,11 +645,9 @@ def _settle_then_search(
     goal = max(goal, lower)
     if len(kept) <= goal or (budget is not None and budget < lower):
         return kept, lower
-    block_of = oracle.blocks[0]
-    removable = sorted(order, key=lambda i: (block_of[i], i))
     removal, stopped = _bnb_max_removal(
-        oracle, removable, m - goal, oracle.blocks,
-        [i for i in removable if i not in kept], None if fallback is None else _NODE_LIMIT,
+        oracle, *oracle.blocks, m - goal,
+        [i for i in order if i not in kept], None if fallback is None else _NODE_LIMIT,
     )
     kept = frozenset(range(m)).difference(removal)
     if not stopped:

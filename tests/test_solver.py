@@ -106,8 +106,7 @@ def test_instance_too_large_guard():
 
 
 def _block_sizes(blocks):
-    block_of, caps = blocks
-    return [list(block_of.values()).count(b) for b in range(len(caps))]
+    return [len(b) for b in blocks[0]]
 
 
 def test_conflict_blocks_end_within_the_size_limit():
@@ -181,10 +180,10 @@ def test_packed_blocks_partition_and_bound(s, two_source):
         oracle = solver._SubsetOracle(g, s, req)
         if not oracle.satisfied or len(oracle.removable) > 16:
             continue
-        block_of, caps = oracle.blocks
-        assert sorted(block_of) == oracle.removable and len(caps) == len(set(block_of.values()))
-        for b, cap in enumerate(caps):
-            block = [i for i in oracle.removable if block_of[i] == b]
+        blocks, caps = oracle.blocks
+        assert sorted(i for block in blocks for i in block) == oracle.removable and len(caps) == len(blocks)
+        assert blocks == sorted(sorted(block) for block in blocks)
+        for block, cap in zip(blocks, caps):
             assert 0 < len(block) <= solver._MAX_BLOCK
             assert cap == _brute_cap(oracle, block)
         bound = solver._block_bound(oracle)
@@ -330,10 +329,8 @@ def _search_refuses(engine, g, s, req, budget):
         return solver._exact_by_flow(oracle, budget) is None
     if engine == "xp":
         return solver._xp_search(oracle, frozenset(range(g.m)), budget)[1] > budget
-    blocks = oracle.blocks
-    order = sorted(oracle.removable, key=lambda i: (blocks[0][i], i))
     target = g.m - budget
-    removal, stopped = solver._bnb_max_removal(oracle, order, target, blocks)
+    removal, stopped = solver._bnb_max_removal(oracle, *oracle.blocks, target)
     assert not stopped
     return len(removal) < target
 
@@ -460,12 +457,13 @@ def test_bnb_removes_as_many_edges_as_brute(s, two_source):
         if not oracle.feasible(bytearray(g.m)) or len(oracle.removable) > 12:
             continue
         best = g.m - solver.min_spanner_brute(g, s, req).size
-        for blocks in (None, oracle.blocks):
-            removal, stopped = solver._bnb_max_removal(oracle, oracle.removable, len(oracle.removable), blocks)
+        removable = oracle.removable
+        for blocks, caps in (([removable], [len(removable)]), oracle.blocks):
+            removal, stopped = solver._bnb_max_removal(oracle, blocks, caps, len(removable))
             assert not stopped and len(removal) == best
             assert oracle.feasible(reach._drop_flags(g, set(range(g.m)) - set(removal)))
-        for e in oracle.removable:
-            assert solver._bnb_max_removal(oracle, [e], 1) == ([e], False)
+        for e in removable:
+            assert solver._bnb_max_removal(oracle, [[e]], [1], 1) == ([e], False)
         checked += 1
     assert checked >= 40
 
@@ -553,10 +551,33 @@ def test_node_limited_bnb_over_more_than_64_removable_edges():
     incumbent = [i for i in oracle.removable if i not in kept]
     for limit in (1, 50, 500):
         removal, stopped = solver._bnb_max_removal(
-            oracle, oracle.removable, len(oracle.removable), oracle.blocks, incumbent, limit
+            oracle, *oracle.blocks, len(oracle.removable), incumbent, limit
         )
         assert stopped and len(removal) >= len(incumbent)
         assert oracle.feasible(reach._drop_flags(g, set(range(g.m)) - set(removal)))
+
+
+def test_schedule_search_visits_a_pinned_number_of_nodes(monkeypatch):
+    # Answers do not change when a cut of branch and bound gets weaker, only
+    # node counts do.  The schedule's search on each of three generator
+    # graphs visits exactly the pinned number of nodes: it stops at one node
+    # fewer and completes at that many.
+    calls = []
+    real = solver._bnb_max_removal
+
+    def bnb(oracle, blocks, caps, stop, incumbent=None, node_limit=None):
+        if incumbent is not None:
+            calls.append((oracle, blocks, caps, stop, incumbent))
+        return real(oracle, blocks, caps, stop, incumbent, node_limit)
+
+    monkeypatch.setattr(solver, "_bnb_max_removal", bnb)
+    for (n, seed, p), nodes in (((8, 3, 0.6), 321), ((9, 2, 0.6), 2012), ((12, 0, 0.6), 954)):
+        calls.clear()
+        res = solver.min_spanner_exact(generate.random_happy_tc(n, seed, p), engine="bnb")
+        (args,) = calls
+        assert real(*args, nodes - 1)[1]
+        removal, stopped = real(*args, nodes)
+        assert not stopped and res.spanner.kept == set(range(args[0].g.m)) - set(removal)
 
 
 def test_bnb_probes_the_next_64_candidates_past_its_window(monkeypatch):
@@ -588,7 +609,7 @@ def test_bnb_probes_the_next_64_candidates_past_its_window(monkeypatch):
         return real(self, removed, edges)
 
     monkeypatch.setattr(solver._SubsetOracle, "feasible_each", probe)
-    removal, stopped = solver._bnb_max_removal(oracle, order, len(order))
+    removal, stopped = solver._bnb_max_removal(oracle, [order], [len(order)], len(order))
     # Keeping e0 lets every B and D edge go; removing it keeps every B edge.
     assert sorted(removal) == sorted(free_b + free_d) and not stopped
     assert all(removed for removed, _ in probes)
@@ -823,8 +844,8 @@ def test_restarts_and_fallback_run_only_after_a_stopped_search(monkeypatch, milp
     log = []
     real_bnb, real_restarts = solver._bnb_max_removal, solver._greedy_restarts
 
-    def bnb(oracle, removable, stop, blocks=None, incumbent=None, node_limit=None):
-        removal, stopped = real_bnb(oracle, removable, stop, blocks, incumbent, node_limit)
+    def bnb(oracle, blocks, caps, stop, incumbent=None, node_limit=None):
+        removal, stopped = real_bnb(oracle, blocks, caps, stop, incumbent, node_limit)
         if incumbent is not None:
             log.append("stopped" if stopped else "searched")
         return removal, stopped
@@ -865,15 +886,13 @@ def test_bnb_no_answer_is_no_larger_than_the_greedy_spanner():
     g, req = var.graph, TwoSource(*var.sources)
     assert var.budget == 21 and g.m == 35
     oracle = solver._SubsetOracle(g, STRICT, req)
-    blocks = oracle.blocks
-    order = sorted(oracle.removable, key=lambda i: (blocks[0][i], i))
-    removal, stopped = solver._bnb_max_removal(oracle, order, g.m - 21, blocks)
+    removal, stopped = solver._bnb_max_removal(oracle, *oracle.blocks, g.m - 21)
     assert len(removal) == 13 and not stopped
     assert oracle.feasible(reach._drop_flags(g, set(range(g.m)) - set(removal)))
     greedy = solver._greedy_local_min(oracle, oracle.removable)
     assert len(greedy) == 22
-    seed = [i for i in order if i not in greedy]
-    assert solver._bnb_max_removal(oracle, order, g.m - 21, blocks, incumbent=seed) == (seed, False)
+    seed = [i for i in oracle.removable if i not in greedy]
+    assert solver._bnb_max_removal(oracle, *oracle.blocks, g.m - 21, incumbent=seed) == (seed, False)
     for engine in solver.ENGINES:
         res = solver.min_spanner_exact(g, budget=21, requirement=req, engine=engine)
         assert res.within_budget is False and res.size == 22 == res.lower_bound and res.optimal
@@ -1168,13 +1187,13 @@ def _extras(g, tree, cover):
     return extras
 
 
-def test_select_extra_edges_star_needs_none():
+def test_single_edge_fixes_star_needs_none():
     # A happy TC star only exists with a single leaf.
     g = tg.build(2, [(0, 1, 1)])
     assert _extras(g, {0}, [0]) == {1: None}
 
 
-def test_select_extra_edges_mixed():
+def test_single_edge_fixes_mixed():
     # Vertex 1 starts the tree and already reaches everything; vertex 2 joins
     # too late and needs its own earlier incident edge.
     g = tg.build(3, [(0, 1, 1), (0, 2, 2), (1, 2, 3)])
@@ -1184,13 +1203,13 @@ def test_select_extra_edges_mixed():
     assert _extras(g, tree, [0]) == {1: None, 2: 2}
 
 
-def test_select_extra_edges_infeasible():
+def test_single_edge_fixes_infeasible():
     g = tg.build(3, [(0, 1, 3), (0, 2, 1)])
     tree = frozenset({0, 1})
     assert _extras(g, tree, [0]) is None
 
 
-def test_select_extra_edges_complete_vs_joint_enumeration():
+def test_single_edge_fixes_complete_vs_joint_enumeration():
     # If any one-extra-per-vertex assignment restores every vertex's own
     # reach over the tree union, the per-vertex rule must succeed.
     for g in small_corpus(12, n_range=(4, 6)):
