@@ -699,7 +699,6 @@ def _exact_by_flow(oracle: _SubsetOracle, budget: int) -> frozenset[int] | None:
     model is infeasible gives None; :func:`_settle_then_search` checks answers.
     """
     import numpy as np
-    from bisect import bisect_left, bisect_right
     from scipy import sparse
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse.csgraph import breadth_first_order
@@ -721,11 +720,14 @@ def _exact_by_flow(oracle: _SubsetOracle, budget: int) -> frozenset[int] | None:
         events[v].append(t)
     events = [sorted(set(ts)) for ts in events]
 
-    # Node (v, k) has id first[v] + 1 + k; first[v] is the start node (v, -1).
+    # first[v] is the start node (v, -1), followed by node[v, t] per label t at v.
     first = [0] * n
+    node: dict[tuple[int, int], int] = {}
     node_count = 0
     for v in range(n):
         first[v] = node_count
+        for k, t in enumerate(events[v], node_count + 1):
+            node[v, t] = k
         node_count += 1 + len(events[v])
     end = [first[v] + len(events[v]) for v in range(n)]
 
@@ -742,12 +744,9 @@ def _exact_by_flow(oracle: _SubsetOracle, budget: int) -> frozenset[int] | None:
         caps.extend([-1] * len(events[v]))
     for i, (u, v, t) in enumerate(zip(g.us, g.vs, g.ts)):
         for a, b in ((u, v), (v, u)):
-            if strict:
-                k = bisect_left(events[a], t) - 1
-            else:
-                k = bisect_right(events[a], t) - 1
-            tails.append(first[a] + 1 + k)
-            heads.append(first[b] + 1 + bisect_left(events[b], t))
+            # A strict path must reach a before t: leave from the node before.
+            tails.append(node[a, t] - strict)
+            heads.append(node[b, t])
             caps.append(x_col[i])
     tail = np.array(tails, dtype=np.int64)
     head = np.array(heads, dtype=np.int64)
@@ -1031,9 +1030,12 @@ def _xp_search(
     Returns the smallest spanner found and the lower bound the search
     proved: that spanner's size if the search ran to the end, else 0.  It
     ends early on a spanner of at most ``goal`` edges.  The combination
-    search takes one candidate tree per cover root and visits each union at
-    most once per level: the bound only falls, so a repeated visit could
-    not find a smaller spanner.
+    search takes one candidate tree per cover root, with one seen set per
+    level and one bound: a union already generated at a level is not
+    searched again, since the bound only falls, and a union of at least
+    ``best_size`` edges is cut.  Nothing looks ahead: a union that a later
+    level cannot extend below the bound is cut at that level, where all
+    its children are too large, so no union under the bound is skipped.
 
     Each full union's failing sources outside the cover get one extra edge
     each (:func:`_single_edge_fixes`), distinct as each joins its vertex to
@@ -1050,7 +1052,7 @@ def _xp_search(
     levels = sorted((_candidate_trees(g, x) for x in sorted(x_set)), key=len)
 
     best_size = len(best_kept)
-    visited: list[set[int]] = [set() for _ in range(len(levels) + 1)]
+    seen: list[set[int]] = [set() for _ in levels]
 
     def evaluate(acc: int) -> bool:
         """Keep the union ``acc`` plus its extras if smaller than the best;
@@ -1071,17 +1073,11 @@ def _xp_search(
     def rec(i: int, acc: int) -> bool:
         """Extend ``acc`` by one candidate per level from ``i`` on; True once
         a spanner within ``goal`` is kept."""
-        if acc in visited[i]:
-            return False
-        visited[i].add(acc)
         if i == len(levels):
             return evaluate(acc)
-        # Every remaining root still contributes a whole tree; the union must
-        # absorb at least the cheapest candidate of each level.
-        for cands in levels[i:]:
-            if not any((acc | c).bit_count() < best_size for c in cands):
-                return False
-        nxts = sorted({acc | c for c in levels[i]}, key=int.bit_count)
+        fresh = {u for c in levels[i] if (u := acc | c).bit_count() < best_size} - seen[i]
+        seen[i] |= fresh
+        nxts = sorted(fresh, key=int.bit_count)
         return any(rec(i + 1, nxt) for nxt in nxts if nxt.bit_count() < best_size)
 
     stopped = rec(0, 0)

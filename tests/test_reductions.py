@@ -131,6 +131,19 @@ def test_flow_decides_sat_reduction_past_phi_11():
     assert no.within_budget is False
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=solver.InstanceTooLarge,
+    reason="ROADMAP item 2: since the conflict blocks were packed, the default solve refuses this",
+)
+def test_default_solve_refutes_the_unsatisfiable_four_variable_formula_below_its_budget():
+    # The main search stops at its node limit, and 103 removable edges
+    # exceed the default cap of 40.
+    out = red.sat_to_spanner_instance(PHI_4V_UNSAT)
+    res = solver.min_spanner_exact(out.graph, budget=out.budget - 1)
+    assert res.within_budget is False
+
+
 @pytest.mark.parametrize("phi, within", [(PHI_4V_SAT, True), (PHI_4V_UNSAT, False)], ids=["sat", "unsat"])
 def test_flow_decides_four_variable_sat_reductions(phi, within):
     out = red.sat_to_spanner_instance(phi)

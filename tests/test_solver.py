@@ -1344,7 +1344,7 @@ def test_xp_spanner_at_the_gossip_bound_is_optimal():
 
 def test_xp_block_bound_settles_without_a_search(monkeypatch):
     # No greedy pass keeps fewer than 17 edges, above 2n - 4 = 16, and the search
-    # took 20 s to prove 17 optimal.  The block bound is 17.
+    # takes 11-13 s to prove 17 optimal (2 cores, Python 3.11).  The block bound is 17.
     g = generate.random_happy_tc_with_cover(10, 3, 23)
 
     def no_search(*args):
@@ -1355,6 +1355,25 @@ def test_xp_block_bound_settles_without_a_search(monkeypatch):
     for budget, optimal, within in ((None, True, None), (17, False, True), (16, True, False)):
         res = solver.min_spanner_xp_vc(g, budget=budget)
         assert res.size == 17 and res.optimal is optimal and res.within_budget is within
+
+
+def test_xp_search_evaluates_each_union_at_most_once(monkeypatch):
+    # Every full union is evaluated through one failing-sources query; run
+    # to the end from the whole edge set, no drop table may come twice.
+    g = generate.random_happy_tc_with_cover(8, 3, 1)
+    oracle = solver._SubsetOracle(g, STRICT, ALL_PAIRS)
+    tables = []
+    real = solver._SubsetOracle.failing_sources
+
+    def failing(self, removed):
+        tables.append(tuple(removed))
+        return real(self, removed)
+
+    monkeypatch.setattr(solver._SubsetOracle, "failing_sources", failing)
+    kept, proven = solver._xp_search(oracle, frozenset(range(g.m)), 0)
+    assert proven == len(kept) == solver.min_spanner_exact(g).size
+    assert len(tables) > 100  # without the dedupe, 175 of 318 repeat
+    assert len(set(tables)) == len(tables)
 
 
 def test_xp_search_matches_exact():
