@@ -2,9 +2,9 @@
 
 Exit codes: 0 = property holds / solved within budget; 1 = property fails /
 budget infeasible; 2 = resource guard tripped (the bounds and a node-limited
-search leave the answer open, and the MILP or a bnb run to the end would
-search more than ``--cap`` removable edges) or MILP solver failure; 3 = usage
-or I/O errors.
+search leave the answer open, and the hitting-set MILPs or a bnb run to the
+end would search more than ``--cap`` removable edges) or MILP solver
+failure; 3 = usage or I/O errors.
 
 Reports are deterministic given identical inputs, flags, and seeds; wall
 time is printed to stderr only.  ``--json`` replaces the human summary with
@@ -304,16 +304,16 @@ def _build_parser() -> _Parser:
         "--cap",
         type=int,
         default=solver.DEFAULT_CAP,
-        help="removable-edge guard (--method exact only): it guards the MILP or a bnb run to the"
-        " end, never the bounds",
+        help="removable-edge guard (--method exact only): it guards the hitting-set MILPs or a bnb run"
+        " to the end, never the bounds",
     )
     p.add_argument(
         "--engine",
         choices=solver.ENGINES,
         default="auto",
         help="search (--method exact only) once the bounds and a node-limited bnb leave the answer"
-        f" open: bnb runs on, flow asks the MILP (auto: bnb up to {solver.DEFAULT_CAP} removable"
-        " edges, else flow)",
+        f" open: bnb runs on, flow asks the hitting-set MILP, one 0/1 column per removable edge"
+        f" (auto: bnb up to {solver.DEFAULT_CAP} removable edges, else flow)",
     )
     p.add_argument("--out", default="-", help="spanner output path ('-' = stdout)")
     p.add_argument("--triples", action="store_true", help="write 'u v t' lines instead of indices")

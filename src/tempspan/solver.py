@@ -6,8 +6,8 @@ Contents:
   requirement, hence members of every spanner),
 * exact desk-scale solvers: full subset enumeration (the verification
   oracle, :func:`min_spanner_brute`) and, behind :func:`min_spanner_exact`,
-  two engines: branch-and-bound over removable edges and one time-expanded
-  multicommodity-flow MILP,
+  two engines: branch-and-bound over removable edges and an implicit
+  hitting-set loop of MILPs with one 0/1 column per removable edge,
 * the two-source requirement variant,
 * one oracle per solve (:class:`_SubsetOracle`), the one reader of the
   requirement: it owns the whole-graph check and the all-pairs test,
@@ -21,7 +21,7 @@ Contents:
   goal: a greedy incumbent and the forced, gossip and conflict-block bounds
   settle the answer where they can, then branch and bound seeded with the
   incumbent runs until it meets the goal, and only if a node limit stops
-  it, greedy restarts and the engine's own search (flow MILP or XP search)
+  it, greedy restarts and the engine's own search (hitting sets or XP search)
   called with the incumbent and the goal, its answer checked by the oracle,
 * an XP algorithm for happy graphs parameterized by the vertex cover number
   of the underlying graph: per cover root, enumerate every temporal out-tree
@@ -68,8 +68,8 @@ class NotTemporallyConnected(Exception):
 
 
 class SolverFailed(RuntimeError):
-    """An engine's own search, the flow MILP or the XP search, could not
-    produce a valid answer."""
+    """An engine's own search, the hitting-set MILP or the XP search, could
+    not produce a valid answer."""
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +96,7 @@ ALL_PAIRS = AllPairs()
 ENGINES = ("auto", "bnb", "flow")
 
 # The default removable-edge guard of ``min_spanner_exact``; ``auto`` runs
-# branch and bound up to it and the flow MILP beyond.
+# branch and bound up to it and the hitting-set MILP beyond.
 DEFAULT_CAP = 40
 
 
@@ -663,175 +663,94 @@ def _settle_then_search(
     return kept, lower
 
 
-def _exact_by_flow(oracle: _SubsetOracle, budget: int) -> frozenset[int] | None:
-    """Decide via one time-expanded multicommodity-flow MILP whether some
-    spanner for ``oracle``'s graph and requirement keeps at most ``budget``
-    edges; returns a minimum one that does, or None when none does.
+def _disjoint_cores(oracle: _SubsetOracle, removal: list[int]) -> list[list[int]]:
+    """Disjoint minimal cores, sets of edges whose removal breaks the
+    requirement, inside the removal set ``removal``.  One deletion pass
+    shrinks it to a core: each edge in turn, in the order of ``removal``, is
+    kept if the requirement still breaks without it.  The core is minimal,
+    since keeping any of its edges was already feasible with more removed.
+    Then its edges are kept, and the next core is drawn from the rest while
+    the rest still breaks the requirement."""
+    cores = []
+    while removal:
+        drop = [0] * oracle.g.m
+        for e in removal:
+            drop[e] = -1
+        if oracle.feasible(drop):
+            break
+        core = []
+        for e in removal:
+            drop[e] = 0
+            if oracle.feasible(drop):
+                drop[e] = -1
+                core.append(e)
+        cores.append(core)
+        removal = [e for e in removal if not drop[e]]
+    return cores
 
-    Each vertex v has a start node ``(v, -1)`` and one node per distinct
-    label at v, chained by waiting arcs; each time edge gives one traversal
-    arc per direction, from the latest node of its tail at which it can be
-    taken to its head's node at its label.  Temporal paths from a to b are
-    then the paths from ``start(a) = (a, -1)`` to ``end(b)``, b's last node.
 
-    One unit commodity, with continuous flow variables, per ordered
-    source/target pair (a, b) that the forced edges alone do not connect.
-    Forced edges are constants (below), so a pair they connect is connected
-    whatever the edge variables are: its commodity would change neither the
-    optimum nor the LP bound, and it gets no columns and no rows.  If no
-    pair is left, the forced set is the minimum spanner by construction: it
-    is returned if it fits the budget, with no model built.
+def _exact_by_hitting_set(oracle: _SubsetOracle, budget: int) -> frozenset[int] | None:
+    """Decide by implicit hitting sets whether some spanner for ``oracle``'s
+    graph and requirement keeps at most ``budget`` edges; returns a minimum
+    one that does, or None when none does.
 
-    Commodity (a, b) gets a column only for an arc whose tail is reachable
-    from ``start(a)`` and whose head reaches ``end(b)`` over the model's
-    arcs, and a conservation row only for a node that does both (and for
-    its two supply nodes).  This leaves the projection onto the edge
-    variables unchanged, for 0/1 and fractional ones alike: a feasible flow
-    of the full model splits into simple ``start(a)`` to ``end(b)`` paths
-    plus cycles, dropping the cycles keeps it feasible, and every arc of
-    such a path passes both tests.  So the optimum and the LP bound are
-    those of the model with every arc.
+    The candidate starts as the forced set, with no model built: that
+    settles a forced set that is a spanner, and a graph with no removable
+    edge.  While the oracle rejects the candidate, cores are drawn from its
+    removal set in index order and in reverse (:func:`_disjoint_cores`),
+    and one MILP over a 0/1 column x_e per removable edge (1 keeps e) picks
+    the next candidate, the forced set plus a minimum x subject to
 
-    Removable edges get a 0/1 variable x_i that caps the flow on their arcs
-    (``f <= x_i``).  Forced edges are constants: no variable, and their arcs
-    keep only the column bound ``f <= 1``.  The objective counts the x_i and
-    the row ``sum x_i <= budget - |forced|`` caps them; a proof that the
-    model is infeasible gives None; :func:`_settle_then_search` checks answers.
+    * sum x_e <= budget - |forced|, and at least the gossip bound
+      (:func:`_gossip_bound`) minus |forced|;
+    * sum of x_e over B >= |B| - cap_B for each conflict block B
+      (:attr:`_SubsetOracle.blocks`);
+    * sum of x_e over C >= 1 for each core C found so far.
+
+    Every spanner within the budget meets each row: it keeps the gossip
+    bound, at most ``cap_B`` of its removals lie in block B, and it keeps
+    an edge of each core, else it would lie inside the graph minus that
+    core, and reachability is monotone.  So the MILP optimum bounds it from
+    below, an infeasible model proves that none exists, and the first
+    candidate the oracle accepts is minimum.  Each round adds a core that
+    the rejected candidate misses, so no candidate comes twice.
+    :class:`SolverFailed` means the MILP solver gave no answer.
     """
     import numpy as np
     from scipy import sparse
     from scipy.optimize import Bounds, LinearConstraint, milp
-    from scipy.sparse.csgraph import breadth_first_order
 
-    g, s, forced = oracle.g, oracle.s, oracle.forced
-    m = g.m
-    n = g.vertex_count
-    strict = s is STRICT
-    over_forced = reach._mask_sweep(g, s, reach._drop_flags(g, forced), oracle.start)
-    pairs = [
-        (a, b) for a in oracle.sources for b in range(n) if b != a and not (over_forced[b] >> a) & 1
-    ]
-    if not pairs:  # the forced edges meet the requirement on their own
-        return forced if len(forced) <= budget else None
-
-    events: list[list[int]] = [[] for _ in range(n)]
-    for u, v, t in zip(g.us, g.vs, g.ts):
-        events[u].append(t)
-        events[v].append(t)
-    events = [sorted(set(ts)) for ts in events]
-
-    # first[v] is the start node (v, -1), followed by node[v, t] per label t at v.
-    first = [0] * n
-    node: dict[tuple[int, int], int] = {}
-    node_count = 0
-    for v in range(n):
-        first[v] = node_count
-        for k, t in enumerate(events[v], node_count + 1):
-            node[v, t] = k
-        node_count += 1 + len(events[v])
-    end = [first[v] + len(events[v]) for v in range(n)]
-
-    free = oracle.removable
-    x_col = [-1] * m
-    for col, i in enumerate(free):
-        x_col[i] = col
-    tails: list[int] = []
-    heads: list[int] = []
-    caps: list[int] = []  # x column capping the arc, or -1 for none
-    for v in range(n):
-        tails.extend(range(first[v], end[v]))
-        heads.extend(range(first[v] + 1, end[v] + 1))
-        caps.extend([-1] * len(events[v]))
-    for i, (u, v, t) in enumerate(zip(g.us, g.vs, g.ts)):
-        for a, b in ((u, v), (v, u)):
-            # A strict path must reach a before t: leave from the node before.
-            tails.append(node[a, t] - strict)
-            heads.append(node[b, t])
-            caps.append(x_col[i])
-    tail = np.array(tails, dtype=np.int64)
-    head = np.array(heads, dtype=np.int64)
-    cap = np.array(caps, dtype=np.int64)
-
-    adj = sparse.csr_array(
-        (np.ones(len(tail)), (tail, head)), shape=(node_count, node_count)
-    )
-    adj_t = sparse.csr_array(adj.T)
-
-    def reached(graph: sparse.csr_array, root: int) -> np.ndarray:
-        on = np.zeros(node_count, dtype=bool)
-        on[breadth_first_order(graph, root, return_predecessors=False)] = True
-        return on
-
-    fwd = {a: reached(adj, first[a]) for a in {a for a, _ in pairs}}
-    bwd = {b: reached(adj_t, end[b]) for b in {b for _, b in pairs}}
-
-    nv = len(free)
-    row_parts: list[np.ndarray] = []
-    col_parts: list[np.ndarray] = []
-    val_parts: list[np.ndarray] = []
-    lo_parts: list[np.ndarray] = []
-    hi_parts: list[np.ndarray] = []
-    row = 0
-    for a, b in pairs:
-        arcs = np.flatnonzero(fwd[a][tail] & bwd[b][head])
-        on = fwd[a] & bwd[b]
-        on[first[a]] = on[end[b]] = True
-        row_of = np.cumsum(on) - 1 + row
-        cols = np.arange(nv, nv + len(arcs))
-        nv += len(arcs)
-        # Conservation rows: out-flow minus in-flow equals the supply.
-        row_parts += [row_of[tail[arcs]], row_of[head[arcs]]]
-        col_parts += [cols, cols]
-        val_parts += [np.ones(len(arcs)), -np.ones(len(arcs))]
-        supply = np.zeros(int(on.sum()))
-        supply[row_of[first[a]] - row] = 1.0
-        supply[row_of[end[b]] - row] = -1.0
-        lo_parts.append(supply)
-        hi_parts.append(supply)
-        row += len(supply)
-        # Capacity rows f - x_i <= 0 on the arcs of removable edges.
-        capped = cap[arcs] >= 0
-        c_rows = np.arange(row, row + int(capped.sum()))
-        row_parts += [c_rows, c_rows]
-        col_parts += [cols[capped], cap[arcs[capped]]]
-        val_parts += [np.ones(len(c_rows)), -np.ones(len(c_rows))]
-        lo_parts.append(np.full(len(c_rows), -np.inf))
-        hi_parts.append(np.zeros(len(c_rows)))
-        row += len(c_rows)
-
-    row_parts.append(np.full(len(free), row))
-    col_parts.append(np.arange(len(free)))
-    val_parts.append(np.ones(len(free)))
-    lo_parts.append(np.array([-np.inf]))
-    hi_parts.append(np.array([float(budget - len(forced))]))
-    row += 1
-
-    a_mat = sparse.csc_array(
-        (
-            np.concatenate(val_parts),
-            (np.concatenate(row_parts), np.concatenate(col_parts)),
-        ),
-        shape=(row, nv),
-    )
-    c = np.zeros(nv)
-    c[: len(free)] = 1.0
-    integrality = np.zeros(nv)
-    integrality[: len(free)] = 1.0
-    res = milp(
-        c=c,
-        constraints=[
-            LinearConstraint(
-                a_mat, lb=np.concatenate(lo_parts), ub=np.concatenate(hi_parts)
-            )
-        ],
-        integrality=integrality,
-        bounds=Bounds(np.zeros(nv), np.ones(nv)),
-    )
-    if res.status == 2:
-        return None
-    if res.status != 0:
-        raise SolverFailed(f"MILP solve failed: {res.message}")
-    return forced | {i for col, i in enumerate(free) if res.x[col] > 0.5}
+    g, forced, free = oracle.g, oracle.forced, oracle.removable
+    col = {e: j for j, e in enumerate(free)}
+    blocks, caps = oracle.blocks
+    # The budget and gossip row, then the block rows.
+    rows: list[Sequence[int]] = [free, *blocks]
+    lower = [_gossip_bound(oracle) - len(forced)] + [len(b) - c for b, c in zip(blocks, caps)]
+    kept = forced
+    while not oracle.feasible(reach._drop_flags(g, kept)):
+        removal = [e for e in free if e not in kept]
+        found = _disjoint_cores(oracle, removal) + _disjoint_cores(oracle, removal[::-1])
+        cores = sorted({tuple(sorted(core)) for core in found})
+        rows += cores
+        lower += [1] * len(cores)
+        sizes = [len(r) for r in rows]
+        a_mat = sparse.csr_array(
+            (np.ones(sum(sizes)), [col[e] for r in rows for e in r], np.cumsum([0] + sizes)),
+            shape=(len(rows), len(free)),
+        )
+        upper = [budget - len(forced)] + [np.inf] * (len(rows) - 1)
+        res = milp(
+            c=np.ones(len(free)),
+            constraints=[LinearConstraint(a_mat, lb=lower, ub=upper)],
+            integrality=np.ones(len(free)),
+            bounds=Bounds(0, 1),
+        )
+        if res.status == 2:
+            return None
+        if res.status != 0:
+            raise SolverFailed(f"MILP solve failed: {res.message}")
+        kept = forced | {free[j] for j in np.flatnonzero(res.x > 0.5)}
+    return kept if len(kept) <= budget else None
 
 
 def min_spanner_brute(
@@ -878,10 +797,10 @@ def min_spanner_exact(
     either mode.  Every engine runs :func:`_settle_then_search`; ``engine``
     (one of :data:`ENGINES`; ``auto`` is ``bnb`` up to :data:`DEFAULT_CAP`
     removable edges, else ``flow``) picks only its fallback.  For ``flow``
-    it is one MILP (:func:`_exact_by_flow`) at the schedule's goal, or at
-    one edge below the incumbent when optimising; its infeasibility proves
-    that cutoff + 1, and :class:`SolverFailed` means the MILP solver gave no
-    answer.  ``bnb`` has none, so its branch and bound runs to the end.
+    it is the hitting-set search (:func:`_exact_by_hitting_set`) at the
+    schedule's goal, or at one edge below the incumbent when optimising; a
+    "none" proves cutoff + 1, and :class:`SolverFailed` means that HiGHS
+    failed.  ``bnb`` has none, so its branch and bound runs to the end.
     ``cap`` guards only those unbounded searches: beyond ``cap`` removable
     edges either engine gets the fallback that raises
     :class:`InstanceTooLarge`, once the bounds, a node-limited branch and
@@ -900,7 +819,7 @@ def min_spanner_exact(
         # Flow gets here, and so does bnb over more than ``cap`` removable
         # edges, which the guard above refuses.
         cutoff = len(best) - 1 if budget is None else goal
-        found = _exact_by_flow(oracle, cutoff)
+        found = _exact_by_hitting_set(oracle, cutoff)
         if found is None:  # no spanner keeps at most ``cutoff`` edges
             return best, cutoff + 1
         return found, len(found)

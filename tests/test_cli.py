@@ -104,7 +104,8 @@ def test_solve_milp_failure_exits_cleanly(capsys, tmp_path, monkeypatch, engine)
 
     # The best greedy restart keeps 23 edges, above the gossip bound
     # 2n - 4 = 20 and the block bound 20.  With no branch-and-bound nodes
-    # the flow engine must ask the MILP whether 22 edges suffice.
+    # the flow engine must ask the hitting-set MILP whether 22 edges
+    # suffice, and its first model fails.
     monkeypatch.setattr(solver, "_NODE_LIMIT", 0)
     path = tmp_path / "g.tg"
     path.write_text(tg.serialize(random_happy_tc(12, 0, 0.6)))

@@ -144,22 +144,36 @@ def test_default_solve_refutes_the_unsatisfiable_four_variable_formula_below_its
     assert res.within_budget is False
 
 
-@pytest.mark.parametrize("phi, within", [(PHI_4V_SAT, True), (PHI_4V_UNSAT, False)], ids=["sat", "unsat"])
-def test_flow_decides_four_variable_sat_reductions(phi, within):
+@pytest.mark.parametrize(
+    "phi, below, size, optimal",
+    [
+        (PHI_4V_SAT, 0, None, None),
+        (PHI_4V_UNSAT, 0, 143, True),
+        (PHI_4V_SAT, 1, 142, True),
+        (PHI_4V_UNSAT, 1, 143, False),
+    ],
+    ids=["sat", "unsat", "sat-below", "unsat-below"],
+)
+def test_flow_decides_four_variable_sat_reductions(phi, below, size, optimal):
     out = red.sat_to_spanner_instance(phi)
     g = out.graph
     assert (g.vertex_count, g.m, out.budget) == (63, 198, 142)
     # The block bound, 141, is one below the budget: it settles neither.
     oracle = solver._SubsetOracle(g, STRICT, solver.ALL_PAIRS)
     assert solver._block_bound(oracle) == 141
-    res = solver.min_spanner_exact(g, budget=out.budget, cap=len(oracle.removable), engine="flow")
-    assert res.within_budget is within
-    if within:
-        assert res.size <= out.budget
-        assert solver.requirement_holds(g, STRICT, solver.ALL_PAIRS, res.spanner.kept)
+    budget = out.budget - below
+    res = solver.min_spanner_exact(g, budget=budget, cap=len(oracle.removable), engine="flow")
+    assert solver.requirement_holds(g, STRICT, solver.ALL_PAIRS, res.spanner.kept)
+    if size is None:  # the satisfiable formula at its budget: "yes"
+        assert res.within_budget and res.size <= out.budget
+        return
+    # Every "no" carries a spanner.  Below its budget the unsatisfiable
+    # formula's spanner keeps 143 edges, and only 142 is proven.
+    assert res.within_budget is False and res.size == size and res.optimal is optimal
+    assert res.lower_bound == (size if optimal else budget + 1)
 
 
-def test_flow_model_has_columns_only_for_usable_arcs(monkeypatch):
+def test_hitting_set_model_has_one_column_per_removable_edge(monkeypatch):
     import scipy.optimize
 
     real = scipy.optimize.milp
@@ -179,27 +193,15 @@ def test_flow_model_has_columns_only_for_usable_arcs(monkeypatch):
     assert res.size == out.budget == 28 and res.optimal
     assert reach.is_tc(g, STRICT, kept=res.spanner.kept)
     # The best greedy restart keeps 28 edges, above the gossip bound 2n - 4 = 24
-    # and the block bound 27: one MILP proves that no spanner keeps 27.
-    assert solver._gossip_bound(solver._SubsetOracle(g, STRICT, solver.ALL_PAIRS)) == 24
-    ((model, status),) = models
-    assert status == 2
-    forced = solver.forced_edges(g)
-    assert solver._block_bound(solver._SubsetOracle(g, STRICT, solver.ALL_PAIRS)) == 27
-    removable = g.m - len(forced)
-    assert removable == 17
+    # and the block bound 27: the hitting-set search proves that no spanner
+    # keeps 27, its last model infeasible.
+    oracle = solver._SubsetOracle(g, STRICT, solver.ALL_PAIRS)
+    assert solver._gossip_bound(oracle) == 24 and solver._block_bound(oracle) == 27
+    assert len(oracle.removable) == 17
+    assert models and models[-1][1] == 2
     # One integer column per removable edge; forced edges are constants.
-    assert int(model["integrality"].sum()) == removable
-    # One commodity, with one supply row at its source, per ordered pair
-    # that the forced edges alone do not connect: 45 of 182.
-    over_forced = reach.reach_masks(g, STRICT, kept=forced)
-    n = g.vertex_count
-    needed = sum(1 for a in range(n) for b in range(n) if a != b and not (over_forced[b] >> a) & 1)
-    assert needed == 45
-    (con,) = model["constraints"]
-    assert int(((con.lb == 1) & (con.ub == 1)).sum()) == needed
-    # With a column for every arc and commodity the model had 26,973, with
-    # one for every pair's usable arcs 5,530.
-    assert len(model["c"]) <= 983
+    for model, _ in models:
+        assert len(model["c"]) == 17 and int(model["integrality"].sum()) == 17
 
 
 def test_sat_optimum_keeps_a_red_edge_per_variable():

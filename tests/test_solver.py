@@ -206,7 +206,7 @@ def test_the_schedule_checks_the_fallback_answer(monkeypatch):
     # With no branch-and-bound nodes both graphs reach the engine's own
     # search, here replaced by one that returns the empty edge set.
     monkeypatch.setattr(solver, "_NODE_LIMIT", 0)
-    monkeypatch.setattr(solver, "_exact_by_flow", lambda oracle, budget: frozenset())
+    monkeypatch.setattr(solver, "_exact_by_hitting_set", lambda oracle, budget: frozenset())
     monkeypatch.setattr(solver, "_xp_search", lambda oracle, best, goal: (frozenset(), 0))
     with pytest.raises(solver.SolverFailed, match="infeasible edge set"):
         solver.min_spanner_exact(_multilabel_graph(174, (5, 7)), engine="flow")
@@ -326,7 +326,7 @@ def _search_refuses(engine, g, s, req, budget):
     proves that no spanner keeps at most ``budget`` edges."""
     oracle = solver._SubsetOracle(g, s, req)
     if engine == "flow":
-        return solver._exact_by_flow(oracle, budget) is None
+        return solver._exact_by_hitting_set(oracle, budget) is None
     if engine == "xp":
         return solver._xp_search(oracle, frozenset(range(g.m)), budget)[1] > budget
     target = g.m - budget
@@ -668,9 +668,8 @@ def test_bnb_agrees_with_brute_in_every_mode(kind, two_source, s):
 
 @_in_every_mode
 def test_flow_agrees_with_brute_in_every_mode(monkeypatch, kind, two_source, s):
-    # Non-strict multi-label graphs give the flow model cycles, which its
-    # per-pair arc pruning must not cut into.  With no branch-and-bound
-    # nodes the restarts and the MILP run on these small graphs.
+    # With no branch-and-bound nodes the restarts and the hitting-set
+    # search run on these small graphs.
     monkeypatch.setattr(solver, "_NODE_LIMIT", 0)
     _agrees_in_every_mode("flow", kind, two_source, s)
 
@@ -697,9 +696,16 @@ def milp_calls(monkeypatch):
     return statuses
 
 
+def _ends_in(statuses, last):
+    """Whether a hitting-set search made MILP calls that all solved but the
+    last one, which ended with status ``last``: 2 proves that no spanner
+    fits, 0 that the last candidate is minimum."""
+    return statuses[-1:] == [last] and set(statuses[:-1]) <= {0}
+
+
 # Multi-label graphs, as (seed, n_range) of ``_multilabel_graph``, whose
-# restart incumbent no bound settles: between them the MILP confirms it
-# ("cutoff") and beats it ("beaten") in every mode.
+# restart incumbent no bound settles: between them the hitting-set search
+# confirms it ("cutoff") and beats it ("beaten") in every mode.
 _UNSETTLED = [(1, (5, 7)), (14, (5, 7)), (174, (5, 7)), (236, (5, 7)), (336, (5, 7)), (1100, (6, 8))]
 
 
@@ -707,7 +713,8 @@ _UNSETTLED = [(1, (5, 7)), (14, (5, 7)), (174, (5, 7)), (236, (5, 7)), (336, (5,
 @pytest.mark.parametrize("s", [STRICT, NONSTRICT], ids=["strict", "nonstrict"])
 def test_flow_takes_each_path_around_the_greedy_incumbent(monkeypatch, milp_calls, two_source, s):
     # With no branch-and-bound nodes, every answer that the index greedy
-    # and the bounds leave open goes to the restarts, then to the MILP.
+    # and the bounds leave open goes to the restarts, then to the
+    # hitting-set search.
     monkeypatch.setattr(solver, "_NODE_LIMIT", 0)
     instances = _instances("happy", s, two_source, 8) + _instances("multilabel", s, two_source, 8)
     for seed, n_range in _UNSETTLED:
@@ -739,12 +746,13 @@ def test_flow_takes_each_path_around_the_greedy_incumbent(monkeypatch, milp_call
             paths.add("restart")
             assert milp_calls == [] and res.spanner.kept == best
         elif len(best) == opt:
-            # The MILP at cutoff |best| - 1 is infeasible: best is optimal.
+            # The search at cutoff |best| - 1 ends in an infeasible model:
+            # best is optimal.
             paths.add("cutoff")
-            assert milp_calls == [2] and res.spanner.kept == best
+            assert _ends_in(milp_calls, 2) and res.spanner.kept == best
         else:
             paths.add("beaten")
-            assert milp_calls == [0] and res.size < len(best)
+            assert _ends_in(milp_calls, 0) and res.size < len(best)
         # Decision mode: the greedy, then the restarts, stop on the first
         # spanner within the budget.
         milp_calls.clear()
@@ -758,11 +766,11 @@ def test_flow_takes_each_path_around_the_greedy_incumbent(monkeypatch, milp_call
         assert no.spanner.kept == index and no.optimal is (len(index) <= bound)
         nos.add("block" if bound > lower else "early")
         if len(best) == opt > bound:
-            # The MILP refuses budget opt - 1: the "no" carries the incumbent,
-            # proven optimal.
+            # The search refuses budget opt - 1: the "no" carries the
+            # incumbent, proven optimal.
             milp_calls.clear()
             no = solver.min_spanner_exact(g, s, budget=opt - 1, requirement=req, engine="flow")
-            assert milp_calls == [2] and no.within_budget is False and no.optimal
+            assert _ends_in(milp_calls, 2) and no.within_budget is False and no.optimal
             assert no.spanner.kept == best
             nos.add("milp")
     assert paths == {"incumbent", "bound", "restart", "cutoff", "beaten"}
@@ -772,9 +780,9 @@ def test_flow_takes_each_path_around_the_greedy_incumbent(monkeypatch, milp_call
 def test_flow_no_answer_after_the_greedy_carries_the_incumbent(monkeypatch, milp_calls):
     # PHI_UNSAT's graph: 26 forced edges, gossip bound 32, block bound 37,
     # and no greedy pass below 38, the optimum.  With no branch-and-bound
-    # nodes the MILP refuses budget 37, and the block bound budgets 36 and
-    # 31; every answer keeps the index greedy spanner, which only the MILP
-    # proves optimal.
+    # nodes the hitting-set search refuses budget 37, and the block bound
+    # budgets 36 and 31; every answer keeps the index greedy spanner, which
+    # only the search proves optimal.
     monkeypatch.setattr(solver, "_NODE_LIMIT", 0)
     g = red.sat_to_spanner_instance(red.SatInstance(1, ((1, 1, 1), (-1, -1, -1)))).graph
     oracle = solver._SubsetOracle(g, STRICT, ALL_PAIRS)
@@ -782,10 +790,10 @@ def test_flow_no_answer_after_the_greedy_carries_the_incumbent(monkeypatch, milp
     assert len(oracle.forced) == 26 and solver._block_bound(oracle) == 37
     assert solver._greedy_restarts(oracle, oracle.removable, 32, index) == index
     assert len(index) == 38 < g.m
-    for budget, calls, optimal in ((37, [2], True), (36, [], False), (31, [], False)):
+    for budget, searched, optimal in ((37, True, True), (36, False, False), (31, False, False)):
         milp_calls.clear()
         res = solver.min_spanner_exact(g, budget=budget, engine="flow")
-        assert milp_calls == calls and res.spanner.kept == index
+        assert (_ends_in(milp_calls, 2) if searched else milp_calls == []) and res.spanner.kept == index
         assert res.size == 38 and res.within_budget is False and res.optimal is optimal
     # At the default limit branch and bound proves 38 with no model.
     monkeypatch.setattr(solver, "_NODE_LIMIT", 2000)
@@ -795,10 +803,10 @@ def test_flow_no_answer_after_the_greedy_carries_the_incumbent(monkeypatch, milp
 
 
 def test_flow_search_keeps_a_forced_set_that_is_a_spanner(monkeypatch, milp_calls):
-    # When the forced edges alone meet the requirement, no pair needs a
-    # commodity, and the flow search answers with the forced set, or proves
-    # that no spanner fits a smaller budget, without building a model.
-    # With no removable edge the model would have no column at all.
+    # When the forced edges alone meet the requirement, the hitting-set
+    # search's first candidate is a spanner: it answers with the forced set,
+    # or proves that no spanner fits a smaller budget, without building a
+    # model.  With no removable edge the model would have no column at all.
     monkeypatch.setattr(solver, "_NODE_LIMIT", 0)
     path = [(v, v + 1, v + 1) for v in range(79)]
     cases = [(tg.build(80, path + late), STRICT, TwoSource(0, 0)) for late in ([], [(0, 40, 300)])]
@@ -814,11 +822,37 @@ def test_flow_search_keeps_a_forced_set_that_is_a_spanner(monkeypatch, milp_call
     for g, s, req in cases:
         oracle = solver._SubsetOracle(g, s, req)
         forced = oracle.forced
-        assert solver._exact_by_flow(oracle, len(forced)) == forced
-        assert solver._exact_by_flow(oracle, len(forced) - 1) is None
+        assert solver._exact_by_hitting_set(oracle, len(forced)) == forced
+        assert solver._exact_by_hitting_set(oracle, len(forced) - 1) is None
         if len(oracle.removable) <= 12:
             _agrees_with_brute("flow", g, s, req)
     assert milp_calls == []
+
+
+@pytest.mark.parametrize("s", [STRICT, NONSTRICT], ids=["strict", "nonstrict"])
+def test_disjoint_cores_are_minimal_and_leave_a_feasible_rest(s):
+    # Drawn from every removable edge, in index order and in reverse: each
+    # core breaks the requirement and keeping any one of its edges mends
+    # it; the cores are disjoint, and the removal set without them is
+    # feasible.
+    drawn = 0
+    for g, req in _instances("multilabel", s, False, 6) + _instances("multilabel", s, True, 6):
+        oracle = solver._SubsetOracle(g, s, req)
+        removable = oracle.removable
+
+        def breaks(removed):
+            return not oracle.feasible(reach._drop_flags(g, set(range(g.m)) - set(removed)))
+
+        for order in (removable, removable[::-1]):
+            cores = solver._disjoint_cores(oracle, order)
+            assert bool(cores) is breaks(removable)
+            taken = [e for core in cores for e in core]
+            assert len(taken) == len(set(taken)) and set(taken) <= set(removable)
+            for core in cores:
+                assert breaks(core) and not any(breaks(set(core) - {e}) for e in core)
+            assert not breaks(set(removable) - set(taken))
+            drawn += len(cores)
+    assert drawn > 12
 
 
 def test_flow_engine_settles_a_graph_with_no_model(milp_calls):
@@ -941,11 +975,11 @@ def test_each_solve_reads_the_requirement_once(monkeypatch, milp_calls):
         assert counts["blocks"] <= 1
         return counts["oracles"], counts["whole"]
 
-    # The MILP beats the incumbent after the block bound; the solve's oracle
-    # re-checks its answer.
+    # The hitting-set search beats the incumbent after the block bound; the
+    # solve's oracle re-checks its answer.
     g = _multilabel_graph(174, (5, 7))
     assert counted(lambda: solver.min_spanner_exact(g, engine="flow")) == (1, 1)
-    assert milp_calls == [0] and counts["blocks"] == 1
+    assert _ends_in(milp_calls, 0) and counts["blocks"] == 1
     assert counted(lambda: solver.forced_edges(g)) == (1, 1)
     assert counted(lambda: solver.min_spanner_brute(g)) == (1, 1)
     # phi-mixed, optimum 54: the conflict-block searches and the main branch

@@ -339,7 +339,7 @@ def test_edges_built_only_when_read():
         solver.min_spanner_exact(g, engine=engine)
     res = solver.min_spanner_xp_vc(g)
     oracle = solver._SubsetOracle(g, reach.STRICT, solver.ALL_PAIRS)
-    solver._exact_by_flow(oracle, res.size)
+    solver._exact_by_hitting_set(oracle, res.size)
     solver._xp_search(oracle, frozenset(range(g.m)), 0)
     cover = solver.min_vertex_cover(tg.underlying_graph(g), g.vertex_count)
     for tree in solver.vc_tree_decompose(res.spanner, cover).trees:
