@@ -26,12 +26,15 @@ lane mode reads lane bits.
   bit-parallel multi-source traversal of Then et al., "The More the Merrier:
   Efficient Multi-Source Graph Traversal" (VLDB 2014), applied to edge
   subsets instead of sources;
-* the single-source arrival mode carries earliest arrival labels and the edge
-  that set each (:func:`earliest_arrival`, :func:`reaches_all`,
-  :func:`foremost_out_tree`).  Groups come in ascending label order, so a
-  vertex's arrival and edge are set once, when it is first reached, and never
-  change after.  The sweep therefore stops as soon as every vertex is reached;
-  it reads every group only when some vertex stays unreachable.
+* the single-source arrival mode carries, per vertex, a reached flag, the
+  earliest arrival label and the edge that set it (:func:`earliest_arrival`,
+  :func:`reaches_all`, :func:`foremost_out_tree`).  An edge relaxes iff
+  exactly one endpoint is reached; in a strict group that endpoint must also
+  be reached before the label, so live values serve and no group is copied.
+  Groups come in ascending label order, so a vertex's arrival and edge are
+  set once, when it is first reached, and never change after.  The sweep
+  starts at the first label at or after ``start`` and stops as soon as every
+  vertex is reached.
 
 The public functions take an optional ``kept`` edge subset and turn it into
 a drop table once per call.  ``None`` is the unreachable sentinel throughout.
@@ -39,8 +42,11 @@ a drop table once per call.  ``None`` is the unreachable sentinel throughout.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .tempgraph import TemporalGraph
@@ -184,75 +190,70 @@ def _arrival_sweep(
 ) -> tuple[list[int | None], list[int | None]]:
     """Single-source mode: (arrival, via-edge-index) per vertex.
 
-    Groups come in ascending label order, so ``t < arrival[b]`` holds only
-    while b is unreached: each arrival and via edge is set once and is final.
+    One rule: a kept edge relaxes iff exactly one endpoint is reached; the
+    other is then reached at the edge's label, through this edge.  Groups
+    come in ascending label order, from the first at or after ``start``
+    (one bisection), so each arrival and via edge is set once and is final.
+
+    * A one-edge label needs no more: no other edge carries its label, so
+      under either semantics the reached endpoint got there before it.
+    * A strict group also needs the reached endpoint's arrival below the
+      label.  One pass in index order over live values gives what pre-group
+      values give, ``via`` included: a vertex first reached in the group
+      holds its label, which fails ``< t`` as the vertex's unreached
+      pre-group state does; any other vertex keeps its arrival.
+    * A non-strict group repeats its pass until nothing changes.
+
     ``left`` counts the unreached vertices; it is tested where it falls, and
     after each multi-edge group.  At 0 no later group can change the answer,
     so the sweep stops there.  A sweep that leaves a vertex unreached reads
-    every group.
+    every group from ``start`` on.
     """
     n = g.vertex_count
     if not 0 <= source < n:
         raise ValueError(f"source {source} out of range")
     strict = s is STRICT
-    # An edge at label t leaves a vertex reached at a < t + slack.  The source
-    # is held one step early under strict semantics, so that a path's first
-    # edge needs only a label >= start.
-    slack = 0 if strict else 1
-    never = g.lifetime + 1
-    arrival = [never] * n
+    arrival: list[int | None] = [None] * n
     via: list[int | None] = [None] * n
-    arrival[source] = start - 1 + slack
+    reached = bytearray(n)
+    # One step early, so that a strict group at ``start`` leaves the source.
+    arrival[source] = start - 1
+    reached[source] = 1
     left = n - 1
-    for group in g.label_groups:
+    groups = g.label_groups
+    for group in islice(groups, bisect_left(groups, start, key=itemgetter(0)), None):
         if len(group) == 4:
             t, i, u, v = group
-            if t < start or removed[i]:
-                continue
-            au, av = arrival[u], arrival[v]
-            if au < t + slack and t < av:
-                arrival[v] = t
-                via[v] = i
-            elif av < t + slack and t < au:
-                arrival[u] = t
-                via[u] = i
-            else:
-                continue
-            left -= 1
-            if not left:
-                break
+            if not removed[i] and reached[u] != reached[v]:
+                b = u if reached[v] else v
+                arrival[b], via[b], reached[b] = t, i, 1
+                left -= 1
+                if not left:
+                    break
             continue
         t, rows = group
-        if t < start:
-            continue
         if strict:
-            before = [(i, u, v, arrival[u], arrival[v]) for i, u, v in rows if not removed[i]]
-            for i, u, v, au, av in before:
-                if au < t and t < arrival[v]:
-                    arrival[v] = t
-                    via[v] = i
-                    left -= 1
-                if av < t and t < arrival[u]:
-                    arrival[u] = t
-                    via[u] = i
-                    left -= 1
+            for i, u, v in rows:
+                if not removed[i] and reached[u] != reached[v]:
+                    a, b = (u, v) if reached[u] else (v, u)
+                    if arrival[a] < t:
+                        arrival[b], via[b], reached[b] = t, i, 1
+                        left -= 1
         else:
             alive = [row for row in rows if not removed[row[0]]]
             changed = True
             while changed:
                 changed = False
                 for i, u, v in alive:
-                    for a, b in ((u, v), (v, u)):
-                        if arrival[a] <= t and t < arrival[b]:
-                            arrival[b] = t
-                            via[b] = i
-                            left -= 1
-                            changed = True
+                    if reached[u] != reached[v]:
+                        b = u if reached[v] else v
+                        arrival[b], via[b], reached[b] = t, i, 1
+                        left -= 1
+                        changed = True
         if not left:
             break
-    out = [None if a == never else a for a in arrival]
-    out[source] = start
-    return out, via
+    arrival[source] = start
+    return arrival, via
 
 
 def earliest_arrival(

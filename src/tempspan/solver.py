@@ -553,9 +553,15 @@ def _conflict_blocks(oracle: _SubsetOracle) -> tuple[list[list[int]], list[int]]
 def _greedy_local_min(oracle: _SubsetOracle, order: Iterable[int]) -> frozenset[int]:
     """Drop the edges of ``order`` one by one while the oracle's requirement
     holds; returns the kept edge set, a spanner from which no edge of
-    ``order`` can be dropped alone."""
+    ``order`` can be dropped alone.  While nothing is dropped, "drop i"
+    holds iff i is not forced, so the first drop takes no sweep."""
     m = oracle.g.m
     removed = [0] * m
+    order = iter(order)
+    for i in order:
+        if i not in oracle.forced:
+            removed[i] = -1
+            break
     for i in order:
         removed[i] = -1
         if not oracle.feasible(removed):

@@ -361,9 +361,9 @@ def parse(text: str) -> TemporalGraph:
 
 def serialize(g: TemporalGraph) -> str:
     """Byte-exact ``.tg`` emitter: stored edge order, single spaces, newline-terminated."""
-    lines = [f"{g.vertex_count} {g.lifetime}"]
-    lines.extend(map("{} {} {}".format, g.us, g.vs, g.ts))
-    return "\n".join(lines) + "\n"
+    fields: list[int] = [0] * (3 * g.m)
+    fields[0::3], fields[1::3], fields[2::3] = g.us, g.vs, g.ts
+    return f"{g.vertex_count} {g.lifetime}\n" + ("{} {} {}\n" * g.m).format(*fields)
 
 
 def serialize_spanner(s: Spanner, triples: bool = False) -> str:

@@ -331,6 +331,46 @@ def test_sweep_modes_agree_with_naive_fixpoint(monkeypatch):
     assert min(stopped_in_group.values()) >= 1, stopped_in_group
 
 
+def test_via_edge_follows_the_in_label_rule():
+    # v's via edge is kept, carries v's arrival label t and joins v to a
+    # vertex reached before t (strict) or by t (non-strict).  Strict: it is
+    # the first such edge in index order.  Non-strict: no edge before it
+    # joins v to a vertex reached before t, since a pass in index order
+    # would have taken that edge first.
+    multi = {STRICT: 0, NONSTRICT: 0}
+    for seed in range(60):
+        g = _multilabel_graph(seed)
+        rows_at = {group[0]: tg.group_rows(group) for group in g.label_groups}
+        rng = random.Random(seed)
+        for s in (STRICT, NONSTRICT):
+            for kept in (None, [i for i in range(g.m) if rng.random() < 0.7]):
+                alive = set(range(g.m) if kept is None else kept)
+                for source in range(g.vertex_count):
+                    start = rng.randint(0, 3)
+                    arrival, via = reach._arrival_sweep(g, source, start, s, reach._drop_flags(g, kept))
+                    # Strict paths leave the source one step early, at start - 1.
+                    at = [start - (s is STRICT) if x == source else a for x, a in enumerate(arrival)]
+                    for v, t in enumerate(arrival):
+                        if v == source or t is None:
+                            assert via[v] is None
+                            continue
+                        multi[s] += len(rows_at[t]) > 1
+                        # (edge, other end's arrival) for each kept edge at t
+                        # that joins v to a reached vertex.
+                        ends = [
+                            (i, at[x + y - v])
+                            for i, x, y in rows_at[t]
+                            if v in (x, y) and i in alive and at[x + y - v] is not None
+                        ]
+                        before = [i for i, a in ends if a < t]
+                        if s is STRICT:
+                            assert before[:1] == [via[v]]
+                        else:
+                            assert via[v] in [i for i, a in ends if a <= t]
+                            assert all(i >= via[v] for i in before)
+    assert min(multi.values()) >= 100, multi
+
+
 def test_arrival_sweep_edge_cases(monkeypatch):
     arrival, reads = _counted_arrival(monkeypatch, tg.build(1, []), 0, 4, STRICT)
     assert arrival == (4,) and reads == []

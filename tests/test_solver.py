@@ -230,6 +230,40 @@ def test_cap_does_not_refuse_an_answer_that_needs_no_search():
     # The cap still guards a search: see test_instance_too_large_guard.
 
 
+@pytest.mark.parametrize("s", [STRICT, NONSTRICT], ids=["strict", "nonstrict"])
+def test_greedy_reads_its_first_drop_from_the_forced_set(monkeypatch, s):
+    # A pass over the removable edges drops the first one without a sweep
+    # and asks the oracle about each other edge once; in any order it keeps
+    # what asking the oracle about every edge keeps.
+    def per_edge(oracle, order):
+        removed = [0] * oracle.g.m
+        for i in order:
+            removed[i] = -1
+            if not oracle.feasible(removed):
+                removed[i] = 0
+        return frozenset(i for i in range(oracle.g.m) if not removed[i])
+
+    sweeps = []
+    real_sweep = reach._mask_sweep
+    monkeypatch.setattr(reach, "_mask_sweep", lambda *a: sweeps.append(1) or real_sweep(*a))
+    checked = 0
+    for seed in range(40):
+        g = _multilabel_graph(seed)
+        oracle = solver._SubsetOracle(g, s, ALL_PAIRS)
+        if not oracle.satisfied or not oracle.removable:
+            continue
+        removable = oracle.removable
+        sweeps.clear()
+        kept = solver._greedy_local_min(oracle, removable)
+        assert len(sweeps) == len(removable) - 1
+        assert kept == per_edge(oracle, removable)
+        shuffled = list(range(g.m))
+        random.Random(seed).shuffle(shuffled)
+        assert solver._greedy_local_min(oracle, shuffled) == per_edge(oracle, shuffled)
+        checked += 1
+    assert checked >= 10
+
+
 def test_budget_below_the_gossip_bound_needs_no_search():
     # 58 removable edges exceed cap 0, but only 2 edges are forced: the
     # gossip bound 2n - 4 = 24 alone exceeds budget 23.

@@ -263,6 +263,14 @@ def test_roundtrip_serialize_parse():
     assert tg.serialize(tg.parse(text)) == text
 
 
+def test_serialize_bytes():
+    # Header, then one "u v t" line per edge in stored order, endpoints as
+    # given; an edgeless graph is its header alone, with lifetime 1.
+    assert tg.serialize(tg.build(3, [])) == "3 1\n"
+    g = tg.build(5, [(3, 1, 2), (0, 4, 7), (1, 3, 7), (2, 0, 2), (4, 2, 10)])
+    assert tg.serialize(g) == "5 10\n3 1 2\n0 4 7\n1 3 7\n2 0 2\n4 2 10\n"
+
+
 @given(st.one_of(simple_graphs, multilabel_graphs))
 @settings(max_examples=150, deadline=None)
 def test_roundtrip_property(g):
