@@ -46,14 +46,16 @@ class _UsageError(Exception):
     pass
 
 
-def _digest(path: str, data: bytes) -> dict:
-    return {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
+def _read(path: str) -> tuple[str, dict]:
+    """The file's text and its ``input`` record: the path and its sha256."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return data.decode(), {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
 
 
 def _read_graph(path: str) -> tuple[TemporalGraph, dict]:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    return tempgraph.parse(data.decode()), _digest(path, data)
+    text, info = _read(path)
+    return tempgraph.parse(text), info
 
 
 def _strictness(args) -> Strictness:
@@ -103,8 +105,7 @@ def _write_spanner(args, spanner: Spanner) -> str | None:
     text = tempgraph.serialize_spanner(spanner, triples=args.triples)
     if args.out == "-":
         return text
-    with open(args.out, "w") as fh:
-        fh.write(text)
+    _write_text(args.out, text)
     return None
 
 
@@ -143,9 +144,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     g, info = _read_graph(args.file)
-    with open(args.spanner, "rb") as fh:
-        span_data = fh.read()
-    spanner = tempgraph.parse_spanner(span_data.decode(), g)
+    spanner = tempgraph.parse_spanner(_read(args.spanner)[0], g)
     s = _strictness(args)
     requirement = _requirement(args)
     holds = solver.requirement_holds(g, s, requirement, kept=spanner.kept)
@@ -169,8 +168,7 @@ def _cmd_decompose(args) -> int:
     if not args.vc:
         raise _UsageError("only --vc decomposition is available")
     g, info = _read_graph(args.file)
-    with open(args.spanner, "rb") as fh:
-        spanner = tempgraph.parse_spanner(fh.read().decode(), g)
+    spanner = tempgraph.parse_spanner(_read(args.spanner)[0], g)
     cover = sorted(solver.min_vertex_cover(tempgraph.underlying_graph(g), g.vertex_count))
     decomp = solver.vc_tree_decompose(spanner, cover)
     if decomp is None:
@@ -216,9 +214,8 @@ def _write_instance(prefix: str, out, extra: dict[str, str]) -> None:
 
 
 def _cmd_reduce_sat(args) -> int:
-    with open(args.file, "rb") as fh:
-        data = fh.read()
-    phi = reductions.parse_dimacs(data.decode())
+    text, info = _read(args.file)
+    phi = reductions.parse_dimacs(text)
     out = reductions.sat_to_spanner_instance(phi)
     if args.two_source:
         out = reductions.sat_two_source_variant(out)
@@ -231,14 +228,13 @@ def _cmd_reduce_sat(args) -> int:
     g = out.graph
     result = {"n": g.vertex_count, "m": g.m, "budget": out.budget, **detail}
     human = f"n={g.vertex_count} m={g.m} budget={out.budget} {human}"
-    _report(args, "reduce-sat", _digest(args.file, data), result, human)
+    _report(args, "reduce-sat", info, result, human)
     return EXIT_OK
 
 
 def _cmd_reduce_mcc(args) -> int:
-    with open(args.file, "rb") as fh:
-        data = fh.read()
-    inst = reductions.parse_mcc(data.decode())
+    text, info = _read(args.file)
+    inst = reductions.parse_mcc(text)
     if args.pad_even:
         inst = reductions.pad_to_even(inst)
     out = reductions.mcc_to_spanner_instance(inst)
@@ -257,7 +253,7 @@ def _cmd_reduce_mcc(args) -> int:
         f"n={out.graph.vertex_count} m={out.graph.m} budget={out.budget} "
         f"connector={out.connector_edge_count} fvs={len(out.fvs)}"
     )
-    _report(args, "reduce-mcc", _digest(args.file, data), result, human)
+    _report(args, "reduce-mcc", info, result, human)
     return EXIT_OK
 
 
@@ -336,7 +332,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("reduce-sat", help="3-SAT to spanner-instance generator")
-    p.add_argument("file", help="DIMACS CNF input")
+    p.add_argument("file", help="DIMACS CNF input: each clause ends at its 0, across lines")
     p.add_argument("--two-source", action="store_true")
     p.add_argument("--out-prefix", default="out")
     p.add_argument("--json", action="store_true")

@@ -26,6 +26,7 @@ from .tempgraph import (
     TemporalGraph,
     TimeEdge,
     build,
+    data_lines,
     delete_vertex,
     relabel_to_happy,
 )
@@ -481,8 +482,6 @@ def mcc_to_spanner_instance(inst: MccInstance) -> MccReductionOutput:
         )
     by_pair = {pair: list(lst) for pair, lst in inst.by_pair.items()}
     m = max(len(lst) for lst in by_pair.values())
-    if m % 2 != 0:
-        raise OddEdgeCount("maximum edge count must be even")
     c0 = 3 * m // 2
 
     roles: list[str] = []
@@ -678,35 +677,35 @@ def mcc_witness_spanner(out: MccReductionOutput, clique: Sequence[int]) -> Spann
 
 
 def parse_dimacs(text: str) -> SatInstance:
-    """DIMACS CNF reader.  Clauses shorter than three literals are padded by
-    repeating their last literal; longer clauses are rejected."""
+    """DIMACS CNF reader.  A clause is its literals up to the next 0, across
+    lines; one open at the end counts, and a 0 closing none adds nothing
+    (SATLIB's ``%`` / ``0`` tail: ``c`` and ``%`` lines are comments).  Short
+    clauses are padded by repeating their last literal; longer ones raise."""
     n_vars = None
-    clauses: list[tuple[int, int, int]] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith(("c", "%")):
-            continue
-        if stripped.startswith("p"):
-            fields = stripped.split()
+    clauses: list[list[int]] = []
+    lits: list[int] = []  # the open clause
+    for line_no, fields in data_lines(text, ("c", "%")):
+        if fields[0].startswith("p"):
             if len(fields) != 4 or fields[1] != "cnf":
-                raise ValueError(f"line {line_no}: bad problem line {stripped!r}")
+                raise ValueError(f"line {line_no}: bad problem line {' '.join(fields)!r}")
             n_vars = int(fields[2])
             continue
-        if stripped == "0":
-            continue
-        lits = [int(f) for f in stripped.split()]
-        if lits and lits[-1] == 0:
-            lits = lits[:-1]
-        if not lits:
-            continue
-        if len(lits) > 3:
-            raise ValueError(f"line {line_no}: clause wider than 3 rejected")
-        while len(lits) < 3:
-            lits.append(lits[-1])
-        clauses.append((lits[0], lits[1], lits[2]))
+        for field in fields:
+            try:
+                lit = int(field)
+            except ValueError:
+                raise ValueError(f"line {line_no}: non-integer literal {field!r}") from None
+            if lit == 0:
+                clauses.append(lits)
+                lits = []
+            elif len(lits) == 3:
+                raise ValueError(f"line {line_no}: clause wider than 3 rejected")
+            else:
+                lits.append(lit)
     if n_vars is None:
         raise ValueError("missing 'p cnf' header")
-    return SatInstance(variable_count=n_vars, clauses=tuple(clauses))
+    padded = ((*c, *c[-1:] * (3 - len(c))) for c in [*clauses, lits] if c)
+    return SatInstance(variable_count=n_vars, clauses=tuple(padded))
 
 
 def parse_mcc(text: str) -> MccInstance:
@@ -714,19 +713,21 @@ def parse_mcc(text: str) -> MccInstance:
     lines, all 1-based in the file."""
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int, int, int]] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        fields = stripped.split()
+    for line_no, fields in data_lines(text):
+        try:
+            values = [int(f) for f in fields]
+        except ValueError:
+            raise ValueError(f"line {line_no}: non-integer field in {' '.join(fields)!r}") from None
         if header is None:
-            if len(fields) != 2:
+            if len(values) != 2:
                 raise ValueError(f"line {line_no}: expected 'k n'")
-            header = (int(fields[0]), int(fields[1]))
+            header = (values[0], values[1])
             continue
-        if len(fields) != 4:
+        if len(values) != 4:
             raise ValueError(f"line {line_no}: expected 'i a j b'")
-        i, a, j, b = (int(f) - 1 for f in fields)
+        if min(values) < 1:
+            raise ValueError(f"line {line_no}: colors and vertices start at 1: {' '.join(fields)!r}")
+        i, a, j, b = (v - 1 for v in values)
         if i > j:
             i, j, a, b = j, i, b, a
         edges.append((i, a, j, b))

@@ -632,7 +632,8 @@ def _settle_then_search(
        Without a ``fallback`` it runs to the end.  With one it stops after
        ``_NODE_LIMIT`` nodes: all 15 ``solve-flow`` benchmark ops that reach
        this step end within it, the longest after about 11 ms on a shared
-       2-core VM.
+       2-core VM.  A search that ends within the limit proves its answer:
+       ``lower`` within the goal, else its size, as it ran to the end.
     4. After a stopped search only: greedy passes over seeded shuffles of
        the removable edges (:func:`_greedy_restarts`), then
        ``fallback(incumbent, goal)``, which returns a spanner no larger than
@@ -656,10 +657,8 @@ def _settle_then_search(
         [i for i in order if i not in kept], None if fallback is None else _NODE_LIMIT,
     )
     kept = frozenset(range(m)).difference(removal)
-    if not stopped:
-        if budget is None:  # the search ran to the end or stopped at ``lower``
-            return kept, len(kept)
-        return kept, lower if len(kept) <= budget else budget + 1
+    if not stopped:  # within the goal it proves ``lower``; else it ran to the end
+        return kept, lower if len(kept) <= goal else len(kept)
     kept = _greedy_restarts(oracle, order, goal, kept)
     if len(kept) > goal:
         kept, proven = fallback(kept, goal)

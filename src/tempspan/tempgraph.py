@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from operator import index
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 class TempGraphError(Exception):
@@ -311,6 +311,15 @@ class Spanner:
 # ---------------------------------------------------------------------------
 
 
+def data_lines(text: str, comments: str | tuple[str, ...] = "#") -> Iterator[tuple[int, list[str]]]:
+    """``(line number from 1, fields)`` for each line of ``text`` that is not
+    blank and whose first field starts with no prefix in ``comments``."""
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        fields = line.split()
+        if fields and not fields[0].startswith(comments):
+            yield line_no, fields
+
+
 def parse(text: str) -> TemporalGraph:
     """Parse the ``.tg`` text format.  Raises :class:`ParseError` with a line number."""
     n: int | None = None
@@ -318,6 +327,7 @@ def parse(text: str) -> TemporalGraph:
     us: list[int] = []
     vs: list[int] = []
     ts: list[int] = []
+    # data_lines' rule, inline: a generator-fed loop parses large files slower.
     for line_no, line in enumerate(text.splitlines(), start=1):
         fields = line.split()
         if not fields or fields[0][0] == "#":
@@ -348,15 +358,10 @@ def parse(text: str) -> TemporalGraph:
     try:
         return _from_columns(n, us, vs, ts)
     except TempGraphError as exc:
-        # The failing edge's line is found only here, so that reading a
-        # valid file tracks no line per edge: it is the (edge + 1)-th line
-        # after the header that is neither blank nor a comment.
-        rows = (
-            line_no
-            for line_no, line in enumerate(text.splitlines(), start=1)
-            if (fields := line.split()) and fields[0][0] != "#"
-        )
-        raise ParseError(next(islice(rows, exc.edge + 1, None)), str(exc))
+        # Found only here, so that a valid file tracks no line per edge: the
+        # failing edge's line is the (edge + 1)-th data line after the header.
+        line_no, _ = next(islice(data_lines(text), exc.edge + 1, None))
+        raise ParseError(line_no, str(exc))
 
 
 def serialize(g: TemporalGraph) -> str:
@@ -376,15 +381,11 @@ def serialize_spanner(s: Spanner, triples: bool = False) -> str:
 def parse_spanner(text: str, parent: TemporalGraph) -> Spanner:
     """Parse a spanner file; accepts index lines and ``u v t`` triple lines."""
     kept: set[int] = set()
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        fields = stripped.split()
+    for line_no, fields in data_lines(text):
         try:
             values = [int(f) for f in fields]
         except ValueError:
-            raise ParseError(line_no, f"non-integer field in {stripped!r}")
+            raise ParseError(line_no, f"non-integer field in {' '.join(fields)!r}")
         if len(values) == 1:
             idx = values[0]
             if not (0 <= idx < parent.m):
@@ -396,7 +397,7 @@ def parse_spanner(text: str, parent: TemporalGraph) -> Spanner:
             if idx is None:
                 raise ParseError(line_no, f"no such time edge {key}")
         else:
-            raise ParseError(line_no, f"expected index or 'u v t', got {stripped!r}")
+            raise ParseError(line_no, f"expected index or 'u v t', got {' '.join(fields)!r}")
         kept.add(idx)
     return Spanner(parent, frozenset(kept))
 

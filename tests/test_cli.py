@@ -253,6 +253,33 @@ def test_gen_random_cover_flag(capsys, tmp_path):
     assert len(min_vertex_cover(underlying_graph(g), g.vertex_count)) <= 2
 
 
+def test_gen_random_to_stdout_writes_the_graph_only(capsys):
+    code, out, err = run(capsys, "gen-random", "--n", 7, "--seed", 5, "--out", "-")
+    g = random_happy_tc(7, 5)
+    assert code == 0 and out == tg.serialize(g)
+    assert err == f"n={g.vertex_count} m={g.m} lifetime={g.lifetime} seed=5\n"
+
+
+def test_gen_random_json_to_file(capsys, tmp_path):
+    path = tmp_path / "g.tg"
+    code, out, _ = run(capsys, "gen-random", "--n", 7, "--seed", 5, "--json", "--out", path)
+    g = random_happy_tc(7, 5)
+    result = {"n": g.vertex_count, "m": g.m, "lifetime": g.lifetime, "seed": 5}
+    assert code == 0
+    assert out == json.dumps({"command": "gen-random", "input": None, "result": result}) + "\n"
+    assert path.read_text() == tg.serialize(g)
+
+
+def test_solve_writes_triples(capsys, graph_file, tmp_path):
+    out_file = tmp_path / "t.txt"
+    code, _, _ = run(capsys, "solve", graph_file, "--triples", "--out", out_file)
+    res = solver.min_spanner_exact(tg.parse(graph_file.read_text()))
+    assert code == 0
+    assert out_file.read_text() == tg.serialize_spanner(res.spanner, triples=True)
+    code, out, _ = run(capsys, "verify", graph_file, out_file)
+    assert code == 0 and out.startswith("holds=true")
+
+
 def test_reduce_sat_outputs(capsys, tmp_path):
     cnf = tmp_path / "f.cnf"
     cnf.write_text("p cnf 1 1\n1 1 1 0\n")
@@ -383,6 +410,24 @@ def test_check_names_the_line_of_an_edge_error(capsys, tmp_path, text, message):
     bad = tmp_path / "bad.tg"
     bad.write_text(text)
     code, _, err = run(capsys, "check", bad)
+    assert code == 3
+    assert err == f"tempspan: error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("reduce-sat", "p cnf 3 1\n1 2\n3 -1 0\n", "line 3: clause wider than 3 rejected"),
+        ("reduce-sat", "p cnf 3 1\n1 two 3 0\n", "line 2: non-integer literal 'two'"),
+        ("reduce-mcc", "3 1\n1 1 2 x\n", "line 2: non-integer field in '1 1 2 x'"),
+        ("reduce-mcc", "3 1\n0 1 2 1\n", "line 2: colors and vertices start at 1: '0 1 2 1'"),
+    ],
+    ids=["sat-wide", "sat-non-integer", "mcc-non-integer", "mcc-zero"],
+)
+def test_reduce_names_the_line_of_a_bad_input(capsys, tmp_path, command, text, message):
+    bad = tmp_path / "bad.in"
+    bad.write_text(text)
+    code, _, err = run(capsys, command, bad, "--out-prefix", tmp_path / "out")
     assert code == 3
     assert err == f"tempspan: error: {message}\n"
 

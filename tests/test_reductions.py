@@ -468,6 +468,44 @@ def test_dimacs_parser():
         red.parse_dimacs("1 2 0\n")
 
 
+def test_dimacs_clauses_end_at_their_zero():
+    # A line without a 0 continues its clause; one line may hold several.
+    assert red.parse_dimacs("p cnf 3 2\n1 -2\n3 0\n-1 2 3 0\n").clauses == ((1, -2, 3), (-1, 2, 3))
+    assert red.parse_dimacs("p cnf 3 2\n1 -2 3 0 -1 2 -3 0\n").clauses == ((1, -2, 3), (-1, 2, -3))
+    # SATLIB's "%" / "0" tail adds nothing; a clause open at the end counts.
+    assert red.parse_dimacs("p cnf 3 1\n1 -2 3 0\n%\n0\n").clauses == ((1, -2, 3),)
+    assert red.parse_dimacs("p cnf 3 2\n1 -2 3 0\n2\n").clauses == ((1, -2, 3), (2, 2, 2))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p cnf 4 1\n1 2 3 4 0\n", "line 2: clause wider than 3"),
+        ("p cnf 4 1\n1 2\n3 4 0\n", "line 3: clause wider than 3"),
+        ("p cnf 3 1\n1 x 3 0\n", "line 2: non-integer literal 'x'"),
+    ],
+    ids=["wide", "wide-across-lines", "non-integer"],
+)
+def test_dimacs_errors_name_their_line(text, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        red.parse_dimacs(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3 x\n", "line 1: non-integer field in '3 x'"),
+        ("3 1\n# c\n1 1 x 1\n", "line 3: non-integer field in '1 1 x 1'"),
+        ("3 1\n1 1 2 1\n0 1 2 1\n", "line 3: colors and vertices start at 1: '0 1 2 1'"),
+        ("3 1\n1 0 2 1\n", "line 2: colors and vertices start at 1: '1 0 2 1'"),
+    ],
+    ids=["header", "edge", "color-0", "vertex-0"],
+)
+def test_mcc_errors_name_their_line(text, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        red.parse_mcc(text)
+
+
 def test_mcc_parser():
     inst = red.parse_mcc("2 2\n1 1 2 1\n2 2 1 2\n")
     assert inst.color_count == 2 and inst.class_size == 2

@@ -574,6 +574,21 @@ def test_bnb_cut_compares_with_the_incumbent(s):
     assert (res.size, res.optimal, res.within_budget, res.lower_bound) == (8, True, False, 8)
 
 
+@pytest.mark.parametrize(
+    "n, seed, edge_prob, budget, opt",
+    [(11, 0, 0.7, 18, 20), (12, 1, 0.5, 20, 22), (12, 3, 0.5, 20, 22)],
+)
+def test_decision_search_run_to_the_end_proves_its_size(n, seed, edge_prob, budget, opt):
+    # The default engine's branch and bound ends without its node limit and
+    # above the budget, so it found a largest removal: the "no" carries a
+    # spanner proven minimum.
+    g = generate.random_happy_tc(n, seed, edge_prob)
+    assert solver.min_spanner_exact(g).size == opt
+    res = solver.min_spanner_exact(g, budget=budget)
+    assert res.within_budget is False and res.optimal is True
+    assert res.lower_bound == res.size == opt
+
+
 def test_node_limited_bnb_over_more_than_64_removable_edges():
     # Every one of the 115 edges is removable, so the first probe of a
     # removal set covers only 64 candidates.  A node-limited search keeps a
