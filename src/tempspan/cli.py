@@ -92,7 +92,14 @@ def _cmd_check(args) -> int:
     from .reach import is_tc
 
     tc = is_tc(g, s)
-    result = {"tc": tc, "simple": cls.simple, "proper": cls.proper, "happy": cls.happy}
+    result = {
+        "n": g.vertex_count,
+        "m": g.m,
+        "tc": tc,
+        "simple": cls.simple,
+        "proper": cls.proper,
+        "happy": cls.happy,
+    }
     human = (
         f"tc={_bool(tc)} simple={_bool(cls.simple)} "
         f"proper={_bool(cls.proper)} happy={_bool(cls.happy)}"

@@ -680,15 +680,22 @@ def parse_dimacs(text: str) -> SatInstance:
     """DIMACS CNF reader.  A clause is its literals up to the next 0, across
     lines; one open at the end counts, and a 0 closing none adds nothing
     (SATLIB's ``%`` / ``0`` tail: ``c`` and ``%`` lines are comments).  Short
-    clauses are padded by repeating their last literal; longer ones raise."""
-    n_vars = None
+    clauses are padded by repeating their last literal; longer ones raise.
+    The one ``p cnf V C`` line must declare the C clauses read."""
+    header: tuple[int, int, int] | None = None  # line number, V, C
     clauses: list[list[int]] = []
     lits: list[int] = []  # the open clause
     for line_no, fields in data_lines(text, ("c", "%")):
         if fields[0].startswith("p"):
+            line = " ".join(fields)
+            if header is not None:
+                raise ValueError(f"line {line_no}: second problem line {line!r}")
             if len(fields) != 4 or fields[1] != "cnf":
-                raise ValueError(f"line {line_no}: bad problem line {' '.join(fields)!r}")
-            n_vars = int(fields[2])
+                raise ValueError(f"line {line_no}: bad problem line {line!r}")
+            try:
+                header = (line_no, int(fields[2]), int(fields[3]))
+            except ValueError:
+                raise ValueError(f"line {line_no}: non-integer count in {line!r}") from None
             continue
         for field in fields:
             try:
@@ -702,10 +709,13 @@ def parse_dimacs(text: str) -> SatInstance:
                 raise ValueError(f"line {line_no}: clause wider than 3 rejected")
             else:
                 lits.append(lit)
-    if n_vars is None:
+    if header is None:
         raise ValueError("missing 'p cnf' header")
-    padded = ((*c, *c[-1:] * (3 - len(c))) for c in [*clauses, lits] if c)
-    return SatInstance(variable_count=n_vars, clauses=tuple(padded))
+    header_line, n_vars, n_clauses = header
+    padded = tuple((*c, *c[-1:] * (3 - len(c))) for c in [*clauses, lits] if c)
+    if len(padded) != n_clauses:
+        raise ValueError(f"line {header_line}: header declares {n_clauses} clauses, read {len(padded)}")
+    return SatInstance(variable_count=n_vars, clauses=padded)
 
 
 def parse_mcc(text: str) -> MccInstance:

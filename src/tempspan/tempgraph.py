@@ -12,7 +12,9 @@ input order: one endpoint ``us``, the other endpoint ``vs`` and the label
 :attr:`TemporalGraph.label_groups` and :func:`serialize` read only these
 columns.  The ``TimeEdge`` objects of :attr:`TemporalGraph.edges` are built on
 its first read, so a graph that is only parsed, classified and swept never
-holds one object per edge.
+holds one object per edge.  :func:`parse` converts the edge lines' fields in
+bulk and reads a bad text a second time, line by line, only to name its
+first bad line.
 
 The sweep table :attr:`TemporalGraph.label_groups` has one entry per distinct
 label: the flat ``(label, i, u, v)`` for a label of one edge, and
@@ -24,6 +26,9 @@ Classification vocabulary:
 * *simple*  -- every underlying edge carries exactly one label,
 * *proper*  -- no two time edges sharing an endpoint carry the same label,
 * *happy*   -- simple and proper.
+
+:func:`classify` reads properness off the sweep table, which a sweep of the
+same graph needs anyway, and simplicity off the columns.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from operator import index
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NoReturn
 
 
 class TempGraphError(Exception):
@@ -239,18 +244,32 @@ def _from_columns(n: int, us: list[int], vs: list[int], ts: list[int]) -> Tempor
     return TemporalGraph(n, max(ts, default=1), tuple(us), tuple(vs), tuple(ts))
 
 
-def classify(g: TemporalGraph) -> GraphClass:
-    """Classify a graph as simple / proper / happy."""
-    # Simple iff the m underlying pairs are distinct.  Pair {u, v} with u < v
-    # is encoded as the int u * n + v, one-to-one for endpoints in [0, n).
+def _distinct_pairs(g: TemporalGraph) -> bool:
+    """True iff the m underlying pairs are distinct, i.e. the graph is simple."""
+    # Pair {u, v} with u < v is encoded as the int u * n + v, one-to-one for
+    # endpoints in [0, n).
     n = g.vertex_count
-    simple = len({u * n + v if u < v else v * n + u for u, v in zip(g.us, g.vs)}) == g.m
-    # Proper iff the 2m (endpoint, label) incidences are pairwise distinct;
-    # an edge's own two differ, as it is no self-loop.  Incidence (x, t) is
-    # encoded as the int t * n + x, one-to-one for endpoints in [0, n).
-    at_vertex = {t * n + u for u, t in zip(g.us, g.ts)}
-    at_vertex.update([t * n + v for v, t in zip(g.vs, g.ts)])
-    proper = len(at_vertex) == 2 * g.m
+    return len({u * n + v if u < v else v * n + u for u, v in zip(g.us, g.vs)}) == g.m
+
+
+def classify(g: TemporalGraph) -> GraphClass:
+    """Classify a graph as simple / proper / happy.
+
+    Properness is read off the sweep table :attr:`TemporalGraph.label_groups`
+    (built here if no sweep has built it yet): a graph is proper iff the k
+    rows of every label of several edges have 2k distinct endpoints.  A
+    label of one edge is always proper, as no edge is a self-loop.
+    """
+    simple = _distinct_pairs(g)
+    proper = True
+    for group in g.label_groups:
+        if len(group) == 2:
+            rows = group[1]
+            ends = {u for _, u, _ in rows}
+            ends.update([v for _, _, v in rows])
+            if len(ends) != 2 * len(rows):
+                proper = False
+                break
     return GraphClass(simple=simple, proper=proper, happy=simple and proper)
 
 
@@ -272,7 +291,7 @@ def relabel_to_happy(g: TemporalGraph) -> TemporalGraph:
     unchanged, so edge indices remain stable.  Strict label order between any
     two edges is preserved.
     """
-    if not classify(g).simple:
+    if not _distinct_pairs(g):
         raise NotSimple("relabeling requires a simple graph")
     us, vs, ts = g.us, g.vs, g.ts
     ranked = sorted(range(g.m), key=lambda i: (ts[i], min(us[i], vs[i]), max(us[i], vs[i]), i))
@@ -320,48 +339,89 @@ def data_lines(text: str, comments: str | tuple[str, ...] = "#") -> Iterator[tup
             yield line_no, fields
 
 
+# Lines per chunk of parse's bulk conversion.
+_PARSE_CHUNK = 4096
+
+
 def parse(text: str) -> TemporalGraph:
-    """Parse the ``.tg`` text format.  Raises :class:`ParseError` with a line number."""
-    n: int | None = None
-    declared_t = 0
-    us: list[int] = []
-    vs: list[int] = []
-    ts: list[int] = []
-    # data_lines' rule, inline: a generator-fed loop parses large files slower.
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    """Parse the ``.tg`` text format.  Raises :class:`ParseError` with a line number.
+
+    The header is read line by line.  Then the edge lines' fields are
+    gathered as one flat list of strings per chunk of lines, converted with
+    one ``map(int, ...)`` and cut into the three columns by slices; the
+    label range is one ``min``/``max`` at the end.  So valid text tracks no
+    line numbers.  On a line of the wrong shape, a field that is no integer
+    or a label out of range, :func:`_raise_first_bad_line` reads the edge
+    lines again one by one and raises the first bad line's error; a build
+    error (:func:`_from_columns`) names the line of its edge.
+    """
+    lines = text.splitlines()
+    for line_no, line in enumerate(lines, start=1):
         fields = line.split()
         if not fields or fields[0][0] == "#":
             continue
-        if n is None:
-            if len(fields) != 2:
-                raise ParseError(line_no, f"expected header 'n T', got {line.strip()!r}")
-            try:
-                n, declared_t = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise ParseError(line_no, f"non-integer header field in {line.strip()!r}")
-            if n < 1 or declared_t < 1:
-                raise ParseError(line_no, "header values must be positive")
+        if len(fields) != 2:
+            raise ParseError(line_no, f"expected header 'n T', got {line.strip()!r}")
+        try:
+            n, declared_t = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise ParseError(line_no, f"non-integer header field in {line.strip()!r}")
+        if n < 1 or declared_t < 1:
+            raise ParseError(line_no, "header values must be positive")
+        break
+    else:
+        raise ParseError(0, "empty input")
+    # data_lines' rule, inline: a generator-fed loop parses large files slower.
+    # A chunk of lines at a time, so that the field strings and the flat
+    # values never all live at once.
+    us: list[int] = []
+    vs: list[int] = []
+    ts: list[int] = []
+    for start in range(line_no, len(lines), _PARSE_CHUNK):
+        flat: list[str] = []
+        for fields in map(str.split, lines[start : start + _PARSE_CHUNK]):
+            if len(fields) == 3 and fields[0][0] != "#":
+                flat += fields
+            elif fields and fields[0][0] != "#":
+                _raise_first_bad_line(lines, line_no, declared_t)
+        try:
+            values = list(map(int, flat))
+        except ValueError:
+            _raise_first_bad_line(lines, line_no, declared_t)
+        us += values[0::3]
+        vs += values[1::3]
+        ts += values[2::3]
+    if ts and (min(ts) < 1 or max(ts) > declared_t):
+        _raise_first_bad_line(lines, line_no, declared_t)
+    del lines  # every line is read: free them before the key set is built
+    try:
+        return _from_columns(n, us, vs, ts)
+    except TempGraphError as exc:
+        # The failing edge's line is the (edge + 1)-th data line after the
+        # header.
+        line_no, _ = next(islice(data_lines(text), exc.edge + 1, None))
+        raise ParseError(line_no, str(exc))
+
+
+def _raise_first_bad_line(lines: list[str], header_line: int, declared_t: int) -> NoReturn:
+    """Raise the :class:`ParseError` of the first bad edge line after the header.
+
+    The per-line rules of the ``.tg`` format, run only once :func:`parse`'s
+    bulk pass has failed, so some line is bad.
+    """
+    for line_no, line in enumerate(islice(lines, header_line, None), start=header_line + 1):
+        fields = line.split()
+        if not fields or fields[0][0] == "#":
             continue
         if len(fields) != 3:
             raise ParseError(line_no, f"expected 'u v t', got {line.strip()!r}")
         try:
-            u, v, t = map(int, fields)
+            _, _, t = map(int, fields)
         except ValueError:
             raise ParseError(line_no, f"non-integer edge field in {line.strip()!r}")
         if t < 1 or t > declared_t:
             raise ParseError(line_no, f"label {t} outside [1, {declared_t}]")
-        us.append(u)
-        vs.append(v)
-        ts.append(t)
-    if n is None:
-        raise ParseError(0, "empty input")
-    try:
-        return _from_columns(n, us, vs, ts)
-    except TempGraphError as exc:
-        # Found only here, so that a valid file tracks no line per edge: the
-        # failing edge's line is the (edge + 1)-th data line after the header.
-        line_no, _ = next(islice(data_lines(text), exc.edge + 1, None))
-        raise ParseError(line_no, str(exc))
+    raise AssertionError("parse's bulk pass failed on text with no bad line")
 
 
 def serialize(g: TemporalGraph) -> str:

@@ -40,8 +40,19 @@ def test_check_json_schema(capsys, graph_file):
     code, out, _ = run(capsys, "check", graph_file, "--json")
     payload = json.loads(out)
     assert set(payload) == {"command", "input", "result"}
-    assert set(payload["result"]) == {"tc", "simple", "proper", "happy"}
+    assert set(payload["result"]) == {"n", "m", "tc", "simple", "proper", "happy"}
+    g = tg.parse(graph_file.read_text())
+    assert (payload["result"]["n"], payload["result"]["m"]) == (g.vertex_count, g.m)
     assert set(payload["input"]) == {"path", "sha256"}
+
+
+def test_check_reads_crlf_and_comments(capsys, tmp_path):
+    path = tmp_path / "crlf.tg"
+    path.write_bytes(b"# a triangle\r\n3 3\r\n0 1 1\r\n# 1 2\r\n\r\n 1  2\t2 \r\n0 2 3\r\n")
+    code, out, _ = run(capsys, "check", path, "--json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert (result["n"], result["m"], result["happy"]) == (3, 3, True)
 
 
 def test_solve_methods_agree(capsys, graph_file):
@@ -419,10 +430,11 @@ def test_check_names_the_line_of_an_edge_error(capsys, tmp_path, text, message):
     [
         ("reduce-sat", "p cnf 3 1\n1 2\n3 -1 0\n", "line 3: clause wider than 3 rejected"),
         ("reduce-sat", "p cnf 3 1\n1 two 3 0\n", "line 2: non-integer literal 'two'"),
+        ("reduce-sat", "c x\np cnf 3 2\n1 2 3 0\n", "line 2: header declares 2 clauses, read 1"),
         ("reduce-mcc", "3 1\n1 1 2 x\n", "line 2: non-integer field in '1 1 2 x'"),
         ("reduce-mcc", "3 1\n0 1 2 1\n", "line 2: colors and vertices start at 1: '0 1 2 1'"),
     ],
-    ids=["sat-wide", "sat-non-integer", "mcc-non-integer", "mcc-zero"],
+    ids=["sat-wide", "sat-non-integer", "sat-clause-count", "mcc-non-integer", "mcc-zero"],
 )
 def test_reduce_names_the_line_of_a_bad_input(capsys, tmp_path, command, text, message):
     bad = tmp_path / "bad.in"

@@ -483,8 +483,26 @@ def test_dimacs_clauses_end_at_their_zero():
         ("p cnf 4 1\n1 2 3 4 0\n", "line 2: clause wider than 3"),
         ("p cnf 4 1\n1 2\n3 4 0\n", "line 3: clause wider than 3"),
         ("p cnf 3 1\n1 x 3 0\n", "line 2: non-integer literal 'x'"),
+        ("p cnf 3 1\n1 2 3 0\np cnf 3 1\n", "line 3: second problem line 'p cnf 3 1'"),
+        ("c x\np cnf 3 2\n1 2 3 0\np cnf 4 2\n4 0\n", "line 4: second problem line 'p cnf 4 2'"),
+        ("p cnf three 1\n1 2 3 0\n", "line 1: non-integer count in 'p cnf three 1'"),
+        ("c x\np cnf 3 1.0\n1 2 3 0\n", "line 2: non-integer count in 'p cnf 3 1.0'"),
+        ("c x\np cnf 3 5\n1 2 3 0\n", "line 2: header declares 5 clauses, read 1"),
+        ("p cnf 3 1\n1 2 3 0 -1 0\n", "line 1: header declares 1 clauses, read 2"),
+        ("p cnf 3 2\n1 2 3 0\n%\n0\n", "line 1: header declares 2 clauses, read 1"),
     ],
-    ids=["wide", "wide-across-lines", "non-integer"],
+    ids=[
+        "wide",
+        "wide-across-lines",
+        "non-integer",
+        "second-header",
+        "second-header-later",
+        "non-integer-variables",
+        "non-integer-clauses",
+        "too-few-clauses",
+        "too-many-clauses",
+        "satlib-tail-closes-none",
+    ],
 )
 def test_dimacs_errors_name_their_line(text, message):
     with pytest.raises(ValueError, match=f"^{message}"):

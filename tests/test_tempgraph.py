@@ -56,6 +56,34 @@ def test_classify_parallel_labels():
     assert not cls.simple and cls.proper and not cls.happy
 
 
+def _brute_class(g):
+    pairs = [e.pair for e in g.edges]
+    simple = all(a != b for a, b in combinations(pairs, 2))
+    proper = all(
+        e.t != f.t or not {e.u, e.v} & {f.u, f.v} for e, f in combinations(g.edges, 2)
+    )
+    return tg.GraphClass(simple=simple, proper=proper, happy=simple and proper)
+
+
+@pytest.mark.parametrize(
+    "n, edges, simple, proper",
+    [
+        # label 2 carries a three-edge matching, label 4 a two-edge one
+        (6, [(0, 1, 2), (2, 3, 2), (0, 2, 1), (4, 5, 2), (1, 3, 4), (2, 5, 4)], True, True),
+        # the same matchings next to a second label on pair {0, 1}
+        (6, [(0, 1, 2), (2, 3, 2), (0, 2, 1), (4, 5, 2), (1, 3, 4), (2, 5, 4), (1, 0, 3)], False, True),
+        # label 2's rows, in index order: only the 2nd and 3rd share vertex 3
+        (6, [(0, 1, 2), (2, 3, 2), (0, 2, 1), (4, 3, 2), (1, 5, 4), (0, 4, 4)], True, False),
+        (6, [(0, 1, 2), (2, 3, 2), (0, 2, 1), (4, 3, 2), (1, 5, 4), (0, 4, 4), (1, 0, 3)], False, False),
+    ],
+    ids=["matchings", "matchings-parallel", "late-shared-end", "late-shared-end-parallel"],
+)
+def test_classify_multi_edge_labels(n, edges, simple, proper):
+    g = tg.build(n, edges)
+    assert tg.classify(g) == tg.GraphClass(simple, proper, simple and proper)
+    assert tg.classify(g) == _brute_class(g)
+
+
 def test_underlying_graph_dedups():
     g = tg.build(2, [(0, 1, 1), (0, 1, 5)])
     assert tg.underlying_graph(g) == {(0, 1)}
@@ -74,6 +102,12 @@ def test_relabel_requires_simple():
     g = tg.build(2, [(0, 1, 1), (0, 1, 2)])
     with pytest.raises(tg.NotSimple):
         tg.relabel_to_happy(g)
+
+
+def test_relabel_builds_no_sweep_table():
+    g = tg.build(4, [(0, 1, 3), (2, 3, 3), (1, 2, 1)])
+    tg.relabel_to_happy(g)
+    assert "label_groups" not in vars(g)
 
 
 def test_relabel_keeps_edge_order():
@@ -152,6 +186,9 @@ def test_parse_comments_and_blanks():
     g = tg.parse("  # c\r\n\r\n  3   4  \r\n\t0  1 2 \r\n   \r\n 2 1 4\r\n")
     assert (g.vertex_count, g.lifetime) == (3, 4)
     assert g.edges == (tg.TimeEdge(0, 1, 2), tg.TimeEdge(2, 1, 4))
+    # A comment line of three fields is still a comment.
+    g = tg.parse("3 5\n0 1 2\n# 1 2\n#1 2 3\n1 2 5\n")
+    assert g.edges == (tg.TimeEdge(0, 1, 2), tg.TimeEdge(1, 2, 5))
 
 
 def test_parse_rejects_label_zero():
@@ -206,6 +243,12 @@ PARSE_ERRORS = [
     ("\n   \n\t\n  # note\n2 1\n\n0 1 2\n", 7, "label 2 outside [1, 1]"),
     ("# c\r\n\r\n   \r\n  # x\r\n2 1\r\n\t\r\n0 1 2\r\n", 7, "label 2 outside [1, 1]"),
     ("2 1\r\n0 1\r\n", 2, "expected 'u v t', got '0 1'"),
+    # the first bad line is named, whatever kind of fault a later line has
+    ("2 3\n0 1 9\n0 x 1\n", 2, "label 9 outside [1, 3]"),
+    ("2 1\n0 1 1 1\n0 x 1\n", 2, "expected 'u v t', got '0 1 1 1'"),
+    ("2 3\n0 1 1\n0 x 1\n0 1 9\n", 3, "non-integer edge field in '0 x 1'"),
+    ("2 3\n0 1 1\n# 1 2\n1 0 4\n0 1\n", 4, "label 4 outside [1, 3]"),
+    ("3 3\n0 1 1\n0 1 1\n1 2 0\n", 4, "label 0 outside [1, 3]"),
 ]
 
 
@@ -216,6 +259,33 @@ def test_parse_error_contract(text, line_no, message):
     assert type(err.value) is tg.ParseError
     assert err.value.line_no == line_no
     assert str(err.value) == f"line {line_no}: {message}"
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_parse_chunk_size_changes_nothing(monkeypatch, chunk):
+    text = "# h\n4 5\n0 1 1\n\n1 2 2\n# 1 2\n3 2 2\n3 0 4\r\n1 3 5\n0 2 3\n"
+    want = tg.parse(text)
+    monkeypatch.setattr(tg, "_PARSE_CHUNK", chunk)
+    assert tg.parse(text) == want
+    for text, line_no, message in PARSE_ERRORS:
+        with pytest.raises(tg.ParseError) as err:
+            tg.parse(text)
+        assert str(err.value) == f"line {line_no}: {message}"
+
+
+def test_parse_across_chunks():
+    # More edge lines than one chunk holds; the bad line is in the last one.
+    m = 2 * tg._PARSE_CHUNK + 5
+    edges = [(i % 7, 7 + i % 5, 1 + i) for i in range(m)]
+    text = tg.serialize(tg.build(12, edges))
+    assert tg.parse(text).ts == tuple(range(1, m + 1))
+    lines = text.splitlines()
+    lines[m - 3] += " 1"
+    with pytest.raises(tg.ParseError, match=f"^line {m - 2}: expected 'u v t'"):
+        tg.parse("\n".join(lines))
+    lines[m - 3] = "0 x 1"
+    with pytest.raises(tg.ParseError, match=f"^line {m - 2}: non-integer edge field"):
+        tg.parse("\n".join(lines))
 
 
 BUILD_ERRORS = [
@@ -302,22 +372,40 @@ def test_roundtrip_property(g):
             assert all(len(row) == 3 for row in group[1])
 
     pairs_of = [e.pair for e in edges]
-    simple = all(a != b for a, b in combinations(pairs_of, 2))
-    proper = all(
-        e.t != f.t or not {e.u, e.v} & {f.u, f.v} for e, f in combinations(edges, 2)
-    )
-    assert tg.classify(g) == tg.GraphClass(simple=simple, proper=proper, happy=simple and proper)
+    cls = _brute_class(g)
+    assert tg.classify(g) == cls
 
     assert g.underlying_pairs == frozenset(pairs_of)
     assert g.index_by_key == {e.key: i for i, e in enumerate(edges)}
     assert g.incident == tuple(
         tuple(i for i, e in enumerate(edges) if x in (e.u, e.v)) for x in range(g.vertex_count)
     )
-    if simple:
+    if cls.simple:
         assert g.index_by_pair == {pair: i for i, pair in enumerate(pairs_of)}
     else:
         with pytest.raises(tg.NotSimple):
             g.index_by_pair
+
+
+# Layout the format ignores: blank and comment lines, runs of spaces and
+# tabs around fields, and CRLF line ends.
+_noise_lines = st.sampled_from(["", "  ", "\t", "# note", "  # 1 2", "#1 2 3", "# a b c d"])
+_gaps = st.sampled_from([" ", "  ", "\t", " \t "])
+_margins = st.sampled_from(["", " ", "\t"])
+
+
+@given(st.one_of(simple_graphs, multilabel_graphs), st.data())
+@settings(max_examples=100, deadline=None)
+def test_parse_ignores_layout(g, data):
+    lines = []
+    for line in tg.serialize(g).splitlines():
+        lines += data.draw(st.lists(_noise_lines, max_size=2))
+        gap = data.draw(_gaps)
+        lines.append(data.draw(_margins) + gap.join(line.split()) + data.draw(_margins))
+    lines += data.draw(st.lists(_noise_lines, max_size=2))
+    ends = data.draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    h = tg.parse("".join(map(str.__add__, lines, ends)))
+    assert (h.vertex_count, h.lifetime, h.us, h.vs, h.ts) == (g.vertex_count, g.lifetime, g.us, g.vs, g.ts)
 
 
 def test_edges_built_only_when_read():
