@@ -16,9 +16,16 @@ lane mode reads lane bits.
 
 * the all-sources bitmask mode carries, per vertex, the set of vertices that
   reach it (:func:`reach_masks`, :func:`is_tc`, and the solver's feasibility
-  oracle).  Every call sweeps every group, from every vertex reaching
-  itself or from given start masks, which may hold only some source bits
-  (the two-source requirement);
+  oracle), from every vertex reaching itself or from given start masks,
+  which may hold only some source bits (the two-source requirement).
+  Masks only grow, and none gets a bit outside the union of the start
+  masks, so once every mask holds that union no later group can change
+  one.  :func:`reach_masks` and :func:`is_tc` sweep in chunks of about n
+  edges and stop after the chunk that fills the last mask; on a connected
+  graph of many more edges than vertices that comes long before the last
+  group.  The oracle's queries sweep every group: most of them drop an
+  edge the requirement needs, so their masks never fill, and a test
+  between groups there costs more than the stop saves;
 * the lane mode (:func:`_lane_sweep`) runs up to 64 bitmask sweeps, each
   over its own edge subset, in one pass: lane j of a vertex mask is its bits
   ``[j*n, (j+1)*n)``, and an edge's entry in the drop table holds the lane
@@ -97,20 +104,13 @@ def _drop_flags(g: TemporalGraph, kept: Iterable[int] | None) -> Sequence[int]:
     return removed
 
 
-def _mask_sweep(
-    g: TemporalGraph,
-    s: Strictness,
-    removed: Sequence[int],
-    masks: list[int] | None = None,
-) -> list[int]:
-    """All-sources mode: bit u of entry v is set iff u reaches v.
-
-    The sweep starts before the first group from a copy of ``masks``, or
-    without them from every vertex reaching itself.
+def _mask_sweep(groups: Iterable[tuple], s: Strictness, removed: Sequence[int], masks: list[int]) -> None:
+    """All-sources mode: sweeps ``groups``, a run of consecutive label
+    groups, over ``masks`` in place.  Bit u of entry v is set iff u reaches
+    v, given the start masks and the groups swept so far.
     """
-    masks = [1 << v for v in range(g.vertex_count)] if masks is None else masks.copy()
     strict = s is STRICT
-    for group in g.label_groups:
+    for group in groups:
         if len(group) == 4:
             _, i, u, v = group
             if not removed[i]:
@@ -132,7 +132,6 @@ def _mask_sweep(
                     if x != masks[u] or x != masks[v]:
                         masks[u] = masks[v] = x
                         changed = True
-    return masks
 
 
 def _lane_sweep(g: TemporalGraph, s: Strictness, drop: list[int], masks: list[int]) -> list[int]:
@@ -281,16 +280,40 @@ def reach_masks(
 ) -> list[int]:
     """For each vertex v, the bitmask of vertices with a temporal path to v.
 
-    All-sources sweep: bit u of entry v means u reaches v.  This is the fast
-    path behind :func:`is_tc`.
+    All-sources sweep from every vertex reaching itself: bit u of entry v
+    means u reaches v.  This is the fast path behind :func:`is_tc`.
+
+    The groups go in chunks of about n edges, and the sweep stops after the
+    first chunk that leaves every mask full: masks only grow, so no later
+    group can change one.  A mask that stays short of full, as with a vertex
+    nobody reaches, makes the sweep read every group.
     """
-    return _mask_sweep(g, s, _drop_flags(g, kept))
+    n = g.vertex_count
+    removed = _drop_flags(g, kept)
+    masks = [1 << v for v in range(n)]
+    full = (1 << n) - 1
+    groups = g.label_groups
+    step = max(1, n * len(groups) // (g.m or 1))
+    # ``w`` is the first vertex whose mask is short of full.  A full mask
+    # stays full, so ``w`` only moves forward: one test per chunk while it
+    # is short, n tests over the whole sweep.
+    w = 0
+    for c in range(0, len(groups), step):
+        _mask_sweep(groups[c : c + step], s, removed, masks)
+        while masks[w] == full:
+            w += 1
+            if w == n:
+                return masks
+    return masks
 
 
 def is_tc(g: TemporalGraph, s: Strictness = STRICT, kept: Iterable[int] | None = None) -> bool:
-    """Temporal connectivity: every ordered vertex pair joined by a temporal path."""
+    """Temporal connectivity: every ordered vertex pair joined by a temporal path.
+
+    One :func:`reach_masks` sweep, which stops as soon as every mask is full.
+    """
     full = (1 << g.vertex_count) - 1
-    return all(mask == full for mask in reach_masks(g, s, kept))
+    return reach_masks(g, s, kept).count(full) == g.vertex_count
 
 
 def reaches_all(

@@ -681,7 +681,8 @@ def parse_dimacs(text: str) -> SatInstance:
     lines; one open at the end counts, and a 0 closing none adds nothing
     (SATLIB's ``%`` / ``0`` tail: ``c`` and ``%`` lines are comments).  Short
     clauses are padded by repeating their last literal; longer ones raise.
-    The one ``p cnf V C`` line must declare the C clauses read."""
+    The one ``p cnf V C`` line comes before every clause, and declares the C
+    clauses read; a literal above V raises with its line."""
     header: tuple[int, int, int] | None = None  # line number, V, C
     clauses: list[list[int]] = []
     lits: list[int] = []  # the open clause
@@ -697,11 +698,16 @@ def parse_dimacs(text: str) -> SatInstance:
             except ValueError:
                 raise ValueError(f"line {line_no}: non-integer count in {line!r}") from None
             continue
+        if header is None:
+            raise ValueError(f"line {line_no}: clause data before the 'p cnf' line")
+        n_vars = header[1]
         for field in fields:
             try:
                 lit = int(field)
             except ValueError:
                 raise ValueError(f"line {line_no}: non-integer literal {field!r}") from None
+            if abs(lit) > n_vars:
+                raise ValueError(f"line {line_no}: literal {lit} out of range for {n_vars} variables")
             if lit == 0:
                 clauses.append(lits)
                 lits = []

@@ -188,7 +188,8 @@ class _SubsetOracle:
     def feasible(self, removed: Sequence[int]) -> bool:
         """Whether the requirement holds without the edges dropped in the
         drop table ``removed``."""
-        masks = reach._mask_sweep(self.g, self.s, removed, self.start)
+        masks = self.start.copy()
+        reach._mask_sweep(self.g.label_groups, self.s, removed, masks)
         # No mask holds a bit outside ``need``.
         return masks.count(self.need) == len(masks)
 
@@ -233,7 +234,9 @@ class _SubsetOracle:
     def failing_sources(self, removed: Sequence[int]) -> list[int]:
         """Sources that cannot reach every vertex under the requirement."""
         good = self.need
-        for mask in reach._mask_sweep(self.g, self.s, removed, self.start):
+        masks = self.start.copy()
+        reach._mask_sweep(self.g.label_groups, self.s, removed, masks)
+        for mask in masks:
             good &= mask
         return [x for x in self.sources if not (good >> x) & 1]
 

@@ -431,10 +431,20 @@ def test_check_names_the_line_of_an_edge_error(capsys, tmp_path, text, message):
         ("reduce-sat", "p cnf 3 1\n1 2\n3 -1 0\n", "line 3: clause wider than 3 rejected"),
         ("reduce-sat", "p cnf 3 1\n1 two 3 0\n", "line 2: non-integer literal 'two'"),
         ("reduce-sat", "c x\np cnf 3 2\n1 2 3 0\n", "line 2: header declares 2 clauses, read 1"),
+        ("reduce-sat", "p cnf 1 1\n2 0\n", "line 2: literal 2 out of range for 1 variables"),
+        ("reduce-sat", "1 2 0\np cnf 2 1\n", "line 1: clause data before the 'p cnf' line"),
         ("reduce-mcc", "3 1\n1 1 2 x\n", "line 2: non-integer field in '1 1 2 x'"),
         ("reduce-mcc", "3 1\n0 1 2 1\n", "line 2: colors and vertices start at 1: '0 1 2 1'"),
     ],
-    ids=["sat-wide", "sat-non-integer", "sat-clause-count", "mcc-non-integer", "mcc-zero"],
+    ids=[
+        "sat-wide",
+        "sat-non-integer",
+        "sat-clause-count",
+        "sat-literal-range",
+        "sat-clause-before-header",
+        "mcc-non-integer",
+        "mcc-zero",
+    ],
 )
 def test_reduce_names_the_line_of_a_bad_input(capsys, tmp_path, command, text, message):
     bad = tmp_path / "bad.in"

@@ -387,6 +387,98 @@ def test_arrival_sweep_edge_cases(monkeypatch):
             assert list(reach.earliest_arrival(h, 3, start, s).arrival) == want
 
 
+def _whole_sweep(g, s, kept=None):
+    """The masks of one :func:`reach._mask_sweep` over the whole table."""
+    masks = [1 << v for v in range(g.vertex_count)]
+    reach._mask_sweep(g.label_groups, s, reach._drop_flags(g, kept), masks)
+    return masks
+
+
+def _counted_masks(monkeypatch, g, s, kept=None):
+    """``reach_masks``'s masks and the drop-table reads of its sweep, in order."""
+    reads = []
+
+    class CountingFlags(list):
+        def __getitem__(self, i):
+            reads.append(i)
+            return super().__getitem__(i)
+
+    real = reach._drop_flags
+    with monkeypatch.context() as mp:
+        mp.setattr(reach, "_drop_flags", lambda g, kept: CountingFlags(real(g, kept)))
+        masks = reach.reach_masks(g, s, kept=kept)
+    return masks, reads
+
+
+def _scan_order(g):
+    return [i for group in g.label_groups for i, _, _ in tg.group_rows(group)]
+
+
+def test_reach_masks_equal_one_whole_sweep(monkeypatch):
+    # The stop between chunks changes no mask, with or without ``kept``;
+    # the reads are a prefix of one scan.
+    graphs = [_multilabel_graph(seed) for seed in range(60)]
+    graphs += [generate.random_happy_tc(n, seed, 0.6) for n in (2, 5, 9) for seed in range(8)]
+    stopped = {STRICT: 0, NONSTRICT: 0}
+    for k, g in enumerate(graphs):
+        rng = random.Random(k)
+        order = _scan_order(g)
+        for s in (STRICT, NONSTRICT):
+            for kept in (None, [i for i in range(g.m) if rng.random() < 0.7]):
+                masks, reads = _counted_masks(monkeypatch, g, s, kept)
+                assert masks == _whole_sweep(g, s, kept)
+                assert reads == order[: len(reads)]
+                stopped[s] += len(reads) < g.m
+    assert min(stopped.values()) >= 10, stopped
+
+
+def test_reach_masks_stop_edge_cases(monkeypatch):
+    for s in (STRICT, NONSTRICT):
+        # No edge, one vertex.
+        assert _counted_masks(monkeypatch, tg.build(3, []), s) == ([0b001, 0b010, 0b100], [])
+        assert _counted_masks(monkeypatch, tg.build(1, []), s) == ([0b1], [])
+        assert not reach.is_tc(tg.build(3, []), s)
+    # Full inside a multi-edge group: strict, label 2 joins 2 to both others;
+    # non-strict, the path at label 1 already joins all three.  With three
+    # labels over five edges a chunk is one group.
+    g = tg.build(3, [(0, 1, 1), (1, 2, 2), (0, 2, 2), (0, 1, 3), (1, 2, 3)])
+    masks, reads = _counted_masks(monkeypatch, g, STRICT)
+    assert masks == [0b111] * 3 and reads == _scan_order(g)[:3]
+    h = tg.build(3, [(0, 1, 1), (1, 2, 1), (0, 2, 2), (0, 1, 3), (0, 2, 3)])
+    masks, reads = _counted_masks(monkeypatch, h, NONSTRICT)
+    assert masks == [0b111] * 3 and reads == _scan_order(h)[:2]
+    assert reach.is_tc(g, STRICT) and reach.is_tc(h, NONSTRICT)
+    # A vertex nobody reaches: no mask fills, and every group is read.
+    iso = tg.build(4, g.edges)
+    for s in (STRICT, NONSTRICT):
+        masks, reads = _counted_masks(monkeypatch, iso, s)
+        assert masks == _whole_sweep(iso, s) and masks[3] == 0b1000
+        assert reads == _scan_order(iso)
+        assert not reach.is_tc(iso, s)
+
+
+def test_reach_masks_stop_before_a_late_suffix(monkeypatch):
+    # The triangle fills every mask in the first chunk (three one-edge
+    # labels over three vertices), so none of the later edges is read.
+    suffix = [(u, v, t) for t in range(4, 40) for u, v in [((0, 1), (1, 2), (0, 2))[t % 3]]]
+    g = tg.build(3, [(0, 1, 1), (1, 2, 2), (0, 2, 3), *suffix])
+    for s in (STRICT, NONSTRICT):
+        masks, reads = _counted_masks(monkeypatch, g, s)
+        assert masks == [0b111] * 3
+        assert reads == _scan_order(g)[:3]
+    # A larger connected graph: at most one chunk of n edges of the suffix.
+    h = generate.random_happy_tc(9, 1, 0.6)
+    last = h.lifetime
+    rng = random.Random(1)
+    late = [(*sorted(rng.sample(range(9), 2)), last + t) for t in range(1, 20 * 9)]
+    k = tg.build(9, [*h.edges, *late])
+    for s in (STRICT, NONSTRICT):
+        masks, reads = _counted_masks(monkeypatch, k, s)
+        assert masks == [(1 << 9) - 1] * 9
+        assert reads == _scan_order(k)[: len(reads)]
+        assert len(reads) < h.m + 9
+
+
 def test_lane_sweep_runs_one_mask_sweep_per_lane():
     # Each lane drops its own random edge subset; an edge dropped in every
     # lane is written -1, as the solver's drop tables write it.  Lane j of
@@ -410,9 +502,9 @@ def test_lane_sweep_runs_one_mask_sweep_per_lane():
         for s in (STRICT, NONSTRICT):
             masks = reach._lane_sweep(g, s, drop, start)
             for j, removed in enumerate(lanes):
-                assert [(x >> (j * n)) & ((1 << n) - 1) for x in masks] == reach._mask_sweep(
-                    g, s, removed
-                )
+                plain = [1 << v for v in range(n)]
+                reach._mask_sweep(g.label_groups, s, removed, plain)
+                assert [(x >> (j * n)) & ((1 << n) - 1) for x in masks] == plain
     assert full_drops >= 10
 
 

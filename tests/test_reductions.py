@@ -490,6 +490,10 @@ def test_dimacs_clauses_end_at_their_zero():
         ("c x\np cnf 3 5\n1 2 3 0\n", "line 2: header declares 5 clauses, read 1"),
         ("p cnf 3 1\n1 2 3 0 -1 0\n", "line 1: header declares 1 clauses, read 2"),
         ("p cnf 3 2\n1 2 3 0\n%\n0\n", "line 1: header declares 2 clauses, read 1"),
+        ("p cnf 1 1\n2 0\n", "line 2: literal 2 out of range for 1 variables"),
+        ("c x\np cnf 3 2\n1 2 3 0\n-4 0\n", "line 4: literal -4 out of range for 3 variables"),
+        ("1 2 0\np cnf 2 1\n", "line 1: clause data before the 'p cnf' line"),
+        ("c x\n0\np cnf 2 1\n1 2 0\n", "line 2: clause data before the 'p cnf' line"),
     ],
     ids=[
         "wide",
@@ -502,6 +506,10 @@ def test_dimacs_clauses_end_at_their_zero():
         "too-few-clauses",
         "too-many-clauses",
         "satlib-tail-closes-none",
+        "literal-above-variables",
+        "negative-literal-above-variables",
+        "clause-before-header",
+        "zero-before-header",
     ],
 )
 def test_dimacs_errors_name_their_line(text, message):

@@ -1000,9 +1000,9 @@ def test_each_solve_reads_the_requirement_once(monkeypatch, milp_calls):
         counts["oracles"] += 1
         real_init(self, *args)
 
-    def sweep(g, s, removed, masks=None):
+    def sweep(groups, s, removed, masks):
         counts["whole"] += not any(removed)
-        return real_sweep(g, s, removed, masks)
+        return real_sweep(groups, s, removed, masks)
 
     def failing(self, removed):
         counts["unions"] += 1
