@@ -23,9 +23,10 @@ lane mode reads lane bits.
   one.  :func:`reach_masks` and :func:`is_tc` sweep in chunks of about n
   edges and stop after the chunk that fills the last mask; on a connected
   graph of many more edges than vertices that comes long before the last
-  group.  The oracle's queries sweep every group: most of them drop an
-  edge the requirement needs, so their masks never fill, and a test
-  between groups there costs more than the stop saves;
+  group.  The oracle's queries sweep every group: their masks fill, if at
+  all, in the last few groups (a stop after each group would skip 1.5% of
+  the groups that the default solves of the benchmark corpus read), so a
+  test between groups there costs more than the stop saves;
 * the lane mode (:func:`_lane_sweep`) runs up to 64 bitmask sweeps, each
   over its own edge subset, in one pass: lane j of a vertex mask is its bits
   ``[j*n, (j+1)*n)``, and an edge's entry in the drop table holds the lane

@@ -681,8 +681,9 @@ def parse_dimacs(text: str) -> SatInstance:
     lines; one open at the end counts, and a 0 closing none adds nothing
     (SATLIB's ``%`` / ``0`` tail: ``c`` and ``%`` lines are comments).  Short
     clauses are padded by repeating their last literal; longer ones raise.
-    The one ``p cnf V C`` line comes before every clause, and declares the C
-    clauses read; a literal above V raises with its line."""
+    The one ``p cnf V C`` line, with V and C at least 1, comes before every
+    clause and declares the C clauses read; a literal above V raises with
+    its line."""
     header: tuple[int, int, int] | None = None  # line number, V, C
     clauses: list[list[int]] = []
     lits: list[int] = []  # the open clause
@@ -697,6 +698,8 @@ def parse_dimacs(text: str) -> SatInstance:
                 header = (line_no, int(fields[2]), int(fields[3]))
             except ValueError:
                 raise ValueError(f"line {line_no}: non-integer count in {line!r}") from None
+            if min(header[1:]) < 1:
+                raise ValueError(f"line {line_no}: need at least one variable and one clause: {line!r}")
             continue
         if header is None:
             raise ValueError(f"line {line_no}: clause data before the 'p cnf' line")

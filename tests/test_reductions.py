@@ -494,6 +494,9 @@ def test_dimacs_clauses_end_at_their_zero():
         ("c x\np cnf 3 2\n1 2 3 0\n-4 0\n", "line 4: literal -4 out of range for 3 variables"),
         ("1 2 0\np cnf 2 1\n", "line 1: clause data before the 'p cnf' line"),
         ("c x\n0\np cnf 2 1\n1 2 0\n", "line 2: clause data before the 'p cnf' line"),
+        ("p cnf 0 0\n", "line 1: need at least one variable and one clause: 'p cnf 0 0'"),
+        ("c x\np cnf -2 1\n1 0\n", "line 2: need at least one variable and one clause: 'p cnf -2 1'"),
+        ("p cnf 3 0\n", "line 1: need at least one variable and one clause: 'p cnf 3 0'"),
     ],
     ids=[
         "wide",
@@ -510,6 +513,9 @@ def test_dimacs_clauses_end_at_their_zero():
         "negative-literal-above-variables",
         "clause-before-header",
         "zero-before-header",
+        "no-variables",
+        "negative-variables",
+        "no-clauses",
     ],
 )
 def test_dimacs_errors_name_their_line(text, message):
