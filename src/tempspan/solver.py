@@ -118,8 +118,10 @@ class _SubsetOracle:
     bits only: ``masks[v] = (1 << v) & need``, where ``need`` holds the two
     sources or every vertex.  Each query is one full sweep from these start
     masks, and the requirement holds iff every final mask equals ``need``.
-    :meth:`feasible_each` answers up to 64 queries that each drop one more
-    edge in one lane sweep (:func:`reach._lane_sweep`).
+    :meth:`feasible_each` answers up to 64 queries that each drop a set of
+    one or two more edges in one lane sweep (:func:`reach._lane_sweep`); the
+    forced set asks it for single edges, branch and bound for single edges
+    and pairs.
 
     The oracle is the one place that reads the requirement: it checks the
     two sources' range and keeps ``sources`` sorted and without repeats;
@@ -170,7 +172,7 @@ class _SubsetOracle:
         if not self.satisfied:
             raise RequirementNotSatisfied("graph does not satisfy the requirement")
         m = self.g.m
-        answers = self.feasible_each([0] * m, range(m))
+        answers = self.feasible_each([0] * m, range(m), 0)
         return frozenset(i for i, ok in enumerate(answers) if not ok)
 
     @cached_property
@@ -193,34 +195,42 @@ class _SubsetOracle:
         # No mask holds a bit outside ``need``.
         return masks.count(self.need) == len(masks)
 
-    def feasible_each(self, removed: list[int], edges: Sequence[int]) -> list[bool]:
-        """For each edge e of ``edges``, whether the requirement holds without
-        e and the edges dropped in the drop table ``removed``; equal to one
-        :meth:`feasible` query per edge.
+    def feasible_each(self, removed: list[int], edges: Sequence[int], pairs: int) -> list[bool]:
+        """For each lane, whether the requirement holds without its edge set
+        and the edges dropped in the drop table ``removed``; equal to one
+        :meth:`feasible` query per lane.  The lanes drop each edge of
+        ``edges`` alone, then ``edges[0]`` with each of ``edges[1 : 1 + pairs]``
+        (``pairs < len(edges)``).
 
-        Edges go 64 at a time into the lanes of one :func:`reach._lane_sweep`:
-        lane j drops the j-th edge of its chunk.  A lane's answer is read from
-        the AND of the final masks, which holds ``need`` in every lane that
-        meets the requirement.  One edge takes a plain :meth:`feasible` query.
+        Lanes go 64 at a time into one :func:`reach._lane_sweep`: lane j of a
+        chunk drops its j-th edge, and the pair lanes, which come last, also
+        drop ``edges[0]``.  A lane's answer is read from the AND of the final
+        masks, which holds ``need`` in every lane that meets the requirement.
+        One lane takes a plain :meth:`feasible` query.
         """
         if len(edges) == 1:
             drop = removed.copy()
             drop[edges[0]] = -1
             return [self.feasible(drop)]
+        if pairs:
+            edges = [*edges, *edges[1 : 1 + pairs]]
         n = self.g.vertex_count
         out: list[bool] = []
         for c in range(0, len(edges), 64):
             chunk = edges[c : c + 64]
-            lanes = self._lanes.get(len(chunk))
-            if lanes is None:
+            layout = self._lanes.get(len(chunk))
+            if layout is None:
                 segments = [((1 << n) - 1) << (j * n) for j in range(len(chunk))]
                 spread = sum(1 << (j * n) for j in range(len(chunk)))
-                lanes = segments, [x * spread for x in self.start], self.need * spread
-                self._lanes[len(chunk)] = lanes
-            segments, start, need = lanes
+                layout = segments, [x * spread for x in self.start], self.need * spread
+                self._lanes[len(chunk)] = layout
+            segments, start, need = layout
             drop = removed.copy()
             for e, segment in zip(chunk, segments):
                 drop[e] |= segment
+            paired = min(len(chunk), c + len(chunk) + pairs - len(edges))  # pair lanes in the chunk
+            if paired > 0:
+                drop[edges[0]] |= ((1 << paired * n) - 1) << (len(chunk) - paired) * n
             # The bits of ``need`` that some final mask lacks, lane by lane.
             miss = need & ~reduce(and_, reach._lane_sweep(self.g, self.s, drop, start))
             ok = [True] * len(chunk)
@@ -339,12 +349,16 @@ def _bnb_max_removal(
     root removes nothing, so its answers are "e is not forced"; every other
     removal set asks the oracle once, at the first node of its chain that
     needs an answer: one :meth:`_SubsetOracle.feasible_each` call answers
-    "remove e too" for the next 64 candidates, and every node of the chain
-    reads its answer there.  A chain that walks past those 64
-    asks for the next 64.  The candidates of a removal set are the edges
-    after its last removed one that its parent's answers did not rule out:
-    reachability is monotone, so an edge that is infeasible with fewer
-    edges removed stays infeasible with more.
+    "remove e too" for the window of the next k <= 64 candidates, and every
+    node of the chain reads its answer there.  A chain that walks past its
+    answers asks for the next 64.  The candidates of a removal set are the
+    edges after its last removed one that its parent's answers did not rule
+    out: reachability is monotone, so an edge that is infeasible with fewer
+    edges removed stays infeasible with more.  The same sweep fills the
+    64 - k lanes that the window leaves with "remove e and c too" for the
+    next window candidates c, so the child that removes e, the window's
+    first candidate, starts with those answers, kept where its parent's
+    answer for c did not rule c out, and sweeps only past them.
 
     Every removal in a node's subtree is its removal set ``cur`` plus
     candidates from e on that no answer ruled out.  A node with at most
@@ -360,8 +374,10 @@ def _bnb_max_removal(
     Both cuts compare with the incumbent, never with ``stop``, so no subtree
     that could raise the incumbent is cut: the incumbents follow one another
     as with one query per node, and a search that runs to the end returns
-    the same removal set.  Only the node count, and so where ``node_limit``
-    stops a search, changes.
+    the same removal set.  A child's answers from its parent's lanes are
+    the ones its own probe would give, but they can cut it before that
+    probe.  Only the node count, and so where ``node_limit`` stops a
+    search, changes.
     """
     removable = [i for block in blocks for i in block]
     k = len(removable)
@@ -402,21 +418,26 @@ def _bnb_max_removal(
             if ahead[b] + min(caps[b] - rem[b], ends[b] - pos) <= slack:
                 break
             e = removable[pos]
-            is_cand = j < len(cands) and cands[j] == e
-            if is_cand and j == len(ok):
-                answers = oracle.feasible_each(removed, cands[j : j + 64])
-                ok += answers
-                live -= answers.count(False)
-                if live <= slack:
-                    break
-            if is_cand:
+            if j < len(cands) and cands[j] == e:
+                first: list[bool] = []  # the answers of the child that removes e
+                if j == len(ok):
+                    window = cands[j : j + 64]
+                    width = len(window)
+                    pairs = width - 1 if width <= 32 else 64 - width  # the lanes left over
+                    answers = oracle.feasible_each(removed, window, pairs)
+                    ok += answers[:width]
+                    # "Remove e and c too" for each c that "remove c too" did not rule out.
+                    first = list(compress(answers[width:], answers[1:]))
+                    live -= ok[j:].count(False)
+                    if live <= slack:
+                        break
                 if ok[j]:
                     live -= 1
                     rem[b] += 1
                     removed[e] = -1
                     cur.append(e)
                     later = list(compress(cands[j + 1 : len(ok)], ok[j + 1 :]))
-                    chain(pos + 1, later + cands[len(ok) :], [])
+                    chain(pos + 1, later + cands[len(ok) :], first)
                     cur.pop()
                     removed[e] = 0
                     rem[b] -= 1

@@ -532,8 +532,8 @@ def test_feasible_each_matches_one_query_per_edge():
                 for removed in ([0] * g.m, [-(rng.random() < 0.2) for _ in range(g.m)]):
                     edges = rng.sample(everything, rng.randint(1, g.m))
                     want = _one_query_each(oracle, removed, edges)
-                    assert oracle.feasible_each(removed, edges) == want
-                    assert oracle.feasible_each(removed, everything) == _one_query_each(
+                    assert oracle.feasible_each(removed, edges, 0) == want
+                    assert oracle.feasible_each(removed, everything, 0) == _one_query_each(
                         oracle, removed, everything
                     )
                 chunks += g.m > 64
@@ -556,8 +556,8 @@ def test_feasible_each_reads_the_drop_table_of_a_kept_set():
             kept = [i for i in range(g.m) if rng.random() < 0.9]
             removed = reach._drop_flags(g, kept)
             want = [oracle.feasible(reach._drop_flags(g, set(kept) - {e})) for e in range(g.m)]
-            assert oracle.feasible_each(removed, range(g.m)) == want
-            assert oracle.feasible_each(removed, kept[:1]) == [want[kept[0]]]
+            assert oracle.feasible_each(removed, range(g.m), 0) == want
+            assert oracle.feasible_each(removed, kept[:1], 0) == [want[kept[0]]]
             assert removed == reach._drop_flags(g, kept)
             mixed += True in want and False in want
     assert mixed >= 20
@@ -607,22 +607,33 @@ def test_node_limited_bnb_over_more_than_64_removable_edges():
 
 
 def test_schedule_search_visits_a_pinned_number_of_nodes(monkeypatch):
-    # Answers do not change when a cut of branch and bound gets weaker, only
-    # node counts do.  The schedule's search on each of three generator
+    # Answers do not change when a cut of branch and bound gets weaker, or
+    # when a probe stops answering its first child's probe too; only node
+    # and sweep counts do.  The schedule's search on each of three generator
     # graphs visits exactly the pinned number of nodes: it stops at one node
-    # fewer and completes at that many.
+    # fewer and completes at that many.  The whole solve runs the pinned
+    # number of lane sweeps.
     calls = []
-    real = solver._bnb_max_removal
+    sweeps = []
+    real, real_lane = solver._bnb_max_removal, reach._lane_sweep
 
     def bnb(oracle, blocks, caps, stop, incumbent=None, node_limit=None):
         if incumbent is not None:
             calls.append((oracle, blocks, caps, stop, incumbent))
         return real(oracle, blocks, caps, stop, incumbent, node_limit)
 
+    def lane_sweep(g, s, drop, masks):
+        sweeps.append(None)
+        return real_lane(g, s, drop, masks)
+
     monkeypatch.setattr(solver, "_bnb_max_removal", bnb)
-    for (n, seed, p), nodes in (((8, 3, 0.6), 321), ((9, 2, 0.6), 2012), ((12, 0, 0.6), 954)):
+    monkeypatch.setattr(reach, "_lane_sweep", lane_sweep)
+    pins = (((8, 3, 0.6), 310, 108), ((9, 2, 0.6), 1937, 451), ((12, 0, 0.6), 948, 279))
+    for (n, seed, p), nodes, lane_sweeps in pins:
         calls.clear()
+        sweeps.clear()
         res = solver.min_spanner_exact(generate.random_happy_tc(n, seed, p), engine="bnb")
+        assert len(sweeps) == lane_sweeps
         (args,) = calls
         assert real(*args, nodes - 1)[1]
         removal, stopped = real(*args, nodes)
@@ -653,9 +664,12 @@ def test_bnb_probes_the_next_64_candidates_past_its_window(monkeypatch):
     probes = []
     real = solver._SubsetOracle.feasible_each
 
-    def probe(self, removed, edges):
+    def probe(self, removed, edges, pairs):
+        # The window's edges, one per lane, then its first edge paired with
+        # the next ones in the lanes left over.
+        assert pairs == min(len(edges) - 1, 64 - len(edges))
         probes.append((frozenset(i for i, d in enumerate(removed) if d), list(edges)))
-        return real(self, removed, edges)
+        return real(self, removed, edges, pairs)
 
     monkeypatch.setattr(solver._SubsetOracle, "feasible_each", probe)
     removal, stopped = solver._bnb_max_removal(oracle, [order], [len(order)], len(order))
@@ -667,6 +681,36 @@ def test_bnb_probes_the_next_64_candidates_past_its_window(monkeypatch):
     assert (frozenset({e0}), after_e0[64:]) in probes
     first_child = next(edges for removed, edges in probes if removed == {e0, free_d[0]})
     assert first_child == free_d[1:3] + after_e0[64:]
+
+
+def test_bnb_first_child_reads_its_answers_from_the_parent_probe(monkeypatch):
+    # Vertex 0 is the one source and reaches 1 by x or c1, 2 by e or c2 and
+    # 3 by c3 or a kept edge; every edge is removable alone.  Once x is
+    # removed, the probe's window is e, c1, c2, c3, and its three spare
+    # lanes ask "remove e and c too" for c = c1, c2, c3.  c1 is infeasible without
+    # x, so its pair is too and leaves the child's candidates; c2 is
+    # feasible alone but not without e; c3 is feasible either way.  The
+    # child that removes e reads both of its answers there and makes no
+    # probe, and its answer for c3 sends it on to the first largest
+    # removal, x, e and c3.
+    edges = [(0, 1, 5), (0, 2, 1), (0, 1, 6), (0, 2, 2), (0, 3, 3), (0, 3, 4)]
+    x, e, c1, c2, c3 = range(5)
+    oracle = solver._SubsetOracle(tg.build(4, edges), STRICT, TwoSource(0, 0))
+    assert not oracle.forced
+    probes = []
+    real = solver._SubsetOracle.feasible_each
+
+    def probe(self, removed, edges, pairs):
+        answers = real(self, removed, edges, pairs)
+        probes.append((frozenset(i for i, d in enumerate(removed) if d), list(edges), pairs, answers))
+        return answers
+
+    monkeypatch.setattr(solver._SubsetOracle, "feasible_each", probe)
+    order = [x, e, c1, c2, c3]
+    removal, stopped = solver._bnb_max_removal(oracle, [order], [len(order)], len(order))
+    assert removal == [x, e, c3] and not stopped
+    assert ({x}, [e, c1, c2, c3], 3, [True, False, True, True, False, False, True]) in probes
+    assert all(removed != {x, e} for removed, _, _, _ in probes)
 
 
 def _instances(kind, s, two_source, count):
@@ -713,6 +757,36 @@ def _agrees_in_every_mode(engine, kind, two_source, s):
 @_in_every_mode
 def test_bnb_agrees_with_brute_in_every_mode(kind, two_source, s):
     _agrees_in_every_mode("bnb", kind, two_source, s)
+
+
+@_in_every_mode
+def test_lane_probe_answers_each_single_and_pair_as_one_query(kind, two_source, s):
+    # The chain's probe shape: a window of k edges, one per lane, then the
+    # window's first edge paired with each next one in the lanes left over,
+    # up to 64.  Windows draw edges with repeats, so that k = 65 fills a
+    # second sweep on graphs of fewer edges; forced edges in them make
+    # single answers False, and every pair with such an edge False too.
+    # Last, 80 single lanes and 79 pair lanes span three sweeps.
+    rng = random.Random(3)
+    false_pairs = 0
+    shapes = ((1, 0), (2, 1), (32, 31), (33, 31), (63, 1), (64, 0), (65, 0), (80, 79))
+    for g, req in _instances(kind, s, two_source, 3):
+        oracle = solver._SubsetOracle(g, s, req)
+        for removed in ([0] * g.m, [-(e in oracle.removable and rng.random() < 0.2) for e in range(g.m)]):
+            for k, p in shapes:
+                window = rng.choices(range(g.m), k=k)
+                answers = oracle.feasible_each(removed, window, p)
+                lanes = [{c} for c in window] + [{window[0], c} for c in window[1 : 1 + p]]
+                assert len(answers) == len(lanes)
+                for lane, got in zip(lanes, answers):
+                    flags = [-(f != 0) for f in removed]
+                    for c in lane:
+                        flags[c] = -1
+                    assert got == oracle.feasible(flags)
+                for b, got in enumerate(answers[k:], 1):
+                    false_pairs += not answers[b]
+                    assert answers[b] or not got
+    assert false_pairs >= 10
 
 
 @_in_every_mode
@@ -1374,11 +1448,12 @@ def test_xp_queries_keep_every_forced_edge(monkeypatch):
         queries.append({i for i, d in enumerate(removed) if d})
         return real(self, removed)
 
-    def feasible_each(self, removed, edges):
+    def feasible_each(self, removed, edges, pairs):
         dropped = {i for i, d in enumerate(removed) if d}
         if dropped or list(edges) != list(range(self.g.m)):
             queries.extend(dropped | {e} for e in edges)
-        return real_each(self, removed, edges)
+            queries.extend(dropped | {edges[0], e} for e in edges[1 : 1 + pairs])
+        return real_each(self, removed, edges, pairs)
 
     monkeypatch.setattr(solver._SubsetOracle, "feasible", feasible)
     monkeypatch.setattr(solver._SubsetOracle, "feasible_each", feasible_each)
