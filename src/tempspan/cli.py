@@ -27,7 +27,7 @@ import sys
 import time
 
 from . import generate, reductions, solver, tempgraph
-from .reach import NONSTRICT, STRICT, Strictness
+from .reach import NONSTRICT, STRICT, Strictness, is_tc
 from .solver import ALL_PAIRS, AllPairs, TwoSource
 from .tempgraph import Spanner, TemporalGraph
 
@@ -89,8 +89,6 @@ def _cmd_check(args) -> int:
     g, info = _read_graph(args.file)
     s = _strictness(args)
     cls = tempgraph.classify(g)
-    from .reach import is_tc
-
     tc = is_tc(g, s)
     result = {
         "n": g.vertex_count,
@@ -120,15 +118,16 @@ def _cmd_solve(args) -> int:
     g, info = _read_graph(args.file)
     s = _strictness(args)
     requirement = _requirement(args)
+    search = {name: getattr(args, name) for name in ("cap", "engine") if hasattr(args, name)}
     started = time.monotonic()
     if args.method == "xp-vc":
         if isinstance(requirement, TwoSource):
             raise _UsageError("xp-vc supports the all-pairs requirement only")
+        if search:
+            raise _UsageError(f"xp-vc takes no --{' or --'.join(search)}")
         res = solver.min_spanner_xp_vc(g, budget=args.k)
     else:
-        res = solver.min_spanner_exact(
-            g, s, budget=args.k, requirement=requirement, cap=args.cap, engine=args.engine
-        )
+        res = solver.min_spanner_exact(g, s, budget=args.k, requirement=requirement, **search)
     elapsed = time.monotonic() - started
     inline = _write_spanner(args, res.spanner)
     result = {
@@ -306,17 +305,17 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--cap",
         type=int,
-        default=solver.DEFAULT_CAP,
-        help="removable-edge guard (--method exact only): it guards the hitting-set MILPs or a bnb run"
-        " to the end, never the bounds",
+        default=argparse.SUPPRESS,
+        help=f"removable-edge guard (--method exact only, default {solver.DEFAULT_CAP}): it guards the"
+        " hitting-set MILPs or a bnb run to the end, never the bounds",
     )
     p.add_argument(
         "--engine",
         choices=solver.ENGINES,
-        default="auto",
+        default=argparse.SUPPRESS,
         help="search (--method exact only) once the bounds and a node-limited bnb leave the answer"
         f" open: bnb runs on, flow asks the hitting-set MILP, one 0/1 column per removable edge"
-        f" (auto: bnb up to {solver.DEFAULT_CAP} removable edges, else flow)",
+        f" (default auto: bnb up to {solver.DEFAULT_CAP} removable edges, else flow)",
     )
     p.add_argument("--out", default="-", help="spanner output path ('-' = stdout)")
     p.add_argument("--triples", action="store_true", help="write 'u v t' lines instead of indices")
@@ -355,8 +354,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("gen-random", help="seeded random happy TC graph")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--edge-prob", type=float, default=0.5)
-    p.add_argument("--cover", type=int, default=None, help="force vertex cover number <= COVER")
+    shape = p.add_mutually_exclusive_group()
+    shape.add_argument("--edge-prob", type=float, default=0.5)
+    shape.add_argument("--cover", type=int, default=None, help="force vertex cover number <= COVER")
     p.add_argument("--max-tries", type=int, default=400)
     p.add_argument("--out", default="-")
     p.add_argument("--json", action="store_true")

@@ -19,8 +19,6 @@ class GenerationFailed(Exception):
 
 
 def _connected(n: int, pairs: list[tuple[int, int]]) -> bool:
-    if n == 1:
-        return True
     adj: dict[int, list[int]] = {v: [] for v in range(n)}
     for a, b in pairs:
         adj[a].append(b)
@@ -52,8 +50,6 @@ def random_happy_tc(
     if n < 1:
         raise ValueError("n must be positive")
     rng = random.Random(seed)
-    if n == 1:
-        return build(1, [])
     for _ in range(max_tries):
         pairs = [
             (a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < edge_prob

@@ -11,7 +11,9 @@ the attaining spanner from a clique.
 
 Outputs carry structural annotations: role tags per vertex, critical edges
 (SAT), gadget membership per time edge and an explicit feedback vertex set
-(MCC).  All constructions are deterministic in their input ordering.
+(MCC).  Each witness builder reads only the layout records that its
+construction kept: variable branches and clause slots (SAT), gadgets and
+validators (MCC).  All constructions are deterministic in their input ordering.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .tempgraph import (
     Spanner,
@@ -97,6 +99,8 @@ class SatReductionOutput:
     pre_relabel: TemporalGraph  # simple but not proper
     budget: int  # k = m - 5*n_c - 4*n_x
     critical: frozenset[int]
+    variable_drops: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]  # per variable: (if false, if true)
+    clause_slots: tuple[tuple[tuple[int, int, int], ...], ...]  # per clause slot: (c-cs, cs-literal, cs-v)
     roles: tuple[str, ...]
 
     @cached_property
@@ -132,20 +136,24 @@ def sat_to_spanner_instance(phi: SatInstance) -> SatReductionOutput:
 
     edges: list[TimeEdge] = []
     critical: list[int] = []
+    variable_drops: list[tuple[list[int], list[int]]] = [([], []) for _ in range(n_x)]
+    clause_slots: list[tuple[tuple[int, int, int], ...]] = []
 
-    def add(a: int, b: int, t: int, is_critical: bool = False) -> None:
+    def add(a: int, b: int, t: int, is_critical: bool = False) -> int:
         if is_critical:
             critical.append(len(edges))
         edges.append(TimeEdge(a, b, t))
+        return len(edges) - 1
 
     add(u, v, 2, True)
     add(u, w, 4, True)
     add(v, w, 5)
     for j in range(n_x):
         x1, x2, xt, xf = var_base(j), var_base(j) + 1, var_base(j) + 2, var_base(j) + 3
+        if_false, if_true = variable_drops[j]
         add(v, x1, 3, True)
-        add(x1, xt, 4)
-        add(x1, xf, 4)
+        if_false.append(add(x1, xt, 4))
+        if_true.append(add(x1, xf, 4))
         add(w, x2, 6, True)
         add(x2, xf, 7, True)
         add(x1, x2, 8, True)
@@ -153,24 +161,27 @@ def sat_to_spanner_instance(phi: SatInstance) -> SatReductionOutput:
     for i, clause in enumerate(phi.clauses):
         c = clause_base(i)
         c_slots = [c + 1, c + 2, c + 3]
+        to_clause, to_v, to_literal = [], [], []
         for cs in c_slots:
-            add(c, cs, 7)
+            to_clause.append(add(c, cs, 7))
         for cs in c_slots:
-            add(cs, v, 8)
+            to_v.append(add(cs, v, 8))
         add(c, w, 2 if i == 0 else 3, True)
         for s, lit in enumerate(clause):
             j = abs(lit) - 1
             target = var_base(j) + (2 if lit > 0 else 3)  # xT or xF
-            add(c_slots[s], target, 6)
+            to_literal.append(add(c_slots[s], target, 6))
+        clause_slots.append(tuple(zip(to_clause, to_literal, to_v)))
     for j in range(n_x):
         xt, xf = var_base(j) + 2, var_base(j) + 3
         cx, cx1, cx2 = var_base(j) + 4, var_base(j) + 5, var_base(j) + 6
-        add(cx, cx1, 7)
-        add(cx, cx2, 7)
-        add(cx1, v, 8)
-        add(cx2, v, 8)
-        add(cx1, xt, 6)
-        add(cx2, xf, 6)
+        if_false, if_true = variable_drops[j]
+        if_false.append(add(cx, cx1, 7))
+        if_true.append(add(cx, cx2, 7))
+        if_true.append(add(cx1, v, 8))
+        if_false.append(add(cx2, v, 8))
+        if_false.append(add(cx1, xt, 6))
+        if_true.append(add(cx2, xf, 6))
         add(cx, w, 3, True)
     for z in range(n):
         if z in (u, v, w) or z == star_clause_vertex:
@@ -186,6 +197,8 @@ def sat_to_spanner_instance(phi: SatInstance) -> SatReductionOutput:
         pre_relabel=pre,
         budget=k,
         critical=frozenset(critical),
+        variable_drops=tuple((tuple(f), tuple(t)) for f, t in variable_drops),
+        clause_slots=tuple(clause_slots),
         roles=tuple(roles),
     )
 
@@ -201,39 +214,20 @@ def sat_witness_spanner(out: SatReductionOutput, assignment: Sequence[bool]) -> 
     phi = out.instance
     if not phi.satisfied_by(assignment):
         raise AssignmentDoesNotSatisfy("assignment does not satisfy the formula")
-    by_role = out.vertex_by_role
-    pairmap = out.graph.index_by_pair
-
-    def drop(a: int, b: int) -> int:
-        return pairmap[(min(a, b), max(a, b))]
-
     removed: set[int] = set()
     for j, value in enumerate(assignment):
-        x1 = by_role[f"x1:{j}"]
-        xt, xf = by_role[f"xT:{j}"], by_role[f"xF:{j}"]
-        cx, cx1, cx2 = by_role[f"cx:{j}"], by_role[f"cx1:{j}"], by_role[f"cx2:{j}"]
-        v = by_role["v"]
-        if value:
-            removed |= {drop(x1, xf), drop(xf, cx2), drop(cx2, cx), drop(cx1, v)}
-        else:
-            removed |= {drop(x1, xt), drop(xt, cx1), drop(cx1, cx), drop(cx2, v)}
-    for i, clause in enumerate(phi.clauses):
-        c = by_role[f"c:{i}"]
-        v = by_role["v"]
-        slots = [by_role[f"c{s}:{i}"] for s in (1, 2, 3)]
+        removed.update(out.variable_drops[j][bool(value)])
+    for clause, slots in zip(phi.clauses, out.clause_slots):
         sat_slot = next(
             s
             for s, lit in enumerate(clause)
             if (lit > 0) == bool(assignment[abs(lit) - 1])
         )
-        for s, lit in enumerate(clause):
-            j = abs(lit) - 1
-            literal_target = by_role[f"xT:{j}"] if lit > 0 else by_role[f"xF:{j}"]
+        for s, (to_clause, to_literal, to_v) in enumerate(slots):
             if s == sat_slot:
-                removed.add(drop(slots[s], v))
+                removed.add(to_v)
             else:
-                removed.add(drop(c, slots[s]))
-                removed.add(drop(slots[s], literal_target))
+                removed.update((to_clause, to_literal))
     kept = frozenset(range(out.graph.m)) - removed
     assert len(kept) == out.budget, "witness size must equal the budget"
     return Spanner(out.graph, kept)

@@ -167,17 +167,6 @@ class TemporalGraph:
         }
 
     @cached_property
-    def index_by_pair(self) -> dict[tuple[int, int], int]:
-        """(u, v) -> edge index, for u < v.  Only meaningful on simple graphs."""
-        out: dict[tuple[int, int], int] = {}
-        for i, (u, v) in enumerate(zip(self.us, self.vs)):
-            pair = (u, v) if u < v else (v, u)
-            if pair in out:
-                raise NotSimple(f"underlying edge {pair} carries several labels")
-            out[pair] = i
-        return out
-
-    @cached_property
     def incident(self) -> tuple[tuple[int, ...], ...]:
         """Per-vertex tuple of incident edge indices, ascending."""
         buckets: list[list[int]] = [[] for _ in range(self.vertex_count)]

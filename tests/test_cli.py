@@ -269,6 +269,25 @@ def test_gen_random_to_stdout_writes_the_graph_only(capsys):
     g = random_happy_tc(7, 5)
     assert code == 0 and out == tg.serialize(g)
     assert err == f"n={g.vertex_count} m={g.m} lifetime={g.lifetime} seed=5\n"
+    # One vertex needs no edge, whatever the seed.
+    code, out, err = run(capsys, "gen-random", "--n", 1, "--seed", 5, "--out", "-")
+    assert (code, out, err) == (0, "1 1\n", "n=1 m=0 lifetime=1 seed=5\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--n", 0], "n must be positive"),
+        (["--n", 8, "--cover", 8], "need 1 <= cover_size < n"),
+        (["--n", 8, "--cover", 0], "need 1 <= cover_size < n"),
+        (["--n", 8, "--max-tries", 0], "no TC graph found in 0 tries (seed 1)"),
+        (["--n", 8, "--cover", 2, "--max-tries", 0], "no TC graph found in 0 tries (seed 1)"),
+    ],
+    ids=["no-vertex", "cover-too-large", "cover-zero", "no-tries", "cover-no-tries"],
+)
+def test_gen_random_refuses_what_it_cannot_generate(capsys, argv, message):
+    code, out, err = run(capsys, "gen-random", "--seed", 1, *argv)
+    assert (code, out, err) == (3, "", f"tempspan: error: {message}\n")
 
 
 def test_gen_random_json_to_file(capsys, tmp_path):
@@ -406,6 +425,20 @@ def test_usage_errors_exit_three(capsys, tmp_path):
     assert "invalid choice: 'cuts'" in err
     code, _, err = run(capsys, "solve", "--method", "xp-vc", "--two-source", 0, 1, good)
     assert code == 3 and "xp-vc supports the all-pairs requirement only" in err
+    # Flags that xp-vc would ignore are refused, the exact engine's defaults too.
+    for flags, named in (
+        (["--engine", "flow"], "--engine"),
+        (["--engine", "auto"], "--engine"),
+        (["--cap", 0], "--cap"),
+        (["--cap", 0, "--engine", "bnb"], "--cap or --engine"),
+    ):
+        code, out, err = run(capsys, "solve", "--method", "xp-vc", *flags, good)
+        assert (code, out) == (3, "") and err == f"tempspan: error: xp-vc takes no {named}\n"
+    # A generator picks edges by --edge-prob or by --cover, never both.
+    code, out, err = run(capsys, "gen-random", "--n", 8, "--seed", 1, "--cover", 2, "--edge-prob", 0.95)
+    assert (code, out) == (3, "") and "argument --edge-prob: not allowed with argument --cover" in err
+    code, out, err = run(capsys, "decompose", good, good)
+    assert (code, out) == (3, "") and err == "tempspan: error: only --vc decomposition is available\n"
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -20,14 +20,20 @@ PHI_4V_UNSAT = red.SatInstance(
 
 
 def test_sat_instance_validation():
+    with pytest.raises(ValueError, match="need at least one variable"):
+        red.SatInstance(0, ((1, 1, 1),))
     with pytest.raises(ValueError):
         red.SatInstance(1, ())
+    with pytest.raises(ValueError, match="does not have width 3"):
+        red.SatInstance(1, ((1, 1),))
     with pytest.raises(ValueError):
         red.SatInstance(1, ((1, 1, 2),))
     with pytest.raises(ValueError):
         red.SatInstance(1, ((1, 1, 0),))
     assert not PHI_UNSAT.satisfied_by([True])
     assert PHI_11.satisfied_by([True])
+    with pytest.raises(ValueError, match="assignment length mismatch"):
+        PHI_11.satisfied_by([True, False])
 
 
 def test_sat_reduction_counts():
@@ -84,6 +90,51 @@ def test_sat_underlying_structure():
         if z not in (r["u"], r["v"], r["w"], r["c:0"]):
             expected.add((min(u, z), max(u, z)))
     assert tg.underlying_graph(out.graph) == expected
+
+
+def _role_pair(out, i):
+    """Edge ``i`` of the reduction named by the roles of its endpoints."""
+    return frozenset((out.roles[out.graph.us[i]], out.roles[out.graph.vs[i]]))
+
+
+@pytest.mark.parametrize("phi", [PHI_MIXED, PHI_4V_SAT], ids=["mixed", "4v-sat"])
+def test_sat_layout_records_name_their_edges_by_role(phi):
+    out = red.sat_to_spanner_instance(phi)
+
+    def pairs(*named):
+        return {frozenset(pair) for pair in named}
+
+    # Per variable, the role pairs its witness drops: (if false, if true).
+    var_drops = [
+        (
+            pairs((f"x1:{j}", f"xT:{j}"), (f"xT:{j}", f"cx1:{j}"), (f"cx1:{j}", f"cx:{j}"), (f"cx2:{j}", "v")),
+            pairs((f"x1:{j}", f"xF:{j}"), (f"xF:{j}", f"cx2:{j}"), (f"cx2:{j}", f"cx:{j}"), (f"cx1:{j}", "v")),
+        )
+        for j in range(phi.variable_count)
+    ]
+
+    def slot(i, s, lit):  # (c-cs, cs-literal vertex, cs-v) of slot s of clause i
+        cs, literal = f"c{s}:{i}", f"{'xT' if lit > 0 else 'xF'}:{abs(lit) - 1}"
+        return frozenset((f"c:{i}", cs)), frozenset((cs, literal)), frozenset((cs, "v"))
+
+    slot_edges = [[slot(i, s, lit) for s, lit in enumerate(clause, start=1)] for i, clause in enumerate(phi.clauses)]
+    assert len(out.variable_drops) == phi.variable_count
+    for recorded, named in zip(out.variable_drops, var_drops):
+        for edges, want in zip(recorded, named):
+            assert len(edges) == 4 and {_role_pair(out, e) for e in edges} == want
+    assert [[tuple(_role_pair(out, e) for e in slot) for slot in slots] for slots in out.clause_slots] == slot_edges
+
+    # The witness drops exactly the role pairs of the losing branches and slots.
+    for assignment in product((False, True), repeat=phi.variable_count):
+        if not phi.satisfied_by(assignment):
+            continue
+        want = set().union(*(drops[value] for drops, value in zip(var_drops, assignment)))
+        for clause, slots in zip(phi.clauses, slot_edges):
+            sat_slot = next(s for s, lit in enumerate(clause) if (lit > 0) == assignment[abs(lit) - 1])
+            for s, (to_clause, to_literal, to_v) in enumerate(slots):
+                want |= {to_v} if s == sat_slot else {to_clause, to_literal}
+        kept = red.sat_witness_spanner(out, assignment).kept
+        assert {_role_pair(out, e) for e in range(out.graph.m) if e not in kept} == want
 
 
 def test_sat_critical_subset_of_forced():
@@ -207,11 +258,12 @@ def test_hitting_set_model_has_one_column_per_removable_edge(monkeypatch):
 def test_sat_optimum_keeps_a_red_edge_per_variable():
     out = red.sat_to_spanner_instance(PHI_11)
     res = solver.min_spanner_exact(out.graph, engine="bnb")
-    pairmap = out.graph.index_by_pair
-    r = out.vertex_by_role
+    # The reduction graph is simple: one edge per role pair.
+    pairmap = {_role_pair(out, i): i for i in range(out.graph.m)}
+    assert len(pairmap) == out.graph.m
 
     def idx(a, b):
-        return pairmap[(min(r[a], r[b]), max(r[a], r[b]))]
+        return pairmap[frozenset((a, b))]
 
     assert idx("x1:0", "xT:0") in res.spanner.kept or idx("x1:0", "xF:0") in res.spanner.kept
 
@@ -276,6 +328,9 @@ def test_gadget_rejects_bad_sizes():
         red.edge_selection_gadget(0, 1, 3, 4, 3, 2)
     with pytest.raises(ValueError):
         red.edge_selection_gadget(0, 1, 0, 4, 3, 2)
+    for max_count in (5, 2):  # odd; below the gadget's own count
+        with pytest.raises(ValueError, match="maximum edge count must be even and at least edge_count"):
+            red.edge_selection_gadget(0, 1, 4, max_count, 3, 2)
 
 
 def test_gadget_witness_sizes_and_connectivity():
@@ -328,8 +383,12 @@ def complete_mcc(k=3, n=2):
 
 
 def test_mcc_validation():
-    with pytest.raises(red.InvariantViolated):
-        red.validate_mcc(red.MccInstance(2, 1, ()))  # no edges between colors
+    with pytest.raises(red.InvariantViolated, match="need at least two colors"):
+        red.validate_mcc(red.MccInstance(1, 1, ()))
+    with pytest.raises(red.InvariantViolated, match="need at least one vertex per color"):
+        red.validate_mcc(red.MccInstance(2, 0, ()))
+    with pytest.raises(red.InvariantViolated, match="no edges between colors"):
+        red.validate_mcc(red.MccInstance(2, 1, ()))
     odd = red.MccInstance(2, 2, ((0, 0, 1, 0),))
     with pytest.raises(red.InvariantViolated):
         red.validate_mcc(odd)
@@ -340,8 +399,31 @@ def test_mcc_validation():
     partial = red.MccInstance(
         3, 2, ((0, 0, 1, 0), (0, 1, 1, 0), (1, 0, 2, 0), (1, 1, 2, 0))
     )
-    with pytest.raises(red.InvariantViolated):
+    with pytest.raises(red.InvariantViolated, match=r"no edges between colors \(0, 2\)"):
         red.validate_mcc(partial)
+    # Every pair has two edges, but vertex 0 of color 0 sees only color 1
+    # and vertex 1 only color 2.
+    split = red.MccInstance(
+        3, 2, ((0, 0, 1, 0), (0, 0, 1, 1), (0, 1, 2, 0), (0, 1, 2, 1), (1, 0, 2, 0), (1, 1, 2, 1))
+    )
+    with pytest.raises(red.InvariantViolated, match="no vertex of color 0 sees every other color"):
+        red.validate_mcc(split)
+
+
+@pytest.mark.parametrize(
+    "edge, message",
+    [
+        ((1, 0, 0, 0), r"bad color pair \(1, 0\)"),
+        ((0, 0, 0, 1), r"bad color pair \(0, 0\)"),
+        ((0, 0, 3, 0), r"bad color pair \(0, 3\)"),
+        ((0, 2, 1, 0), r"vertex index out of range in \(0, 2, 1, 0\)"),
+        ((0, 0, 1, -1), r"vertex index out of range in \(0, 0, 1, -1\)"),
+    ],
+)
+def test_mcc_edges_are_checked_when_grouped_by_pair(edge, message):
+    inst = red.MccInstance(3, 2, ((0, 0, 1, 0), edge))
+    with pytest.raises(red.InvariantViolated, match=message):
+        inst.by_pair
 
 
 def test_mcc_construction_shape():
@@ -436,6 +518,8 @@ def test_mcc_witness_rejects_non_clique():
         red.mcc_witness_spanner(out, (0, 0, 0))
     with pytest.raises(red.NotAClique):
         red.mcc_witness_spanner(out, (0, 0))
+    with pytest.raises(red.NotAClique, match="vertex index 2 out of range for color 1"):
+        red.mcc_witness_spanner(out, (0, 2, 0))
 
 
 def test_mcc_no_shortcut_through_connector():
@@ -466,6 +550,9 @@ def test_dimacs_parser():
         red.parse_dimacs("p cnf 2 1\n1 2 -1 -2 0\n")
     with pytest.raises(ValueError):
         red.parse_dimacs("1 2 0\n")
+    for text in ("", "c only a comment\n"):
+        with pytest.raises(ValueError, match="^missing 'p cnf' header$"):
+            red.parse_dimacs(text)
 
 
 def test_dimacs_clauses_end_at_their_zero():
@@ -497,6 +584,8 @@ def test_dimacs_clauses_end_at_their_zero():
         ("p cnf 0 0\n", "line 1: need at least one variable and one clause: 'p cnf 0 0'"),
         ("c x\np cnf -2 1\n1 0\n", "line 2: need at least one variable and one clause: 'p cnf -2 1'"),
         ("p cnf 3 0\n", "line 1: need at least one variable and one clause: 'p cnf 3 0'"),
+        ("c x\np cnf 3\n1 2 3 0\n", "line 2: bad problem line 'p cnf 3'"),
+        ("p dnf 3 1\n1 2 3 0\n", "line 1: bad problem line 'p dnf 3 1'"),
     ],
     ids=[
         "wide",
@@ -516,6 +605,8 @@ def test_dimacs_clauses_end_at_their_zero():
         "no-variables",
         "negative-variables",
         "no-clauses",
+        "short-problem-line",
+        "not-cnf",
     ],
 )
 def test_dimacs_errors_name_their_line(text, message):
@@ -530,8 +621,10 @@ def test_dimacs_errors_name_their_line(text, message):
         ("3 1\n# c\n1 1 x 1\n", "line 3: non-integer field in '1 1 x 1'"),
         ("3 1\n1 1 2 1\n0 1 2 1\n", "line 3: colors and vertices start at 1: '0 1 2 1'"),
         ("3 1\n1 0 2 1\n", "line 2: colors and vertices start at 1: '1 0 2 1'"),
+        ("# c\n3 1 1\n", "line 2: expected 'k n'"),
+        ("3 1\n1 1 2\n", "line 2: expected 'i a j b'"),
     ],
-    ids=["header", "edge", "color-0", "vertex-0"],
+    ids=["header", "edge", "color-0", "vertex-0", "header-width", "edge-width"],
 )
 def test_mcc_errors_name_their_line(text, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

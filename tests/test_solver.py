@@ -103,6 +103,8 @@ def test_instance_too_large_guard():
             solver.min_spanner_exact(g, engine=engine)
     with pytest.raises(solver.InstanceTooLarge, match="exceed cap 47"):
         solver.min_spanner_exact(g, cap=47, engine="bnb")
+    with pytest.raises(solver.InstanceTooLarge, match="48 removable edges exceed enumeration cap 18"):
+        solver.min_spanner_brute(g)
 
 
 def _block_sizes(blocks):
@@ -1251,6 +1253,9 @@ def test_min_vertex_cover_trivial():
     assert len(solver.min_vertex_cover([(0, 1)])) == 1
     assert len(solver.min_vertex_cover([(0, 1), (1, 2), (0, 2)])) == 2
     assert solver.min_vertex_cover([]) == frozenset()
+    for pair, message in (((0, 2), r"edge \(0, 2\) out of range"), ((-1, 1), r"edge \(-1, 1\) out of range")):
+        with pytest.raises(ValueError, match=message):
+            solver.min_vertex_cover([pair], 2)
 
 
 def petersen_edges():
@@ -1409,6 +1414,8 @@ def test_xp_requires_happy():
     g = tg.build(2, [(0, 1, 1), (0, 1, 2)])
     with pytest.raises(solver.NotHappy):
         solver.min_spanner_xp_vc(g)
+    with pytest.raises(solver.NotHappy):
+        solver.vc_tree_decompose(tg.Spanner(g, frozenset({0})), [0])
 
 
 def test_xp_requires_tc():

@@ -380,11 +380,6 @@ def test_roundtrip_property(g):
     assert g.incident == tuple(
         tuple(i for i, e in enumerate(edges) if x in (e.u, e.v)) for x in range(g.vertex_count)
     )
-    if cls.simple:
-        assert g.index_by_pair == {pair: i for i, pair in enumerate(pairs_of)}
-    else:
-        with pytest.raises(tg.NotSimple):
-            g.index_by_pair
 
 
 # Layout the format ignores: blank and comment lines, runs of spaces and
@@ -474,3 +469,6 @@ def test_delete_vertex_reindexes():
     assert survivors == [1]
     assert h.edges[0].pair == (0, 1)  # old (1, 2) shifted down
     assert h.edges[0].t == 2
+    for victim in (-1, 3):
+        with pytest.raises(tg.EndpointOutOfRange, match=f"vertex {victim} out of range"):
+            tg.delete_vertex(g, victim)
