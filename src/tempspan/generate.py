@@ -49,6 +49,10 @@ def random_happy_tc(
     """A happy TC graph on a random connected underlying graph."""
     if n < 1:
         raise ValueError("n must be positive")
+    if not 0 <= edge_prob <= 1:
+        raise ValueError(f"edge_prob must be in [0, 1], got {edge_prob}")
+    if max_tries < 0:
+        raise ValueError(f"max_tries must be non-negative, got {max_tries}")
     rng = random.Random(seed)
     for _ in range(max_tries):
         pairs = [
@@ -74,6 +78,8 @@ def random_happy_tc_with_cover(
     ``cover_size`` cover vertices."""
     if not (1 <= cover_size < n):
         raise ValueError("need 1 <= cover_size < n")
+    if max_tries < 0:
+        raise ValueError(f"max_tries must be non-negative, got {max_tries}")
     rng = random.Random(seed)
     cover = list(range(cover_size))
     for _ in range(max_tries):

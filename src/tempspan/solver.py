@@ -118,10 +118,10 @@ class _SubsetOracle:
     bits only: ``masks[v] = (1 << v) & need``, where ``need`` holds the two
     sources or every vertex.  Each query is one full sweep from these start
     masks, and the requirement holds iff every final mask equals ``need``.
-    :meth:`feasible_each` answers up to 64 queries that each drop a set of
-    one or two more edges in one lane sweep (:func:`reach._lane_sweep`); the
-    forced set asks it for single edges, branch and bound for single edges
-    and pairs.
+    :meth:`feasible_each` answers queries that each drop one or two more
+    edges, all in one lane sweep (:func:`reach._lane_sweep`); its callers
+    keep a probe at 64 lanes: the forced set asks for single edges 64 at a
+    time, branch and bound for windows of single edges and pairs.
 
     The oracle is the one place that reads the requirement: it checks the
     two sources' range and keeps ``sources`` sorted and without repeats;
@@ -172,7 +172,9 @@ class _SubsetOracle:
         if not self.satisfied:
             raise RequirementNotSatisfied("graph does not satisfy the requirement")
         m = self.g.m
-        answers = self.feasible_each([0] * m, range(m), 0)
+        answers: list[bool] = []
+        for c in range(0, m, 64):
+            answers += self.feasible_each([0] * m, range(c, min(c + 64, m)), 0)
         return frozenset(i for i, ok in enumerate(answers) if not ok)
 
     @cached_property
@@ -202,44 +204,35 @@ class _SubsetOracle:
         ``edges`` alone, then ``edges[0]`` with each of ``edges[1 : 1 + pairs]``
         (``pairs < len(edges)``).
 
-        Lanes go 64 at a time into one :func:`reach._lane_sweep`: lane j of a
-        chunk drops its j-th edge, and the pair lanes, which come last, also
-        drop ``edges[0]``.  A lane's answer is read from the AND of the final
+        All lanes go into one :func:`reach._lane_sweep`, whatever their
+        number (ints are unbounded; callers keep a probe at 64 lanes): lane j
+        drops the j-th edge, and the pair lanes, which come last, also drop
+        ``edges[0]``.  A lane's answer is read from the AND of the final
         masks, which holds ``need`` in every lane that meets the requirement.
-        One lane takes a plain :meth:`feasible` query.
         """
-        if len(edges) == 1:
-            drop = removed.copy()
-            drop[edges[0]] = -1
-            return [self.feasible(drop)]
-        if pairs:
-            edges = [*edges, *edges[1 : 1 + pairs]]
         n = self.g.vertex_count
-        out: list[bool] = []
-        for c in range(0, len(edges), 64):
-            chunk = edges[c : c + 64]
-            layout = self._lanes.get(len(chunk))
-            if layout is None:
-                segments = [((1 << n) - 1) << (j * n) for j in range(len(chunk))]
-                spread = sum(1 << (j * n) for j in range(len(chunk)))
-                layout = segments, [x * spread for x in self.start], self.need * spread
-                self._lanes[len(chunk)] = layout
-            segments, start, need = layout
-            drop = removed.copy()
-            for e, segment in zip(chunk, segments):
-                drop[e] |= segment
-            paired = min(len(chunk), c + len(chunk) + pairs - len(edges))  # pair lanes in the chunk
-            if paired > 0:
-                drop[edges[0]] |= ((1 << paired * n) - 1) << (len(chunk) - paired) * n
-            # The bits of ``need`` that some final mask lacks, lane by lane.
-            miss = need & ~reduce(and_, reach._lane_sweep(self.g, self.s, drop, start))
-            ok = [True] * len(chunk)
-            while miss:
-                j = (miss.bit_length() - 1) // n
-                ok[j] = False
-                miss &= (1 << (j * n)) - 1
-            out += ok
-        return out
+        lanes = len(edges) + pairs
+        layout = self._lanes.get(lanes)
+        if layout is None:
+            segments = [((1 << n) - 1) << (j * n) for j in range(lanes)]
+            spread = sum(1 << (j * n) for j in range(lanes))
+            layout = segments, [x * spread for x in self.start], self.need * spread
+            self._lanes[lanes] = layout
+        segments, start, need = layout
+        drop = removed.copy()
+        if pairs:
+            drop[edges[0]] |= ((1 << pairs * n) - 1) << len(edges) * n
+            edges = [*edges, *edges[1 : 1 + pairs]]
+        for e, segment in zip(edges, segments):
+            drop[e] |= segment
+        # The bits of ``need`` that some final mask lacks, lane by lane.
+        miss = need & ~reduce(and_, reach._lane_sweep(self.g, self.s, drop, start))
+        ok = [True] * lanes
+        while miss:
+            j = (miss.bit_length() - 1) // n
+            ok[j] = False
+            miss &= (1 << (j * n)) - 1
+        return ok
 
     def failing_sources(self, removed: Sequence[int]) -> list[int]:
         """Sources that cannot reach every vertex under the requirement."""

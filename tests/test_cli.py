@@ -282,8 +282,24 @@ def test_gen_random_to_stdout_writes_the_graph_only(capsys):
         (["--n", 8, "--cover", 0], "need 1 <= cover_size < n"),
         (["--n", 8, "--max-tries", 0], "no TC graph found in 0 tries (seed 1)"),
         (["--n", 8, "--cover", 2, "--max-tries", 0], "no TC graph found in 0 tries (seed 1)"),
+        (["--n", 6, "--edge-prob", -0.5], "edge_prob must be in [0, 1], got -0.5"),
+        (["--n", 6, "--edge-prob", 1.5], "edge_prob must be in [0, 1], got 1.5"),
+        (["--n", 6, "--edge-prob", "nan"], "edge_prob must be in [0, 1], got nan"),
+        (["--n", 6, "--max-tries", -3], "max_tries must be non-negative, got -3"),
+        (["--n", 6, "--cover", 2, "--max-tries", -3], "max_tries must be non-negative, got -3"),
     ],
-    ids=["no-vertex", "cover-too-large", "cover-zero", "no-tries", "cover-no-tries"],
+    ids=[
+        "no-vertex",
+        "cover-too-large",
+        "cover-zero",
+        "no-tries",
+        "cover-no-tries",
+        "negative-prob",
+        "prob-above-one",
+        "nan-prob",
+        "negative-tries",
+        "cover-negative-tries",
+    ],
 )
 def test_gen_random_refuses_what_it_cannot_generate(capsys, argv, message):
     code, out, err = run(capsys, "gen-random", "--seed", 1, *argv)

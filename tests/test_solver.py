@@ -516,12 +516,12 @@ def _one_query_each(oracle, removed, edges):
 
 def test_feasible_each_matches_one_query_per_edge():
     # Multi-label graphs bring strict snapshot groups and non-strict fixpoint
-    # groups; the m = 115 graph needs two 64-lane chunks.  The base drop
-    # tables drop no edge, or a random fifth of them.
+    # groups; the m = 115 graph asks for up to 115 lanes, which one sweep
+    # answers.  The base drop tables drop no edge, or a random fifth of them.
     graphs = [_multilabel_graph(seed, (5, 7)) for seed in range(30)]
     graphs += [generate.random_happy_tc(8, 3, 0.6), generate.random_happy_tc(16, 0, 0.95)]
     rng = random.Random(0)
-    chunks = checked = 0
+    wide = checked = 0
     for g in graphs:
         for s in (STRICT, NONSTRICT):
             for req in (ALL_PAIRS, TwoSource(0, g.vertex_count - 1)):
@@ -538,16 +538,16 @@ def test_feasible_each_matches_one_query_per_edge():
                     assert oracle.feasible_each(removed, everything, 0) == _one_query_each(
                         oracle, removed, everything
                     )
-                chunks += g.m > 64
+                wide += g.m > 64
                 checked += 1
-    assert checked >= 60 and chunks == 4
+    assert checked >= 60 and wide == 4
 
 
 def test_feasible_each_reads_the_drop_table_of_a_kept_set():
     # ``reach._drop_flags(g, kept)`` builds the table every sweep reads, so
     # a lane probe takes it as it is and leaves it unchanged: its answers,
-    # for one edge or for every edge in one or two chunks, equal one
-    # ``feasible`` query per edge.
+    # for one edge or for every edge (115 lanes on the largest graph) in one
+    # sweep, equal one ``feasible`` query per edge.
     graphs = [_multilabel_graph(seed, (5, 7)) for seed in range(30)]
     graphs.append(generate.random_happy_tc(16, 0, 0.95))
     rng = random.Random(1)
@@ -563,6 +563,68 @@ def test_feasible_each_reads_the_drop_table_of_a_kept_set():
             assert removed == reach._drop_flags(g, kept)
             mixed += True in want and False in want
     assert mixed >= 20
+
+
+def _pendant_graph(m, seed):
+    """A seeded multi-label graph of exactly ``m`` edges, and the indices of
+    12 edges that every all-pairs spanner keeps, on both sides of each
+    multiple of 64.
+
+    Core vertex 0 meets core vertices 1..7 at labels 2 and 9, so each core
+    vertex reaches 0 by label 2 and hears from it at label 9.  Pendant
+    vertex p meets core vertex p - 8 at labels 1 and 10: without the first
+    edge it reaches no one, without the second no one but p - 8 reaches it.
+    The other edges join core vertices at labels 3..8.
+    """
+    rng = random.Random(seed)
+    pendant = [(v - 8, v, t) for v in range(8, 14) for t in (1, 10)]
+    hub = [(0, v, t) for v in range(1, 8) for t in (2, 9)]
+    core = [(u, v, t) for u, v in combinations(range(8), 2) for t in range(3, 9)]
+    others = hub + rng.sample(core, m - len(pendant) - len(hub))
+    rng.shuffle(others)
+    at = {i for i in (0, 63, 64, 127, 128) if i < m}
+    at |= set(rng.sample(sorted(set(range(m)) - at), len(pendant) - len(at)))
+    kept, rest = iter(pendant), iter(others)
+    return tg.build(14, [next(kept) if i in at else next(rest) for i in range(m)]), at
+
+
+@pytest.mark.parametrize("m", [63, 64, 65, 128, 129])
+def test_forced_set_asks_64_edges_per_probe(monkeypatch, m):
+    # The forced set asks for single edges in probes of at most 64 lanes,
+    # each one lane sweep and no plain query; its answers equal one plain
+    # query per edge.  All pairs keep every pendant edge.
+    probes = []
+    sweeps = []
+    real_each, real_lane = solver._SubsetOracle.feasible_each, reach._lane_sweep
+
+    def probe(self, removed, edges, pairs):
+        probes.append(len(edges))
+        return real_each(self, removed, edges, pairs)
+
+    def lane_sweep(g, s, drop, masks):
+        sweeps.append(None)
+        return real_lane(g, s, drop, masks)
+
+    def feasible(self, removed):
+        raise AssertionError("a plain query")
+
+    g, pendant = _pendant_graph(m, m)
+    for s in (STRICT, NONSTRICT):
+        for req in (ALL_PAIRS, TwoSource(0, 13)):
+            oracle = solver._SubsetOracle(g, s, req)
+            assert oracle.satisfied
+            want = _one_query_each(oracle, [0] * m, range(m))
+            probes.clear()
+            sweeps.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(solver._SubsetOracle, "feasible_each", probe)
+                patch.setattr(solver._SubsetOracle, "feasible", feasible)
+                patch.setattr(reach, "_lane_sweep", lane_sweep)
+                forced = oracle.forced
+            assert forced == {e for e in range(m) if not want[e]}
+            assert pendant <= forced or req != ALL_PAIRS
+            assert probes == [64] * (m // 64) + [m % 64] * (m % 64 > 0)
+            assert len(sweeps) == len(probes)
 
 
 @pytest.mark.parametrize("s", [STRICT, NONSTRICT], ids=["strict", "nonstrict"])
@@ -614,10 +676,10 @@ def test_schedule_search_visits_a_pinned_number_of_nodes(monkeypatch):
     # and sweep counts do.  The schedule's search on each of three generator
     # graphs visits exactly the pinned number of nodes: it stops at one node
     # fewer and completes at that many.  The whole solve runs the pinned
-    # number of lane sweeps.
+    # numbers of lane and plain sweeps; a one-lane probe is a lane sweep.
     calls = []
     sweeps = []
-    real, real_lane = solver._bnb_max_removal, reach._lane_sweep
+    real, real_lane, real_plain = solver._bnb_max_removal, reach._lane_sweep, reach._mask_sweep
 
     def bnb(oracle, blocks, caps, stop, incumbent=None, node_limit=None):
         if incumbent is not None:
@@ -625,17 +687,23 @@ def test_schedule_search_visits_a_pinned_number_of_nodes(monkeypatch):
         return real(oracle, blocks, caps, stop, incumbent, node_limit)
 
     def lane_sweep(g, s, drop, masks):
-        sweeps.append(None)
+        sweeps.append("lane")
         return real_lane(g, s, drop, masks)
+
+    def plain_sweep(groups, s, removed, masks):
+        sweeps.append("plain")
+        return real_plain(groups, s, removed, masks)
 
     monkeypatch.setattr(solver, "_bnb_max_removal", bnb)
     monkeypatch.setattr(reach, "_lane_sweep", lane_sweep)
-    pins = (((8, 3, 0.6), 310, 108), ((9, 2, 0.6), 1937, 451), ((12, 0, 0.6), 948, 279))
-    for (n, seed, p), nodes, lane_sweeps in pins:
+    monkeypatch.setattr(reach, "_mask_sweep", plain_sweep)
+    pins = (((8, 3, 0.6), 310, 112, 15), ((9, 2, 0.6), 1937, 461, 19), ((12, 0, 0.6), 948, 282, 20))
+    for (n, seed, p), nodes, lane_sweeps, plain_sweeps in pins:
+        g = generate.random_happy_tc(n, seed, p)
         calls.clear()
         sweeps.clear()
-        res = solver.min_spanner_exact(generate.random_happy_tc(n, seed, p), engine="bnb")
-        assert len(sweeps) == lane_sweeps
+        res = solver.min_spanner_exact(g, engine="bnb")
+        assert (sweeps.count("lane"), sweeps.count("plain")) == (lane_sweeps, plain_sweeps)
         (args,) = calls
         assert real(*args, nodes - 1)[1]
         removal, stopped = real(*args, nodes)
@@ -765,10 +833,11 @@ def test_bnb_agrees_with_brute_in_every_mode(kind, two_source, s):
 def test_lane_probe_answers_each_single_and_pair_as_one_query(kind, two_source, s):
     # The chain's probe shape: a window of k edges, one per lane, then the
     # window's first edge paired with each next one in the lanes left over,
-    # up to 64.  Windows draw edges with repeats, so that k = 65 fills a
-    # second sweep on graphs of fewer edges; forced edges in them make
+    # up to 64.  Windows draw edges with repeats, so that k = 65 asks for
+    # more lanes than graphs of fewer edges have; forced edges in them make
     # single answers False, and every pair with such an edge False too.
-    # Last, 80 single lanes and 79 pair lanes span three sweeps.
+    # Last, 80 single lanes and 79 pair lanes go into one sweep, as any
+    # number of lanes does.
     rng = random.Random(3)
     false_pairs = 0
     shapes = ((1, 0), (2, 1), (32, 31), (33, 31), (63, 1), (64, 0), (65, 0), (80, 79))
