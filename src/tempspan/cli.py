@@ -344,7 +344,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_reduce_sat)
 
-    p = sub.add_parser("reduce-mcc", help="multicolored-clique to spanner-instance generator")
+    p = sub.add_parser(
+        "reduce-mcc",
+        help="multicolored-clique to spanner-instance generator",
+        description="Known wrong (ROADMAP item 7): the output is temporally connected only"
+        " at three colors, not at four, and an instance without a clique gets a spanner"
+        " within its budget.",
+    )
     p.add_argument("file")
     p.add_argument("--pad-even", action="store_true", help="duplicate last edges to even counts")
     p.add_argument("--out-prefix", default="out")

@@ -27,12 +27,12 @@ lane mode reads lane bits.
   all, in the last few groups (a stop after each group would skip 1.5% of
   the groups that the default solves of the benchmark corpus read), so a
   test between groups there costs more than the stop saves;
-* the lane mode (:func:`_lane_sweep`) runs up to 64 bitmask sweeps, each
-  over its own edge subset, in one pass: lane j of a vertex mask is its bits
-  ``[j*n, (j+1)*n)``, and an edge's entry in the drop table holds the lane
-  segments that drop it (-1 drops it in every lane).  The solver's oracle
-  gives each lane a set of one or two edges to drop on top of a common
-  table.  This is the
+* the lane mode (:func:`_lane_sweep`) runs any number of bitmask sweeps,
+  each over its own edge subset, in one pass: lane j of a vertex mask is its
+  bits ``[j*n, (j+1)*n)``, and an edge's entry in the drop table holds the
+  lane segments that drop it (-1 drops it in every lane).  The solver's
+  oracle keeps a probe at 64 lanes and gives each lane a set of one or two
+  edges to drop on top of a common table.  This is the
   bit-parallel multi-source traversal of Then et al., "The More the Merrier:
   Efficient Multi-Source Graph Traversal" (VLDB 2014), applied to edge
   subsets instead of sources;

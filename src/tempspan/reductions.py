@@ -4,10 +4,11 @@
 temporally connected graph with a spanner budget that is attainable exactly
 when the formula is satisfiable; ``sat_witness_spanner`` builds the attaining
 spanner from a satisfying assignment.  ``mcc_to_spanner_instance`` turns a
-multicolored-clique instance into a strictly connected temporal graph built
-from per-color-pair edge selection gadgets, adjacency validators, and a
-connector gadget, with an analogous budget; ``mcc_witness_spanner`` builds
-the attaining spanner from a clique.
+multicolored-clique instance into a temporal graph built from per-color-pair
+edge selection gadgets, adjacency validators, and a connector gadget, with a
+budget that does not yet decide the clique question (see
+``mcc_to_spanner_instance``); ``mcc_witness_spanner`` builds a budget-sized
+edge set from a clique.
 
 Outputs carry structural annotations: role tags per vertex, critical edges
 (SAT), gadget membership per time edge and an explicit feedback vertex set
@@ -316,9 +317,7 @@ def edge_selection_gadget(
     )
 
 
-def _selection_witness_keys(
-    cycle: Sequence[int], s: int, high_start: int, anchor_pos: int
-) -> list[tuple[int, int, int]]:
+def _selection_witness_keys(s: int, high_start: int, anchor_pos: int) -> list[tuple[int, int, int]]:
     """(u, v, t) keys of the anchored witness pattern on a gadget cycle.
 
     One high anchor on the chosen edge; walking away from it in both
@@ -329,7 +328,7 @@ def _selection_witness_keys(
     half = 3 * s // 2
 
     def key(pos: int, t: int) -> tuple[int, int, int]:
-        a, b = cycle[pos % size], cycle[(pos + 1) % size]
+        a, b = pos % size, (pos + 1) % size
         return (min(a, b), max(a, b), t)
 
     keys = [key(anchor_pos, high_start)]
@@ -347,8 +346,7 @@ def gadget_witness_spanner(gadget: SelectionGadget, ell: int) -> Spanner:
     s = gadget.edge_count
     if not (0 <= ell < s):
         raise NotASelectionEdge(f"no selection edge with index {ell}")
-    cycle = list(range(3 * s))
-    keys = _selection_witness_keys(cycle, s, gadget.high_labels[0], 3 * ell)
+    keys = _selection_witness_keys(s, gadget.high_labels[0], 3 * ell)
     kept = frozenset(gadget.graph.index_by_key[key] for key in keys)
     return Spanner(gadget.graph, kept)
 
@@ -425,11 +423,9 @@ def validate_mcc(inst: MccInstance) -> None:
 
 @dataclass(frozen=True)
 class GadgetInfo:
-    colors: tuple[int, int]
-    edge_count: int
-    cycle_vertices: tuple[int, ...]  # selection edge ell spans positions (3*ell, 3*ell + 1)
-    low_top: int
-    high_start: int
+    gadget: SelectionGadget
+    first_vertex: int  # gadget vertex v is vertex first_vertex + v
+    first_edge: int  # gadget edge i is edge first_edge + i
 
 
 @dataclass(frozen=True)
@@ -466,6 +462,10 @@ def mcc_to_spanner_instance(inst: MccInstance) -> MccReductionOutput:
     Raises :class:`InvariantViolated` below three colors: a validator needs
     two colors besides its own, so two colors get neither validators nor a
     hub, and the graph would not be temporally connected.
+
+    Known wrong (ROADMAP item 7; strict xfails in ``tests/test_reductions.py``):
+    connectivity is checked only at three colors, and four colors fail; an
+    instance without a clique gets a spanner within its budget.
     """
     validate_mcc(inst)
     k, n = inst.color_count, inst.class_size
@@ -491,30 +491,21 @@ def mcc_to_spanner_instance(inst: MccInstance) -> MccReductionOutput:
         tags.append(tag)
         return len(edges) - 1
 
-    # Selection gadgets.
-    gadgets: list[GadgetInfo] = []
-    cycle_of: dict[tuple[int, int], list[int]] = {}
+    # Selection gadgets: each standalone gadget appended verbatim, shifted
+    # to its first vertex and first edge.
+    gadgets: dict[tuple[int, int], GadgetInfo] = {}
     for i, j in combinations(range(k), 2):
-        # The standalone gadget, its vertex v mapped to cycle[v].
         gadget = edge_selection_gadget(i, j, len(by_pair[(i, j)]), m, k, n)
-        cycle = [new_vertex(f"sel({i},{j}).{role}") for role in gadget.roles]
-        cycle_of[(i, j)] = cycle
+        first = len(roles)
+        gadgets[(i, j)] = GadgetInfo(gadget, first, len(edges))
+        roles += [f"sel({i},{j}).{role}" for role in gadget.roles]
         for a, b, t in zip(gadget.graph.us, gadget.graph.vs, gadget.graph.ts):
-            add(cycle[a], cycle[b], t, f"selection({i},{j})")
-        gadgets.append(
-            GadgetInfo(
-                colors=(i, j),
-                edge_count=gadget.edge_count,
-                cycle_vertices=tuple(cycle),
-                low_top=gadget.low_labels[1],
-                high_start=gadget.high_labels[0],
-            )
-        )
+            add(first + a, first + b, t, f"selection({i},{j})")
 
     def color_vertex(pair: tuple[int, int], ell: int, color: int) -> int:
-        # v[ell, color] sits at cycle position 3*ell (first color) or +1.
+        # v[ell, color] is gadget vertex 3*ell (first color) or 3*ell + 1.
         offset = 0 if color == pair[0] else 1
-        return cycle_of[pair][3 * ell + offset]
+        return gadgets[pair].first_vertex + 3 * ell + offset
 
     # Adjacency validators.
     validators: list[ValidatorInfo] = []
@@ -567,16 +558,15 @@ def mcc_to_spanner_instance(inst: MccInstance) -> MccReductionOutput:
 
     # Connector gadget: hubs for color-disjoint gadget pairs, then y1..y4.
     hub_vertices: list[int] = []
-    pairs = sorted(cycle_of)
-    for pa, pb in combinations(pairs, 2):
+    for pa, pb in combinations(gadgets, 2):
         if set(pa) & set(pb):
             continue
         hub = new_vertex(f"hub({pa[0]},{pa[1]}|{pb[0]},{pb[1]})")
         hub_vertices.append(hub)
-        for g_vertex in cycle_of[pa]:
-            add(g_vertex, hub, 4, "connector")
-        for g_vertex in cycle_of[pb]:
-            add(g_vertex, hub, c0 + 4 * k * n + 6, "connector")
+        for pair, t in ((pa, 4), (pb, c0 + 4 * k * n + 6)):
+            info = gadgets[pair]
+            for g_vertex in range(info.first_vertex, info.first_vertex + info.gadget.graph.vertex_count):
+                add(g_vertex, hub, t, "connector")
     y1 = new_vertex("y1")
     y2 = new_vertex("y2")
     y3 = new_vertex("y3")
@@ -605,7 +595,7 @@ def mcc_to_spanner_instance(inst: MccInstance) -> MccReductionOutput:
     fvs = frozenset(
         hub_vertices
         + [y1, y2, y3, y4]
-        + [info.cycle_vertices[0] for info in gadgets]
+        + [info.first_vertex for info in gadgets.values()]
         + middle_vertices
     )
     return MccReductionOutput(
@@ -616,17 +606,17 @@ def mcc_to_spanner_instance(inst: MccInstance) -> MccReductionOutput:
         gadget_map=tuple(tags),
         fvs=fvs,
         roles=tuple(roles),
-        gadgets=tuple(gadgets),
+        gadgets=tuple(gadgets.values()),
         validators=tuple(validators),
     )
 
 
 def mcc_witness_spanner(out: MccReductionOutput, clique: Sequence[int]) -> Spanner:
-    """The budget-sized strict spanner encoded by a multicolored clique.
+    """The budget-sized edge set encoded by a clique; a strict spanner at three colors.
 
-    Keeps the whole connector, the anchored witness pattern of every gadget
-    (anchored at the clique's edge, plus one extra low anchor label), and the
-    eight validator edges at the clique vertex for every sharing gadget pair.
+    Keeps the whole connector, each gadget's standalone witness (anchored at
+    the clique's edge) plus that edge at its top low label, and the eight
+    validator edges at the clique vertex for every sharing gadget pair.
     """
     inst = out.instance
     k = inst.color_count
@@ -647,15 +637,12 @@ def mcc_witness_spanner(out: MccReductionOutput, clique: Sequence[int]) -> Spann
     kept: set[int] = {
         idx for idx, tag in enumerate(out.gadget_map) if tag == "connector"
     }
-    key_index = out.graph.index_by_key
     for info in out.gadgets:
-        ell = clique_edge[info.colors]
-        keys = _selection_witness_keys(
-            info.cycle_vertices, info.edge_count, info.high_start, 3 * ell
-        )
-        a, b = info.cycle_vertices[3 * ell], info.cycle_vertices[3 * ell + 1]
-        keys.append((min(a, b), max(a, b), info.low_top))
-        kept.update(key_index[key] for key in keys)
+        gadget = info.gadget
+        ell = clique_edge[gadget.colors]
+        low_anchor = gadget.graph.index_by_key[(3 * ell, 3 * ell + 1, gadget.low_labels[1])]
+        witness = gadget_witness_spanner(gadget, ell).kept | {low_anchor}
+        kept.update(info.first_edge + e for e in witness)
     for info in out.validators:
         if (
             info.ell_a == clique_edge[info.pair_a]

@@ -437,7 +437,7 @@ def test_mcc_construction_shape():
     assert any(t.startswith("selection") for t in tags)
     assert any(t.startswith("validator") for t in tags)
     for info in out.gadgets:
-        assert len(info.cycle_vertices) % 3 == 0
+        assert info.gadget.graph.vertex_count == 3 * info.gadget.edge_count
 
 
 def test_mcc_rejects_fewer_than_three_colors():
@@ -452,21 +452,25 @@ def test_mcc_rejects_fewer_than_three_colors():
 @pytest.mark.parametrize("k", [3, 4])
 def test_mcc_gadgets_are_the_standalone_gadget(k):
     # Each selection gadget is edge_selection_gadget with its vertex v
-    # renamed to cycle_vertices[v]: same edges in the same order, same roles.
+    # renamed to first_vertex + v and its edge e to first_edge + e: same
+    # edges in the same order, same roles.
     out = red.mcc_to_spanner_instance(complete_mcc(k))
     g = out.graph
-    max_count = max(info.edge_count for info in out.gadgets)
+    max_count = max(info.gadget.edge_count for info in out.gadgets)
     for info in out.gadgets:
-        i, j = info.colors
-        gad = red.edge_selection_gadget(i, j, info.edge_count, max_count, k, 2)
-        cyc = info.cycle_vertices
-        want = [(cyc[u], cyc[v], t) for u, v, t in zip(gad.graph.us, gad.graph.vs, gad.graph.ts)]
+        i, j = info.gadget.colors
+        gad = red.edge_selection_gadget(i, j, info.gadget.edge_count, max_count, k, 2)
+        first, first_edge = info.first_vertex, info.first_edge
+        want = [(first + u, first + v, t) for u, v, t in zip(gad.graph.us, gad.graph.vs, gad.graph.ts)]
         got = [
             (g.us[e], g.vs[e], g.ts[e]) for e in range(g.m) if out.gadget_map[e] == f"selection({i},{j})"
         ]
         assert got == want
-        assert [out.roles[x] for x in cyc] == [f"sel({i},{j}).{role}" for role in gad.roles]
-        assert (info.low_top, info.high_start) == (gad.low_labels[1], gad.high_labels[0])
+        assert got == [(g.us[e], g.vs[e], g.ts[e]) for e in range(first_edge, first_edge + gad.graph.m)]
+        assert list(out.roles[first : first + gad.graph.vertex_count]) == [
+            f"sel({i},{j}).{role}" for role in gad.roles
+        ]
+        assert (info.gadget.low_labels, info.gadget.high_labels) == (gad.low_labels, gad.high_labels)
 
 
 def _is_forest(n, pairs):
@@ -508,6 +512,31 @@ def test_mcc_witness_spanner():
     assert connector <= red.mcc_witness_spanner(out, (0, 0, 0)).kept
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 7: the MCC construction is not temporally connected at four colors",
+)
+def test_mcc_four_colors_is_strictly_connected():
+    out = red.mcc_to_spanner_instance(complete_mcc(4))
+    assert reach.is_tc(out.graph, STRICT)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 7: an MCC instance without a clique gets a spanner within its budget",
+)
+def test_mcc_without_a_clique_has_no_spanner_within_its_budget():
+    inst = red.MccInstance(3, 2, ((0, 0, 1, 0), (0, 1, 1, 1), (1, 0, 2, 0), (1, 1, 2, 1), (0, 0, 2, 1), (0, 1, 2, 0)))
+    out = red.mcc_to_spanner_instance(inst)
+    for clique in product(range(2), repeat=3):
+        with pytest.raises(red.NotAClique):
+            red.mcc_witness_spanner(out, clique)
+    res = solver.min_spanner_exact(out.graph, STRICT, budget=out.budget, engine="flow", cap=10**6)
+    assert not res.within_budget
+
+
 def test_mcc_witness_rejects_non_clique():
     # drop one cross edge so (0, 0, 0) is no longer a clique
     inst = complete_mcc()
@@ -529,12 +558,12 @@ def test_mcc_no_shortcut_through_connector():
     out = red.mcc_to_spanner_instance(inst)
     full = reach.reach_masks(out.graph, STRICT)
     for info in out.gadgets:
-        i, j = info.colors
+        i, j = info.gadget.colors
         frag = red.edge_selection_gadget(
-            i, j, info.edge_count, 4, inst.color_count, inst.class_size
+            i, j, info.gadget.edge_count, 4, inst.color_count, inst.class_size
         )
         frag_masks = reach.reach_masks(frag.graph, STRICT)
-        cyc = info.cycle_vertices
+        cyc = range(info.first_vertex, info.first_vertex + frag.graph.vertex_count)
         for a_local, a_global in enumerate(cyc):
             for b_local, b_global in enumerate(cyc):
                 got = bool(full[b_global] >> a_global & 1)
