@@ -6,10 +6,20 @@ search leave the answer open, and the hitting-set MILPs or a bnb run to the
 end would search more than ``--cap`` removable edges) or MILP solver
 failure; 3 = usage or I/O errors.
 
+One output rule holds for every command: a command returns its exit code,
+input record, result, human summary and payload (the spanner text of
+``solve``, the graph text of ``gen-random``, else none), and ``main`` writes
+them.  The payload goes to ``--out FILE``, or to stdout with ``--out -``.
+Stdout carries exactly one of the ``--json`` object, the payload and the
+summary, in that order of precedence; when the payload takes stdout, the
+summary goes to stderr.  ``solve --json`` lists the spanner's edge indices;
+``gen-random --json`` and ``solve --json --triples`` would drop the payload,
+so they need ``--out FILE``.
+
 Reports are deterministic given identical inputs, flags, and seeds; wall
-time is printed to stderr only.  ``--json`` replaces the human summary with
-a stable object: ``{"command": ..., "input": {"path", "sha256"} | null,
-"result": {...}}`` with no extra keys.
+time is printed to stderr only.  The ``--json`` object is stable:
+``{"command": ..., "input": {"path", "sha256"} | null, "result": {...}}``
+with no extra keys.
 
 ``solve`` reports ``optimal`` true exactly when the spanner is proven
 minimum, with or without ``--k``; ``within_budget`` says whether it fits
@@ -29,7 +39,7 @@ import time
 from . import generate, reductions, solver, tempgraph
 from .reach import NONSTRICT, STRICT, Strictness, is_tc
 from .solver import ALL_PAIRS, AllPairs, TwoSource
-from .tempgraph import Spanner, TemporalGraph
+from .tempgraph import TemporalGraph
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -68,53 +78,29 @@ def _requirement(args) -> AllPairs | TwoSource:
     return ALL_PAIRS
 
 
-def _report(args, command: str, input_info: dict | None, result: dict, human: str) -> None:
-    if args.json:
-        print(json.dumps({"command": command, "input": input_info, "result": result}))
-    else:
-        print(human)
-
-
 def _bool(x: bool) -> str:
     return "true" if x else "false"
 
 
-def _add_strictness(p: argparse.ArgumentParser) -> None:
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--strict", action="store_true", help="strict temporal paths (default)")
-    mode.add_argument("--nonstrict", action="store_true", help="non-strict temporal paths")
+# What each ``_cmd_*`` returns: (exit code, input record, result, summary,
+# payload); :func:`_emit` writes it.
+_Output = tuple[int, dict | None, dict, str, str | None]
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> _Output:
     g, info = _read_graph(args.file)
-    s = _strictness(args)
     cls = tempgraph.classify(g)
-    tc = is_tc(g, s)
-    result = {
-        "n": g.vertex_count,
-        "m": g.m,
-        "tc": tc,
-        "simple": cls.simple,
-        "proper": cls.proper,
-        "happy": cls.happy,
-    }
-    human = (
-        f"tc={_bool(tc)} simple={_bool(cls.simple)} "
-        f"proper={_bool(cls.proper)} happy={_bool(cls.happy)}"
+    tc = is_tc(g, _strictness(args))
+    result = dict(
+        n=g.vertex_count, m=g.m, tc=tc, simple=cls.simple, proper=cls.proper, happy=cls.happy
     )
-    _report(args, "check", info, result, human)
-    return EXIT_OK if tc else EXIT_FAIL
+    summary = " ".join(f"{key}={_bool(result[key])}" for key in ("tc", "simple", "proper", "happy"))
+    return (EXIT_OK if tc else EXIT_FAIL), info, result, summary, None
 
 
-def _write_spanner(args, spanner: Spanner) -> str | None:
-    text = tempgraph.serialize_spanner(spanner, triples=args.triples)
-    if args.out == "-":
-        return text
-    _write_text(args.out, text)
-    return None
-
-
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> _Output:
+    if args.json and args.triples and args.out == "-":
+        raise _UsageError("--json --triples needs --out FILE: the JSON result lists edge indices")
     g, info = _read_graph(args.file)
     s = _strictness(args)
     requirement = _requirement(args)
@@ -128,49 +114,30 @@ def _cmd_solve(args) -> int:
         res = solver.min_spanner_xp_vc(g, budget=args.k)
     else:
         res = solver.min_spanner_exact(g, s, budget=args.k, requirement=requirement, **search)
-    elapsed = time.monotonic() - started
-    inline = _write_spanner(args, res.spanner)
-    result = {
-        "size": res.size,
-        "optimal": res.optimal,
-        "lower_bound": res.lower_bound,
-        "method": res.method,
-        "within_budget": res.within_budget,
-        "spanner": sorted(res.spanner.kept),
-    }
-    human = f"size={res.size} optimal={_bool(res.optimal)} method={res.method}"
-    _report(args, "solve", info, result, human)
-    if inline is not None and not args.json:
-        sys.stdout.write(inline)
-    print(f"elapsed={elapsed:.3f}s", file=sys.stderr)
-    if args.k is not None and res.within_budget is False:
-        return EXIT_FAIL
-    return EXIT_OK
+    print(f"elapsed={time.monotonic() - started:.3f}s", file=sys.stderr)
+    result = dict(
+        size=res.size, optimal=res.optimal, lower_bound=res.lower_bound, method=res.method,
+        within_budget=res.within_budget, spanner=sorted(res.spanner.kept),
+    )
+    summary = f"size={res.size} optimal={_bool(res.optimal)} method={res.method}"
+    payload = tempgraph.serialize_spanner(res.spanner, triples=args.triples)
+    return (EXIT_FAIL if res.within_budget is False else EXIT_OK), info, result, summary, payload
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> _Output:
     g, info = _read_graph(args.file)
     spanner = tempgraph.parse_spanner(_read(args.spanner)[0], g)
-    s = _strictness(args)
     requirement = _requirement(args)
-    holds = solver.requirement_holds(g, s, requirement, kept=spanner.kept)
-    name = (
-        f"two-source({requirement.s1},{requirement.s2})"
-        if isinstance(requirement, TwoSource)
-        else "all-pairs"
-    )
+    holds = solver.requirement_holds(g, _strictness(args), requirement, kept=spanner.kept)
+    name = "all-pairs"
+    if isinstance(requirement, TwoSource):
+        name = f"two-source({requirement.s1},{requirement.s2})"
     result = {"holds": holds, "size": spanner.size, "requirement": name}
-    _report(
-        args,
-        "verify",
-        info,
-        result,
-        f"holds={_bool(holds)} size={spanner.size} requirement={name}",
-    )
-    return EXIT_OK if holds else EXIT_FAIL
+    summary = f"holds={_bool(holds)} size={spanner.size} requirement={name}"
+    return (EXIT_OK if holds else EXIT_FAIL), info, result, summary, None
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> _Output:
     if not args.vc:
         raise _UsageError("only --vc decomposition is available")
     g, info = _read_graph(args.file)
@@ -178,27 +145,16 @@ def _cmd_decompose(args) -> int:
     cover = sorted(solver.min_vertex_cover(tempgraph.underlying_graph(g), g.vertex_count))
     decomp = solver.vc_tree_decompose(spanner, cover)
     if decomp is None:
-        _report(args, "decompose", info, {"cover": cover, "decomposable": False}, "NOT-DECOMPOSABLE")
-        return EXIT_FAIL
-    trees = [
-        {"root": t.root, "edges": sorted(t.tree_edges)} for t in decomp.trees
-    ]
+        return EXIT_FAIL, info, {"cover": cover, "decomposable": False}, "NOT-DECOMPOSABLE", None
+    trees = [{"root": t.root, "edges": sorted(t.tree_edges)} for t in decomp.trees]
     extras = [{"vertex": v, "edge": e} for v, e in decomp.extras]
-    if args.json:
-        _report(
-            args,
-            "decompose",
-            info,
-            {"cover": cover, "decomposable": True, "trees": trees, "extras": extras},
-            "",
-        )
-    else:
-        print(f"cover={','.join(map(str, cover))}")
-        for t in trees:
-            print(f"tree root={t['root']} edges={','.join(map(str, t['edges']))}")
-        for x in extras:
-            print(f"extra vertex={x['vertex']} edge={x['edge']}")
-    return EXIT_OK
+    result = {"cover": cover, "decomposable": True, "trees": trees, "extras": extras}
+    summary = "\n".join(
+        [f"cover={','.join(map(str, cover))}"]
+        + [f"tree root={t['root']} edges={','.join(map(str, t['edges']))}" for t in trees]
+        + [f"extra vertex={x['vertex']} edge={x['edge']}" for x in extras]
+    )
+    return EXIT_OK, info, result, summary, None
 
 
 def _write_text(path: str, text: str) -> None:
@@ -219,26 +175,24 @@ def _write_instance(prefix: str, out, extra: dict[str, str]) -> None:
         _write_text(f"{prefix}.{suffix}", text)
 
 
-def _cmd_reduce_sat(args) -> int:
+def _cmd_reduce_sat(args) -> _Output:
     text, info = _read(args.file)
     phi = reductions.parse_dimacs(text)
     out = reductions.sat_to_spanner_instance(phi)
     if args.two_source:
         out = reductions.sat_two_source_variant(out)
         extra = {"sources": f"{out.sources[0]} {out.sources[1]}\n"}
-        detail, human = {"sources": list(out.sources)}, f"sources={out.sources[0]},{out.sources[1]}"
+        detail, tail = {"sources": list(out.sources)}, f"sources={out.sources[0]},{out.sources[1]}"
     else:
         extra = {"critical": "".join(f"{i}\n" for i in sorted(out.critical))}
-        detail, human = {"critical_count": len(out.critical)}, f"critical={len(out.critical)}"
+        detail, tail = {"critical_count": len(out.critical)}, f"critical={len(out.critical)}"
     _write_instance(args.out_prefix, out, extra)
     g = out.graph
     result = {"n": g.vertex_count, "m": g.m, "budget": out.budget, **detail}
-    human = f"n={g.vertex_count} m={g.m} budget={out.budget} {human}"
-    _report(args, "reduce-sat", info, result, human)
-    return EXIT_OK
+    return EXIT_OK, info, result, f"n={g.vertex_count} m={g.m} budget={out.budget} {tail}", None
 
 
-def _cmd_reduce_mcc(args) -> int:
+def _cmd_reduce_mcc(args) -> _Output:
     text, info = _read(args.file)
     inst = reductions.parse_mcc(text)
     if args.pad_even:
@@ -248,22 +202,17 @@ def _cmd_reduce_mcc(args) -> int:
         "fvs": "".join(f"{v}\n" for v in sorted(out.fvs)),
         "gadgets": "".join(f"{i} {tag}\n" for i, tag in enumerate(out.gadget_map)),
     })
-    result = {
-        "n": out.graph.vertex_count,
-        "m": out.graph.m,
-        "budget": out.budget,
-        "connector_edges": out.connector_edge_count,
-        "fvs_size": len(out.fvs),
-    }
-    human = (
-        f"n={out.graph.vertex_count} m={out.graph.m} budget={out.budget} "
-        f"connector={out.connector_edge_count} fvs={len(out.fvs)}"
+    g, connectors, fvs = out.graph, out.connector_edge_count, len(out.fvs)
+    result = dict(
+        n=g.vertex_count, m=g.m, budget=out.budget, connector_edges=connectors, fvs_size=fvs
     )
-    _report(args, "reduce-mcc", info, result, human)
-    return EXIT_OK
+    summary = f"n={g.vertex_count} m={g.m} budget={out.budget} connector={connectors} fvs={fvs}"
+    return EXIT_OK, info, result, summary, None
 
 
-def _cmd_gen_random(args) -> int:
+def _cmd_gen_random(args) -> _Output:
+    if args.json and args.out == "-":
+        raise _UsageError("--json needs --out FILE: the JSON result does not carry the graph")
     if args.cover is not None:
         g = generate.random_happy_tc_with_cover(
             args.n, args.cover, args.seed, max_tries=args.max_tries
@@ -272,36 +221,55 @@ def _cmd_gen_random(args) -> int:
         g = generate.random_happy_tc(
             args.n, args.seed, edge_prob=args.edge_prob, max_tries=args.max_tries
         )
-    text = tempgraph.serialize(g)
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        _write_text(args.out, text)
     result = {"n": g.vertex_count, "m": g.m, "lifetime": g.lifetime, "seed": args.seed}
-    human = f"n={g.vertex_count} m={g.m} lifetime={g.lifetime} seed={args.seed}"
+    summary = f"n={g.vertex_count} m={g.m} lifetime={g.lifetime} seed={args.seed}"
+    return EXIT_OK, None, result, summary, tempgraph.serialize(g)
+
+
+def _emit(args, info: dict | None, result: dict, summary: str, payload: str | None) -> None:
+    """The one output rule of the module docstring."""
+    if payload is not None and args.out != "-":
+        _write_text(args.out, payload)
+        payload = None
     if args.json:
-        _report(args, "gen-random", None, result, human)
+        print(json.dumps({"command": args.command, "input": info, "result": result}))
+    elif payload is None:
+        print(summary)
     else:
-        print(human, file=sys.stderr)
-    return EXIT_OK
+        sys.stdout.write(payload)
+        print(summary, file=sys.stderr)
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tempspan", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # Arguments that several commands share, each defined once.
+    graph, strictness, two_source, as_json = (
+        argparse.ArgumentParser(add_help=False) for _ in range(4)
+    )
+    graph.add_argument("file")
+    mode = strictness.add_mutually_exclusive_group()
+    mode.add_argument("--strict", action="store_true", help="strict temporal paths (default)")
+    mode.add_argument("--nonstrict", action="store_true", help="non-strict temporal paths")
+    two_source.add_argument("--two-source", nargs=2, type=int, metavar=("S1", "S2"))
+    as_json.add_argument("--json", action="store_true", help="print one JSON object instead")
 
-    p = sub.add_parser("check", help="classify a graph and test temporal connectivity")
-    p.add_argument("file")
-    _add_strictness(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_check)
+    def command(name, func, *parents, **kwargs) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[*parents, as_json], **kwargs)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("solve", help="compute a minimum temporal spanner")
-    p.add_argument("file")
+    command(
+        "check", _cmd_check, graph, strictness,
+        help="classify a graph and test temporal connectivity",
+    )
+
+    p = command(
+        "solve", _cmd_solve, graph, strictness, two_source,
+        help="compute a minimum temporal spanner",
+    )
     p.add_argument("--method", choices=["exact", "xp-vc"], default="exact")
-    _add_strictness(p)
     p.add_argument("--k", type=int, default=None, help="budget (decision mode)")
-    p.add_argument("--two-source", nargs=2, type=int, metavar=("S1", "S2"))
     p.add_argument(
         "--cap",
         type=int,
@@ -319,54 +287,49 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--out", default="-", help="spanner output path ('-' = stdout)")
     p.add_argument("--triples", action="store_true", help="write 'u v t' lines instead of indices")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("verify", help="check a spanner file against the requirement")
-    p.add_argument("file")
+    p = command(
+        "verify", _cmd_verify, graph, strictness, two_source,
+        help="check a spanner file against the requirement",
+    )
     p.add_argument("spanner")
-    _add_strictness(p)
-    p.add_argument("--two-source", nargs=2, type=int, metavar=("S1", "S2"))
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("decompose", help="tree-plus-extras decomposition of a spanner")
+    p = command(
+        "decompose", _cmd_decompose, graph, help="tree-plus-extras decomposition of a spanner"
+    )
+    p.add_argument("spanner")
     p.add_argument("--vc", action="store_true", help="decompose against a minimum vertex cover")
-    p.add_argument("file")
-    p.add_argument("spanner")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("reduce-sat", help="3-SAT to spanner-instance generator")
-    p.add_argument("file", help="DIMACS CNF input: each clause ends at its 0, across lines")
+    p = command(
+        "reduce-sat",
+        _cmd_reduce_sat,
+        graph,
+        help="3-SAT to spanner-instance generator",
+        description="The input file is DIMACS CNF: each clause ends at its 0, across lines.",
+    )
     p.add_argument("--two-source", action="store_true")
     p.add_argument("--out-prefix", default="out")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_reduce_sat)
 
-    p = sub.add_parser(
+    p = command(
         "reduce-mcc",
+        _cmd_reduce_mcc,
+        graph,
         help="multicolored-clique to spanner-instance generator",
         description="Known wrong (ROADMAP item 7): the output is temporally connected only"
         " at three colors, not at four, and an instance without a clique gets a spanner"
         " within its budget.",
     )
-    p.add_argument("file")
     p.add_argument("--pad-even", action="store_true", help="duplicate last edges to even counts")
     p.add_argument("--out-prefix", default="out")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_reduce_mcc)
 
-    p = sub.add_parser("gen-random", help="seeded random happy TC graph")
+    p = command("gen-random", _cmd_gen_random, help="seeded random happy TC graph")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     shape = p.add_mutually_exclusive_group()
     shape.add_argument("--edge-prob", type=float, default=0.5)
     shape.add_argument("--cover", type=int, default=None, help="force vertex cover number <= COVER")
     p.add_argument("--max-tries", type=int, default=400)
-    p.add_argument("--out", default="-")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_gen_random)
+    p.add_argument("--out", default="-", help="graph output path ('-' = stdout)")
 
     return parser
 
@@ -378,7 +341,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # usage errors and --help: return argparse's status
         return exc.code
     try:
-        return args.func(args)
+        code, *output = args.func(args)
+        _emit(args, *output)
+        return code
     except solver.InstanceTooLarge as exc:
         print(f"tempspan: resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -9,6 +9,7 @@ of retries is an explicit failure, never a silent fallback.
 from __future__ import annotations
 
 import random
+from typing import Callable
 
 from .reach import STRICT, is_tc
 from .tempgraph import TemporalGraph, TimeEdge, build
@@ -34,10 +35,29 @@ def _connected(n: int, pairs: list[tuple[int, int]]) -> bool:
     return len(seen) == n
 
 
-def _labeled(n: int, pairs: list[tuple[int, int]], rng: random.Random) -> TemporalGraph:
-    labels = list(range(1, len(pairs) + 1))
-    rng.shuffle(labels)
-    return build(n, [TimeEdge(a, b, t) for (a, b), t in zip(pairs, labels)])
+def _sample(
+    n: int,
+    seed: int,
+    max_tries: int,
+    draw_pairs: Callable[[random.Random], list[tuple[int, int]]],
+) -> TemporalGraph:
+    """The rejection loop of both samplers: per try, draw the pairs, keep
+    them if they connect all ``n`` vertices, label them with a random
+    permutation of ``1..m``, and return the graph if it is temporally
+    connected."""
+    if max_tries < 0:
+        raise ValueError(f"max_tries must be non-negative, got {max_tries}")
+    rng = random.Random(seed)
+    for _ in range(max_tries):
+        pairs = draw_pairs(rng)
+        if not _connected(n, pairs):
+            continue
+        labels = list(range(1, len(pairs) + 1))
+        rng.shuffle(labels)
+        g = build(n, [TimeEdge(a, b, t) for (a, b), t in zip(pairs, labels)])
+        if is_tc(g, STRICT):
+            return g
+    raise GenerationFailed(f"no TC graph found in {max_tries} tries (seed {seed})")
 
 
 def random_happy_tc(
@@ -51,19 +71,11 @@ def random_happy_tc(
         raise ValueError("n must be positive")
     if not 0 <= edge_prob <= 1:
         raise ValueError(f"edge_prob must be in [0, 1], got {edge_prob}")
-    if max_tries < 0:
-        raise ValueError(f"max_tries must be non-negative, got {max_tries}")
-    rng = random.Random(seed)
-    for _ in range(max_tries):
-        pairs = [
-            (a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < edge_prob
-        ]
-        if not _connected(n, pairs):
-            continue
-        g = _labeled(n, pairs, rng)
-        if is_tc(g, STRICT):
-            return g
-    raise GenerationFailed(f"no TC graph found in {max_tries} tries (seed {seed})")
+
+    def draw_pairs(rng: random.Random) -> list[tuple[int, int]]:
+        return [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < edge_prob]
+
+    return _sample(n, seed, max_tries, draw_pairs)
 
 
 def random_happy_tc_with_cover(
@@ -78,23 +90,13 @@ def random_happy_tc_with_cover(
     ``cover_size`` cover vertices."""
     if not (1 <= cover_size < n):
         raise ValueError("need 1 <= cover_size < n")
-    if max_tries < 0:
-        raise ValueError(f"max_tries must be non-negative, got {max_tries}")
-    rng = random.Random(seed)
     cover = list(range(cover_size))
-    for _ in range(max_tries):
-        pairs = [
-            (a, b)
-            for a in cover
-            for b in cover
-            if a < b and rng.random() < 0.5
-        ]
+
+    def draw_pairs(rng: random.Random) -> list[tuple[int, int]]:
+        pairs = [(a, b) for a in cover for b in cover if a < b and rng.random() < 0.5]
         for v in range(cover_size, n):
             for x in sorted(rng.sample(cover, rng.randint(1, cover_size))):
                 pairs.append((x, v))
-        if not _connected(n, pairs):
-            continue
-        g = _labeled(n, pairs, rng)
-        if is_tc(g, STRICT):
-            return g
-    raise GenerationFailed(f"no TC graph found in {max_tries} tries (seed {seed})")
+        return pairs
+
+    return _sample(n, seed, max_tries, draw_pairs)

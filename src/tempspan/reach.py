@@ -38,15 +38,16 @@ lane mode reads lane bits.
   subsets instead of sources;
 * the single-source arrival mode carries, per vertex, a reached flag, the
   earliest arrival label and the edge that set it (:func:`earliest_arrival`,
-  :func:`reaches_all`, :func:`foremost_out_tree`).  An edge relaxes iff
-  exactly one endpoint is reached; in a strict group that endpoint must also
-  be reached before the label, so live values serve and no group is copied.
-  Groups come in ascending label order, so a vertex's arrival and edge are
-  set once, when it is first reached, and never change after.  The sweep
-  starts at the first label at or after ``start`` and stops as soon as every
-  vertex is reached.
+  :func:`reaches_all`, :func:`foremost_out_tree`, :func:`verify_out_tree`).
+  An edge relaxes iff exactly one endpoint is reached; in a strict group that
+  endpoint must also be reached before the label, so live values serve and no
+  group is copied.  Groups come in ascending label order, so a vertex's
+  arrival and edge are set once, when it is first reached, and never change
+  after.  The sweep starts at the first label at or after ``start`` and stops
+  as soon as every vertex is reached.
 
-The public functions take an optional ``kept`` edge subset and turn it into
+The public functions take an optional ``kept`` edge subset, and
+:func:`verify_out_tree` its ``candidate_edges``; each turns that subset into
 a drop table once per call.  ``None`` is the unreachable sentinel throughout.
 """
 

@@ -94,9 +94,11 @@ def test_solve_flow_engine(capsys, graph_file):
 def test_solve_single_vertex_graph(capsys, tmp_path, engine):
     path = tmp_path / "one.tg"
     path.write_text("1 1\n")
-    code, out, _ = run(capsys, "solve", "--engine", engine, path)
+    code, out, err = run(capsys, "solve", "--engine", engine, path)
     assert code == 0
-    assert out.startswith("size=0 optimal=true")
+    # The spanner takes stdout and keeps no edge; the summary goes to stderr.
+    assert out == ""
+    assert err.splitlines()[-1] == f"size=0 optimal=true method=exact-{engine}"
 
 
 @pytest.mark.parametrize("method", ["exact", "xp-vc"])
@@ -174,12 +176,15 @@ def test_solve_cap_skipped_when_no_search_is_needed(capsys, tmp_path):
     # 9 removable edges exceed cap 0, but the index greedy spanner keeps
     # 2n - 4 = 8 edges: it answers k=2 and k=8, proven optimal.
     path = tmp_path / "g.tg"
-    path.write_text(tg.serialize(random_happy_tc(6, 0, 0.6)))
-    code, out, _ = run(capsys, "solve", "--k", 2, "--cap", 0, path)
+    g = random_happy_tc(6, 0, 0.6)
+    path.write_text(tg.serialize(g))
+    # The spanner takes stdout, so the summary goes to stderr.
+    spanner = tg.serialize_spanner(solver.min_spanner_exact(g, budget=8, cap=0).spanner)
+    code, out, err = run(capsys, "solve", "--k", 2, "--cap", 0, path)
     assert code == 1
-    assert out.startswith("size=8 optimal=true ")
+    assert out == spanner and err.splitlines()[-1].startswith("size=8 optimal=true ")
     code, out, err = run(capsys, "solve", "--k", 8, "--cap", 0, path)
-    assert code == 0 and out.startswith("size=8 optimal=true ")
+    assert code == 0 and out == spanner and err.splitlines()[-1].startswith("size=8 optimal=true ")
     assert "resource guard" not in err
 
 
@@ -314,6 +319,43 @@ def test_gen_random_json_to_file(capsys, tmp_path):
     assert code == 0
     assert out == json.dumps({"command": "gen-random", "input": None, "result": result}) + "\n"
     assert path.read_text() == tg.serialize(g)
+
+
+def test_solve_to_stdout_writes_the_spanner_only(capsys, graph_file, tmp_path):
+    code, out, err = run(capsys, "solve", graph_file)
+    res = solver.min_spanner_exact(tg.parse(graph_file.read_text()))
+    assert code == 0 and out == tg.serialize_spanner(res.spanner)
+    assert err.splitlines()[-1] == f"size={res.size} optimal=true method={res.method}"
+    span_file = tmp_path / "s.txt"
+    span_file.write_text(out)
+    assert run(capsys, "verify", graph_file, span_file)[0] == 0
+    # --json takes stdout, and its result lists the spanner's edge indices.
+    code, out, _ = run(capsys, "solve", "--json", graph_file)
+    assert code == 0 and len(out.splitlines()) == 1
+    assert json.loads(out)["result"]["spanner"] == sorted(res.spanner.kept)
+
+
+def test_gen_random_to_a_file_prints_the_summary(capsys, tmp_path):
+    path = tmp_path / "g.tg"
+    code, out, err = run(capsys, "gen-random", "--n", 7, "--seed", 5, "--out", path)
+    g = random_happy_tc(7, 5)
+    assert (code, err) == (0, "") and path.read_text() == tg.serialize(g)
+    assert out == f"n={g.vertex_count} m={g.m} lifetime={g.lifetime} seed=5\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen-random", "--n", 7, "--seed", 5, "--json"], "--json needs --out FILE"),
+        (["gen-random", "--n", 7, "--seed", 5, "--json", "--out", "-"], "--json needs --out FILE"),
+        (["solve", "missing.tg", "--json", "--triples"], "--json --triples needs --out FILE"),
+    ],
+    ids=["gen-random", "gen-random-dash", "solve-triples"],
+)
+def test_json_that_would_drop_the_payload_is_refused_first(capsys, argv, message):
+    # The refusal comes before any work: the solve does not read its file.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "") and err.startswith(f"tempspan: error: {message}: ")
 
 
 def test_solve_writes_triples(capsys, graph_file, tmp_path):

@@ -185,7 +185,7 @@ def test_flow_decides_sat_reduction_past_phi_11():
 @pytest.mark.xfail(
     strict=True,
     raises=solver.InstanceTooLarge,
-    reason="ROADMAP item 2: since the conflict blocks were packed, the default solve refuses this",
+    reason="ROADMAP items 3 and 4: since the conflict blocks were packed, the default solve refuses this",
 )
 def test_default_solve_refutes_the_unsatisfiable_four_variable_formula_below_its_budget():
     # The main search stops at its node limit, and 103 removable edges

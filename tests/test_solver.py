@@ -1752,3 +1752,53 @@ def test_requirement_holds_rejects_out_of_range_source():
     for req in (TwoSource(-3, 0), TwoSource(0, 3)):
         with pytest.raises(ValueError):
             solver.requirement_holds(g, STRICT, req)
+
+
+# ---------------------------------------------------------------------------
+# Label transformations (ROADMAP item 11)
+# ---------------------------------------------------------------------------
+
+
+def _relabeled(g, new_label):
+    """``g`` with each label t replaced by ``new_label(t)``; edge i stays edge i."""
+    return tg.build(g.vertex_count, [(u, v, new_label(t)) for u, v, t in zip(g.us, g.vs, g.ts)])
+
+
+def _order_preserving(g, rng):
+    """A seeded map that spreads the labels by gaps, keeping their order and ties."""
+    labels = sorted(set(g.ts))
+    spread = sorted(rng.sample(range(1, 4 * len(labels) + 1), len(labels)))
+    return dict(zip(labels, spread)).__getitem__
+
+
+def _answers(g, s, req, budgets, xp):
+    """The kept edges, size, optimal, within_budget, lower_bound and method
+    of each solve: bnb and flow at each budget, brute force, and the XP
+    solver at each budget when ``xp``."""
+    solves = [_solve(e, g, s, req, b) for e in ("bnb", "flow") for b in budgets]
+    solves.append(solver.min_spanner_brute(g, s, req))
+    if xp:
+        solves += [_solve("xp", g, s, req, b) for b in budgets]
+    return [
+        (r.spanner.kept, r.size, r.optimal, r.within_budget, r.lower_bound, r.method)
+        for r in solves
+    ]
+
+
+@_in_every_mode
+def test_answers_do_not_depend_on_label_values(kind, two_source, s):
+    # An order-preserving map of the labels leaves every answer the same, and
+    # so does time reversal, t -> T + 1 - t, under the all-pairs requirement:
+    # a path from u to v becomes one from v to u, so the two graphs have the
+    # same spanners.  Line permutation is left out: it can change answers
+    # today (ROADMAP item 11).
+    rng = random.Random(11)
+    for g, req in _instances(kind, s, two_source, 8):
+        opt = solver.min_spanner_brute(g, s, req).size
+        budgets = (None, opt, opt - 1)
+        xp = kind == "happy" and s is STRICT and not two_source
+        want = _answers(g, s, req, budgets, xp)
+        assert _answers(_relabeled(g, _order_preserving(g, rng)), s, req, budgets, xp) == want
+        if not two_source:
+            reversed_g = _relabeled(g, lambda t: g.lifetime + 1 - t)
+            assert _answers(reversed_g, s, req, budgets, xp) == want
